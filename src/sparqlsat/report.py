@@ -97,12 +97,11 @@ def _analyze_one(entry: CorpusEntry, options: PipelineOptions) -> EntryRecord:
             builtins_as_bound=options.builtins_as_bound,
             dnf_cap=options.dnf_cap,
         )
-    except (SparqlSatError, RecursionError) as exc:  # analysis must never abort the batch
-        return EntryRecord(
-            entry.entry_id,
-            "ok",
-            verdict={"status": "unknown", "reason": f"{type(exc).__name__}: {exc}"},
-        )
+    except Exception as exc:  # analysis must never abort the batch
+        reason = f"{type(exc).__name__}: {exc}"
+        if not isinstance(exc, (SparqlSatError, RecursionError)):
+            reason = f"internal-error: {reason}"
+        return EntryRecord(entry.entry_id, "ok", verdict={"status": "unknown", "reason": reason})
     profile = result.profile
     return EntryRecord(
         entry.entry_id,

@@ -35,36 +35,27 @@ def wrong_literal_reduce(pattern: Pattern) -> Pattern | None:
 
 
 def _reduce(pattern: Pattern) -> Pattern | None:
+    """As wrong_literal_reduce; returns `pattern` itself when nothing is removed."""
     if isinstance(pattern, TriplePattern):
         return None if isinstance(pattern.subject, Literal) else pattern
-    if isinstance(pattern, Union):
-        left = _reduce(pattern.left)
-        right = _reduce(pattern.right)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return Union(left, right)
-    if isinstance(pattern, And):
-        left = _reduce(pattern.left)
-        right = _reduce(pattern.right)
-        if left is None or right is None:
-            return None
-        return And(left, right)
-    if isinstance(pattern, Opt):
-        left = _reduce(pattern.left)
-        if left is None:
-            return None
-        right = _reduce(pattern.right)
-        if right is None:
-            return left
-        return Opt(left, right)
     if isinstance(pattern, Filter):
         sub = _reduce(pattern.pattern)
         if sub is None:
             return None
-        return Filter(sub, pattern.condition)
-    raise TypeError(f"not a pattern: {pattern!r}")
+        return pattern if sub is pattern.pattern else Filter(sub, pattern.condition)
+    if not isinstance(pattern, (Union, And, Opt)):
+        raise TypeError(f"not a pattern: {pattern!r}")
+    left = _reduce(pattern.left)
+    if left is None and not isinstance(pattern, Union):
+        return None  # AND needs both sides, OPT its left side
+    right = _reduce(pattern.right)
+    if left is None:
+        return right
+    if right is None:
+        return None if isinstance(pattern, And) else left
+    if left is pattern.left and right is pattern.right:
+        return pattern
+    return type(pattern)(left, right)
 
 
 def select_eliminate(pattern: Pattern) -> Pattern:

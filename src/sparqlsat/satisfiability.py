@@ -204,19 +204,20 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
     """A restriction of the witness model that the evaluator must return.
 
     Follows the inductive argument behind the witness construction: choose a
-    surviving pruned scheme at the root and descend, joining optional arms
-    whenever their scheme family is nonempty (their solutions are restrictions
-    of the same model, hence always compatible).
+    maximal scheme at the root and descend.  Every maximal scheme of a join,
+    and of an optional join whose arm has schemes at all, is the union of
+    maximal schemes of its two sides; the arm's solutions are restrictions of
+    the same model, hence always compatible, so the arm is always joined.
     """
 
-    def decompose(left: Pattern, right: Pattern, target: Scheme) -> Scheme | None:
+    def decompose(left: Pattern, right: Pattern, target: Scheme) -> Scheme:
         for s1 in sorted(table[id(left)], key=scheme_sort_key):
             if not s1 <= target:
                 continue
             for s2 in sorted(table[id(right)], key=scheme_sort_key):
                 if s1 | s2 == target:
                     return realize(left, s1) | realize(right, s2)
-        return None
+        raise AssertionError("target scheme not decomposable over a join")
 
     def realize(node: Pattern, target: Scheme) -> Scheme:
         if isinstance(node, TriplePattern):
@@ -226,23 +227,10 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
                 if target in table[id(branch)]:
                     return realize(branch, target)
             raise AssertionError("target scheme lost in union branch")
-        if isinstance(node, And):
-            joined = decompose(node.left, node.right, target)
-            if joined is None:
-                raise AssertionError("target scheme not decomposable over conjunction")
-            return joined
-        if isinstance(node, Opt):
-            joined = decompose(node.left, node.right, target)
-            if joined is not None:
-                return joined
-            # Mandatory-side scheme: when the optional arm can produce
-            # solutions at all, the model's restriction joins with one.
-            right_schemes = table[id(node.right)]
-            realized = realize(node.left, target)
-            if right_schemes:
-                smallest = min(right_schemes, key=scheme_sort_key)
-                realized = realized | realize(node.right, smallest)
-            return realized
+        if isinstance(node, And) or (isinstance(node, Opt) and table[id(node.right)]):
+            return decompose(node.left, node.right, target)
+        if isinstance(node, Opt):  # the optional arm has no solutions
+            return realize(node.left, target)
         if isinstance(node, Filter):
             return realize(node.pattern, target)
         raise TypeError(f"not a pattern node: {node!r}")
@@ -297,7 +285,7 @@ def run_pipeline(
         return PipelineResult(
             Unsatisfiable(UnsatReason.WRONG_LITERAL), profile, None, True, None
         )
-    modified = reduced != core
+    modified = reduced is not core
 
     profile = classify_fragment(reduced)
     members = union_free_split(reduced)

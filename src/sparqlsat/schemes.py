@@ -5,10 +5,30 @@ candidate domains of its solution mappings.  Every actual solution's domain
 is one of the candidates, so an empty family proves unsatisfiability; for the
 two decidable constraint fragments the converse holds as well.
 
-The family can grow exponentially in the number of UNION/OPT operators, but
-only variables mentioned in filters can ever make it empty, so the pruned
-variant intersects every scheme with the filter variables and stays tiny on
-real queries.
+The full family can grow exponentially in the number of UNION/OPT operators.
+Only variables mentioned in filters can ever make it empty, so the pruned
+family intersects every scheme with the filter variables; `candidate_schemes`
+and `pruned_schemes` materialize these two families with one recursion.
+
+The decision itself reads `scheme_table`, which keeps only the ⊆-maximal
+pruned schemes of every node.  Every constraint kind of the two fragments
+(bound, =, !=, !=c) only asks for variables to be bound, so the schemes a
+filter admits are closed upwards.  Union, join and optional-join preserve
+that order, so the maximal members of a node's family are computed from the
+maximal members of its children alone:
+
+* union: the maximal members of both sides;
+* join: the maximal pairwise unions;
+* optional join: the maximal pairwise unions when the optional arm's family
+  is nonempty (each left-only scheme lies below one of them), else the left;
+* filter: the admitted maximal schemes.
+
+A family is empty exactly when its maximal members are, so emptiness is
+unchanged.  A chain of k optional arms under a k-way bound disjunction keeps
+one scheme per node instead of 2^k.  The worst case stays exponential,
+as NP-completeness requires: a join of UNIONs over disjoint variables has
+exponentially many maximal schemes.  `!bound` is not upward-closed, so
+`scheme_table` refuses it.
 """
 
 from __future__ import annotations
@@ -20,22 +40,23 @@ from .patterns import (
     Constraint,
     Eq,
     EqC,
+    Filter,
     Neq,
     NeqC,
     NegBound,
     Opt,
     Pattern,
-    Select,
     TriplePattern,
     Union,
     condition_vars,
-    contains_node,
     is_atomic,
     iter_filter_conditions,
 )
 from .terms import Scheme, Variable
 
-#: Schemes beyond this many raise SchemeSetBlowup; switch to pruned_schemes.
+#: Families beyond this many schemes raise SchemeSetBlowup.  Only the
+#: materialized families count against it; the decision's maximal-scheme
+#: table stays small unless UNIONs multiply under AND.
 DEFAULT_SCHEME_CAP = 1 << 20
 
 SchemeSet = frozenset  # frozenset[Scheme]
@@ -52,20 +73,34 @@ def admits(scheme: Scheme, constraint: Constraint) -> bool:
     raise NotNormalized(f"not an atomic constraint: {constraint!r}")
 
 
-def _check_input(pattern: Pattern, caller: str):
-    if contains_node(pattern, Select):
-        raise PreconditionViolated(f"{caller} requires a SELECT-free pattern")
-    if any(not is_atomic(c) for c in iter_filter_conditions(pattern)):
-        raise NotNormalized(f"{caller} requires atomic filter constraints")
+def _atomic_condition(node: Filter) -> Constraint:
+    if not is_atomic(node.condition):
+        raise NotNormalized("scheme analysis requires atomic filter constraints")
+    return node.condition
 
 
 def candidate_schemes(pattern: Pattern, cap: int = DEFAULT_SCHEME_CAP) -> SchemeSet:
     """The full scheme family of a SELECT-free pattern with atomic filters."""
-    _check_input(pattern, "candidate_schemes")
+    return _family(pattern, None, cap)
+
+
+def pruned_schemes(pattern: Pattern) -> SchemeSet:
+    """Scheme family intersected with the filter variables at every step.
+
+    The result is the pointwise image of the full family under intersection
+    with the filter variables, so it is empty exactly when the full family
+    is, while its size is bounded by two to the number of filter variables.
+    """
+    return _family(pattern, filter_variables(pattern), DEFAULT_SCHEME_CAP)
+
+
+def _family(pattern: Pattern, keep: Scheme | None, cap: int) -> SchemeSet:
+    """The family of every scheme, each intersected with `keep` unless None."""
 
     def rec(node: Pattern) -> frozenset:
         if isinstance(node, TriplePattern):
-            return frozenset((node.variables(),))
+            scheme = node.variables()
+            return frozenset((scheme if keep is None else scheme & keep,))
         if isinstance(node, Union):
             out = rec(node.left) | rec(node.right)
         elif isinstance(node, And):
@@ -73,8 +108,11 @@ def candidate_schemes(pattern: Pattern, cap: int = DEFAULT_SCHEME_CAP) -> Scheme
         elif isinstance(node, Opt):
             left = rec(node.left)
             out = _products(left, rec(node.right), cap) | left
-        else:  # Filter
-            out = frozenset(s for s in rec(node.pattern) if admits(s, node.condition))
+        elif isinstance(node, Filter):
+            condition = _atomic_condition(node)
+            out = frozenset(s for s in rec(node.pattern) if admits(s, condition))
+        else:
+            raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
         if len(out) > cap:
             raise SchemeSetBlowup(f"scheme family exceeds {cap} schemes")
         return out
@@ -100,41 +138,48 @@ def filter_variables(pattern: Pattern) -> Scheme:
     return frozenset(acc)
 
 
-def pruned_schemes(pattern: Pattern) -> SchemeSet:
-    """Scheme family intersected with the filter variables at every step.
-
-    The result is the pointwise image of the full family under intersection
-    with the filter variables, so it is empty exactly when the full family
-    is, while its size is bounded by two to the number of filter variables.
-    """
-    return scheme_table(pattern)[1][id(pattern)]
+def _maximal(schemes) -> SchemeSet:
+    """The ⊆-maximal members of a collection of schemes."""
+    kept: list[Scheme] = []
+    for scheme in sorted(set(schemes), key=len, reverse=True):
+        if not any(scheme <= other for other in kept):
+            kept.append(scheme)
+    return frozenset(kept)
 
 
 def scheme_table(pattern: Pattern) -> tuple[Scheme, dict[int, SchemeSet]]:
-    """Pruned scheme family for every subpattern, keyed by node identity.
+    """Maximal pruned schemes of every subpattern, keyed by node identity.
 
     Returns the filter-variable set and the per-node table; the table backs
-    both the pruned emptiness test and the witness sample construction.
+    both the emptiness test and the witness sample construction.  Raises
+    PreconditionViolated on SELECT and on `!bound`, whose admitted schemes
+    are not closed upwards, and NotNormalized on composite filters.
     """
-    _check_input(pattern, "pruned_schemes")
     fv = filter_variables(pattern)
     table: dict[int, SchemeSet] = {}
 
-    def rec(node: Pattern) -> frozenset:
+    def rec(node: Pattern) -> SchemeSet:
+        known = table.get(id(node))  # rewrites share subtrees between branches
+        if known is not None:
+            return known
         if isinstance(node, TriplePattern):
             out = frozenset((node.variables() & fv,))
         elif isinstance(node, Union):
-            out = rec(node.left) | rec(node.right)
-        elif isinstance(node, And):
+            out = _maximal(rec(node.left) | rec(node.right))
+        elif isinstance(node, (And, Opt)):
             left = rec(node.left)
             right = rec(node.right)
-            out = frozenset(s1 | s2 for s1 in left for s2 in right)
-        elif isinstance(node, Opt):
-            left = rec(node.left)
-            right = rec(node.right)
-            out = frozenset(s1 | s2 for s1 in left for s2 in right) | left
-        else:  # Filter
-            out = frozenset(s for s in rec(node.pattern) if admits(s, node.condition))
+            if right or isinstance(node, And):
+                out = _maximal(s1 | s2 for s1 in left for s2 in right)
+            else:  # an optional arm without solutions leaves the left side alone
+                out = left
+        elif isinstance(node, Filter):
+            condition = _atomic_condition(node)
+            if isinstance(condition, NegBound):
+                raise PreconditionViolated("scheme_table cannot keep maximal schemes under !bound")
+            out = frozenset(s for s in rec(node.pattern) if admits(s, condition))
+        else:
+            raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
         table[id(node)] = out
         return out
 

@@ -106,6 +106,35 @@ def test_pearson_on_a_perfect_line():
     assert pearson([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
 
 
+def test_internal_error_on_one_entry_does_not_abort_the_batch(monkeypatch):
+    from sparqlsat import report as report_module
+
+    real_run_pipeline = report_module.run_pipeline
+    entries = entries_from(GOLDEN_QUERIES)
+    doomed = entries[2].pattern
+
+    def failing_on_one(pattern, **options):
+        if pattern is doomed:
+            raise AssertionError("target scheme lost in union branch")
+        return real_run_pipeline(pattern, **options)
+
+    monkeypatch.setattr(report_module, "run_pipeline", failing_on_one)
+    report = analyze_batch(entries, PipelineOptions(repeats=0))
+    assert [e.entry_id for e in report.entries] == [1, 2, 3, 4, 5]
+    failed = report.entries[2]
+    assert failed.verdict["status"] == "unknown"
+    assert failed.verdict["reason"].startswith("internal-error: AssertionError")
+    assert report.entries[0].verdict["status"] == "satisfiable"
+    assert report.entries[1].verdict["reason"] == "wrong-literal"
+    assert report.counts == {
+        "satisfiable": 1,
+        "unsatisfiable": 1,
+        "unknown": 1,
+        "syntax-error": 1,
+        "unsupported": 1,
+    }
+
+
 def test_verdict_records_serialize_witnesses():
     report = analyze_batch(entries_from(GOLDEN_QUERIES[:1]), PipelineOptions(repeats=0))
     verdict = report.entries[0].verdict

@@ -51,6 +51,15 @@ def test_literal_free_pattern_is_unchanged():
     assert wrong_literal_reduce(pattern) == pattern
 
 
+def test_reduction_returns_its_input_exactly_when_nothing_is_removed():
+    pattern = parse_pattern("(((?x p ?y) OPT (?y q ?z)) AND (?x r 42)) FILTER ?x != c")
+    assert wrong_literal_reduce(pattern) is pattern
+    doomed_arm = parse_pattern("(((?x p ?y) OPT (42 q ?z)) AND (?x r 42)) FILTER ?x != c")
+    reduced = wrong_literal_reduce(doomed_arm)
+    assert reduced is not doomed_arm
+    assert reduced == parse_pattern("((?x p ?y) AND (?x r 42)) FILTER ?x != c")
+
+
 def test_union_keeps_the_clean_branch():
     reduced = wrong_literal_reduce(parse_pattern("(42 p ?y) UNION (?x q ?y)"))
     assert reduced == parse_pattern("(?x q ?y)")
@@ -86,6 +95,8 @@ def test_wrong_literal_reduction_preserves_semantics(seed):
             not isinstance(tp.subject, Literal)
             for tp in _triples(reduced)
         )
+    literal_free = all(not isinstance(tp.subject, Literal) for tp in _triples(pattern))
+    assert (reduced is pattern) == literal_free
 
 
 def _triples(pattern):

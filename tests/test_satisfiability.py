@@ -1,6 +1,7 @@
 """The decision core: fragments, witnesses, and both decision routes."""
 
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from sparqlsat import (
     decide_well_designed,
     evaluate,
     injective_witness,
+    normalize_filters,
     parse_pattern,
 )
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
@@ -325,3 +327,19 @@ def test_decidable_routes_match_evaluator_verdicts():
                     graph = random_graph(rng, pattern)
                     assert not evaluate(pattern, graph)
         assert sat > 30 and unsat > 10
+
+
+def test_sixteen_way_bound_disjunction_is_decided_fast():
+    # the scheme table keeps one maximal scheme per node, not 2^16
+    arms = 16
+    lines = ["?s a <http://example.org/Thing> ."]
+    lines += [f"OPTIONAL {{ ?s <http://example.org/opt{i}> ?v{i} . }}" for i in range(arms)]
+    lines.append("FILTER ( " + " || ".join(f"bound(?v{i})" for i in range(arms)) + " )")
+    pattern = parse_pattern("SELECT * WHERE {\n  " + "\n  ".join(lines) + "\n}")
+    start = time.perf_counter()
+    verdict = decide_satisfiability(pattern)
+    elapsed = time.perf_counter() - start
+    assert isinstance(verdict, Satisfiable)
+    assert elapsed < 0.5, f"{elapsed:.3f} s"
+    assert verdict.sample in evaluate(normalize_filters(pattern), verdict.witness)
+    assert len(verdict.sample) == arms + 1

@@ -21,7 +21,7 @@ from sparqlsat import (
     parse_pattern,
     pruned_schemes,
 )
-from sparqlsat.errors import SchemeSetBlowup
+from sparqlsat.errors import PreconditionViolated, SchemeSetBlowup
 from sparqlsat.schemes import scheme_table
 
 x, y, z, u = Variable("x"), Variable("y"), Variable("z"), Variable("u")
@@ -93,7 +93,40 @@ def test_scheme_table_covers_every_node():
     pattern = parse_pattern("((?x p ?y) OPT (?x q ?z)) FILTER bound(?z)")
     _, table = scheme_table(pattern)
     assert table[id(pattern)] == family({z})
-    assert table[id(pattern.pattern)] == family(set(), {z})
+    assert table[id(pattern.pattern)] == family({z})
+
+
+def maximal(schemes):
+    return frozenset(s for s in schemes if not any(s < t for t in schemes))
+
+
+UPWARD_CLOSED_KINDS = ("bound", "eq", "neq", "eqc", "neqc")
+
+
+def test_scheme_table_holds_the_maximal_pruned_schemes_of_every_node():
+    from sparqlsat.patterns import iter_subpatterns
+
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(400):
+        pattern = random_pattern(rng, depth=rng.randint(0, 5), kinds=UPWARD_CLOSED_KINDS)
+        fv, table = scheme_table(pattern)
+        assert fv == filter_variables(pattern)
+        for node in iter_subpatterns(pattern):
+            try:
+                full = candidate_schemes(node)
+            except SchemeSetBlowup:
+                continue
+            checked += 1
+            assert table[id(node)] == maximal({s & fv for s in full})
+    assert checked > 1500
+
+
+def test_scheme_table_refuses_negated_bound():
+    pattern = parse_pattern("((?x p ?y) OPT (?x q ?z)) FILTER !bound(?z)")
+    with pytest.raises(PreconditionViolated):
+        scheme_table(pattern)
+    assert pruned_schemes(pattern) == family(set())
 
 
 def figure_shaped_query(arms: int = 28) -> str:
