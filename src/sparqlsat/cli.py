@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--builtins-as-bound", action="store_true")
     analyze.add_argument("--repeats", type=int, default=5, help="timing repeats; 0 disables timing")
     analyze.add_argument("--mode", choices=("json", "table"), default="json")
-    analyze.add_argument("--parallel", type=int, default=1)
     analyze.add_argument("--buckets", default="", help="comma-separated sizes for the scaling run")
 
     check = sub.add_parser("check", help="decide satisfiability of a single query file")
@@ -92,7 +91,6 @@ def _cmd_analyze(args) -> int:
     options = PipelineOptions(
         builtins_as_bound=args.builtins_as_bound,
         repeats=args.repeats,
-        parallel=args.parallel,
         size_buckets=buckets,
     )
     try:

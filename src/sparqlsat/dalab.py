@@ -30,6 +30,7 @@ from .patterns import (
     Eq,
     EqC,
     Filter,
+    FreshVars,
     Neq,
     NegBound,
     Opt,
@@ -37,7 +38,6 @@ from .patterns import (
     TriplePattern,
     Union,
     rename_vars,
-    vars_of,
 )
 from .terms import Iri, RdfGraph, RdfTriple, SolutionSet, Variable
 
@@ -181,15 +181,6 @@ def da_text(expr: DAExpr) -> str:
 
 # --- the three difference-emulating compilers ------------------------------------
 
-class _Fresh:
-    def __init__(self):
-        self.index = 0
-
-    def take(self) -> Variable:
-        self.index += 1
-        return Variable(f"_g{self.index}")
-
-
 def _adom_gadget(var: Variable, aux_in: Variable, aux_out: Variable, predicate: Iri) -> Pattern:
     """Binds `var` to any active-domain element of the relation graph."""
     return Union(
@@ -198,7 +189,7 @@ def _adom_gadget(var: Variable, aux_in: Variable, aux_out: Variable, predicate: 
     )
 
 
-def _compile(expr: DAExpr, fresh: _Fresh, predicate: Iri, diff) -> Pattern:
+def _compile(expr: DAExpr, fresh: FreshVars, predicate: Iri, diff) -> Pattern:
     if isinstance(expr, Rel):
         return TriplePattern(RESULT_X, predicate, RESULT_Y)
     if isinstance(expr, DUnion):
@@ -219,28 +210,28 @@ def _compile(expr: DAExpr, fresh: _Fresh, predicate: Iri, diff) -> Pattern:
 def emulate_negbound(expr: DAExpr, predicate: Iri = DEFAULT_RELATION_PREDICATE) -> Pattern:
     """Difference via an optional probe filtered by a negated bound check."""
 
-    def diff(left: Pattern, right: Pattern, fresh: _Fresh, pred: Iri) -> Pattern:
+    def diff(left: Pattern, right: Pattern, fresh: FreshVars, pred: Iri) -> Pattern:
         probe, probe_obj = fresh.take(), fresh.take()
         return Filter(
             Opt(left, And(right, TriplePattern(probe, pred, probe_obj))),
             NegBound(probe),
         )
 
-    return _compile(expr, _Fresh(), predicate, diff)
+    return _compile(expr, FreshVars(), predicate, diff)
 
 
 def emulate_eqneq(expr: DAExpr, predicate: Iri = DEFAULT_RELATION_PREDICATE) -> Pattern:
     """Difference via a nonequality inside the optional arm refuted by an
     outer equality; faithful on relations with at least two domain elements."""
 
-    def diff(left: Pattern, right: Pattern, fresh: _Fresh, pred: Iri) -> Pattern:
+    def diff(left: Pattern, right: Pattern, fresh: FreshVars, pred: Iri) -> Pattern:
         u, u2, v, v2, w, w2 = (fresh.take() for _ in range(6))
         adom_u = _adom_gadget(u, v, w, pred)
         adom_u2 = _adom_gadget(u2, v2, w2, pred)
         inner = Filter(And(And(right, adom_u), adom_u2), Neq(u, u2))
         return Filter(And(And(Opt(left, inner), adom_u), adom_u2), Eq(u, u2))
 
-    return _compile(expr, _Fresh(), predicate, diff)
+    return _compile(expr, FreshVars(), predicate, diff)
 
 
 def emulate_eqc(
@@ -256,21 +247,20 @@ def emulate_eqc(
             "the two constants must be distinct and differ from the relation predicate"
         )
 
-    def diff(left: Pattern, right: Pattern, fresh: _Fresh, pred: Iri) -> Pattern:
+    def diff(left: Pattern, right: Pattern, fresh: FreshVars, pred: Iri) -> Pattern:
         u, v, w = fresh.take(), fresh.take(), fresh.take()
         adom_u = _adom_gadget(u, v, w, pred)
         inner = Filter(And(right, adom_u), EqC(u, const_a))
         return Filter(And(Opt(left, inner), adom_u), EqC(u, const_b))
 
-    return _compile(expr, _Fresh(), predicate, diff)
+    return _compile(expr, FreshVars(), predicate, diff)
 
 
 def two_sat_wrapper(expr: DAExpr, predicate: Iri = DEFAULT_RELATION_PREDICATE) -> Pattern:
     """Satisfiable on some relation graph iff the expression has a model with
     at least two active-domain elements (within the bound searched)."""
     compiled = emulate_eqneq(expr, predicate)
-    fresh = _Fresh()
-    fresh.index = _max_reserved_index(compiled)
+    fresh = FreshVars(compiled)
     u, u2, v, v2, w, w2 = (fresh.take() for _ in range(6))
     gadgets = And(_adom_gadget(u, v, w, predicate), _adom_gadget(u2, v2, w2, predicate))
     return And(compiled, Filter(gadgets, Neq(u, u2)))
@@ -285,20 +275,10 @@ def ab_sat_wrapper(
     """Satisfiable on some relation graph iff the expression has a model whose
     active domain contains both constants (within the bound searched)."""
     compiled = emulate_eqc(expr, const_a, const_b, predicate)
-    fresh = _Fresh()
-    fresh.index = _max_reserved_index(compiled)
+    fresh = FreshVars(compiled)
     u, u2, v, v2, w, w2 = (fresh.take() for _ in range(6))
     gadgets = And(_adom_gadget(u, v, w, predicate), _adom_gadget(u2, v2, w2, predicate))
     return And(compiled, Filter(Filter(gadgets, EqC(u, const_a)), EqC(u2, const_b)))
-
-
-def _max_reserved_index(pattern: Pattern) -> int:
-    best = 0
-    for var in vars_of(pattern):
-        match = re.fullmatch(r"_g(\d+)", var.name)
-        if match:
-            best = max(best, int(match.group(1)))
-    return best
 
 
 # --- bounded satisfiability search ------------------------------------------------

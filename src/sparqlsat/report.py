@@ -1,11 +1,12 @@
 """Batch analysis driver, per-stage timing, and report emission.
 
-Timing mirrors the classic read-and-parse baseline methodology: the parse
-pass over the raw corpus is the baseline, every analysis stage is measured
-separately on pre-parsed input, and the report shows cumulative totals with
-their percentage overhead relative to the baseline.  The timing loop repeats
-a configurable number of times and averages; with timing disabled the report
-is byte-stable across runs.
+Timing follows the classic read-and-parse baseline methodology: each timing
+round parses every raw query as the baseline, then runs the decision
+pipeline on the entry with a sink for its stage spans, so the stages timed
+are the stages of the real run.  The report averages the rounds and shows
+cumulative totals with their percentage overhead relative to the baseline.
+With timing disabled no clock is read and the report is byte-stable across
+runs.
 """
 
 from __future__ import annotations
@@ -13,21 +14,15 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import CorpusEntry
 from .errors import SparqlSatError
 from .evaluator import format_graph
-from .normalize import DEFAULT_DNF_CAP, normalize_filters
 from .patterns import Pattern
-from .rewrites import af_reduce, select_eliminate, union_free_split, wrong_literal_reduce
 from .satisfiability import PipelineResult, Satisfiable, Unsatisfiable, run_pipeline
-from .schemes import candidate_schemes, pruned_schemes
 from .syntax import parse_pattern
 from .terms import format_term
-from .welldesigned import derive_sort_map, extract_constraints, is_well_designed
-from .constraints import consistent
 
 SCHEMA_VERSION = 1
 STAGES = ("parse", "wrong_literal", "schemes", "well_designed")
@@ -36,9 +31,7 @@ STAGES = ("parse", "wrong_literal", "schemes", "well_designed")
 @dataclass(frozen=True)
 class PipelineOptions:
     builtins_as_bound: bool = False
-    dnf_cap: int = DEFAULT_DNF_CAP
     repeats: int = 5
-    parallel: int = 1
     size_buckets: tuple = ()
 
     @property
@@ -88,18 +81,26 @@ def verdict_to_json(verdict) -> dict:
     return {"status": "unknown", "reason": verdict.reason}
 
 
-def _analyze_one(entry: CorpusEntry, options: PipelineOptions) -> EntryRecord:
+def _guarded_run(pattern: Pattern, options: PipelineOptions, stage_ns: dict | None = None):
+    """`run_pipeline`'s result, or the exception it raised: one entry must
+    never abort a batch or a scaling pass."""
+    try:
+        return run_pipeline(
+            pattern, builtins_as_bound=options.builtins_as_bound, stage_ns=stage_ns
+        )
+    except Exception as exc:
+        return exc
+
+
+def _analyze_one(
+    entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None
+) -> EntryRecord:
     if entry.status != "ok":
         return EntryRecord(entry.entry_id, entry.status, error=entry.error)
-    try:
-        result: PipelineResult = run_pipeline(
-            entry.pattern,
-            builtins_as_bound=options.builtins_as_bound,
-            dnf_cap=options.dnf_cap,
-        )
-    except Exception as exc:  # analysis must never abort the batch
-        reason = f"{type(exc).__name__}: {exc}"
-        if not isinstance(exc, (SparqlSatError, RecursionError)):
+    result = _guarded_run(entry.pattern, options, stage_ns)
+    if isinstance(result, Exception):
+        reason = f"{type(result).__name__}: {result}"
+        if not isinstance(result, (SparqlSatError, RecursionError)):
             reason = f"internal-error: {reason}"
         return EntryRecord(entry.entry_id, "ok", verdict={"status": "unknown", "reason": reason})
     profile = result.profile
@@ -114,47 +115,25 @@ def _analyze_one(entry: CorpusEntry, options: PipelineOptions) -> EntryRecord:
     )
 
 
-def _prepare_for_timing(entry: CorpusEntry, options: PipelineOptions):
-    """Pre-compute the stage inputs so each stage can be timed in isolation."""
-    try:
-        core = normalize_filters(
-            select_eliminate(entry.pattern),
-            builtins_as_bound=options.builtins_as_bound,
-            dnf_cap=options.dnf_cap,
-        )
-    except SparqlSatError:
-        return None
-    reduced = wrong_literal_reduce(core)
-    return (core, reduced)
-
-
-def _stage_wrong_literal(core: Pattern):
-    wrong_literal_reduce(core)
-
-
-def _stage_schemes(reduced: Pattern):
-    pruned_schemes(reduced)
-
-
-def _stage_well_designed(reduced: Pattern):
-    for member in union_free_split(reduced):
-        if not member.union_free:
-            continue
-        ok, _ = is_well_designed(member.pattern)
-        if not ok:
-            continue
-        core = af_reduce(member.pattern)
-        if candidate_schemes(core):
-            consistent(extract_constraints(core), derive_sort_map(core))
-
-
 def analyze_batch(entries: list, options: PipelineOptions | None = None) -> AnalysisReport:
     """Run the decision pipeline over a corpus and assemble the report."""
     options = options or PipelineOptions()
 
-    if options.parallel > 1 and not options.timing:
-        with ThreadPoolExecutor(max_workers=options.parallel) as pool:
-            records = list(pool.map(lambda e: _analyze_one(e, options), entries))
+    stage_totals = None
+    overheads = None
+    if options.timing:
+        records = _timed_rounds(entries, options)
+        stage_totals = {
+            stage: sum(record.stage_ns[stage] for record in records) / 1e6  # ms
+            for stage in STAGES
+        }
+        baseline = stage_totals["parse"]
+        if baseline > 0:
+            overheads = {
+                "wrong_literal": 100.0 * stage_totals["wrong_literal"] / baseline,
+                "schemes": 100.0 * (stage_totals["wrong_literal"] + stage_totals["schemes"]) / baseline,
+                "well_designed": 100.0 * stage_totals["well_designed"] / baseline,
+            }
     else:
         records = [_analyze_one(entry, options) for entry in entries]
 
@@ -164,18 +143,6 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
             counts[record.status] += 1
         else:
             counts[record.verdict["status"]] += 1
-
-    stage_totals = None
-    overheads = None
-    if options.timing:
-        stage_totals = _run_timing(entries, records, options)
-        baseline = stage_totals["parse"]
-        if baseline > 0:
-            overheads = {
-                "wrong_literal": 100.0 * stage_totals["wrong_literal"] / baseline,
-                "schemes": 100.0 * (stage_totals["wrong_literal"] + stage_totals["schemes"]) / baseline,
-                "well_designed": 100.0 * stage_totals["well_designed"] / baseline,
-            }
 
     scaling = None
     if options.size_buckets:
@@ -191,46 +158,30 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
     )
 
 
-def _run_timing(entries: list, records: list, options: PipelineOptions) -> dict:
-    prepared = []
-    for entry, record in zip(entries, records):
-        prepared.append(_prepare_for_timing(entry, options) if entry.status == "ok" else None)
+def _timed_rounds(entries: list, options: PipelineOptions) -> list:
+    """The first round's records, with each stage's mean time over all rounds.
 
-    per_entry = {stage: [0.0] * len(entries) for stage in STAGES}
-    totals = {stage: 0.0 for stage in STAGES}
-
-    for _ in range(options.repeats):
-        for index, entry in enumerate(entries):
+    A round times `parse_pattern` on the raw text as the baseline, then runs
+    the pipeline on the entry with its stage spans as the sink; only the
+    first round builds the records.
+    """
+    spans = [dict.fromkeys(STAGES, 0) for _ in entries]
+    records = []
+    for round_index in range(options.repeats):
+        for entry, entry_spans in zip(entries, spans):
             start = time.perf_counter_ns()
             try:
                 parse_pattern(entry.raw_text)
             except SparqlSatError:
                 pass
-            per_entry["parse"][index] += time.perf_counter_ns() - start
-        for index, ready in enumerate(prepared):
-            if ready is None:
-                continue
-            core, reduced = ready
-            start = time.perf_counter_ns()
-            _stage_wrong_literal(core)
-            per_entry["wrong_literal"][index] += time.perf_counter_ns() - start
-            if reduced is None:
-                continue
-            start = time.perf_counter_ns()
-            _stage_schemes(reduced)
-            per_entry["schemes"][index] += time.perf_counter_ns() - start
-            start = time.perf_counter_ns()
-            _stage_well_designed(reduced)
-            per_entry["well_designed"][index] += time.perf_counter_ns() - start
-
-    for stage in STAGES:
-        for index, record in enumerate(records):
-            mean_ns = per_entry[stage][index] / options.repeats
-            if record.stage_ns is None:
-                record.stage_ns = {}
-            record.stage_ns[stage] = mean_ns
-        totals[stage] = sum(per_entry[stage]) / options.repeats / 1e6  # ms
-    return totals
+            entry_spans["parse"] += time.perf_counter_ns() - start
+            if round_index == 0:
+                records.append(_analyze_one(entry, options, entry_spans))
+            elif entry.status == "ok":
+                _guarded_run(entry.pattern, options, entry_spans)
+    for record, entry_spans in zip(records, spans):
+        record.stage_ns = {stage: entry_spans[stage] / options.repeats for stage in STAGES}
+    return records
 
 
 def full_pipeline_pass(raw_texts: list, options: PipelineOptions) -> int:
@@ -241,15 +192,8 @@ def full_pipeline_pass(raw_texts: list, options: PipelineOptions) -> int:
             pattern = parse_pattern(raw)
         except SparqlSatError:
             continue
-        try:
-            run_pipeline(
-                pattern,
-                builtins_as_bound=options.builtins_as_bound,
-                dnf_cap=options.dnf_cap,
-            )
+        if not isinstance(_guarded_run(pattern, options), Exception):
             analyzed += 1
-        except (SparqlSatError, RecursionError):
-            continue
     return analyzed
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from time import perf_counter_ns
 
 from .constraints import Failure, fresh_iris, solve_constraints
 from .errors import (
@@ -270,7 +271,36 @@ def run_pipeline(
     *,
     builtins_as_bound: bool = False,
     dnf_cap: int = DEFAULT_DNF_CAP,
+    stage_ns: dict | None = None,
 ) -> PipelineResult:
+    """Rewrite, classify and decide one pattern.
+
+    With a `stage_ns` dict, the nanoseconds spent in each stage are added
+    to it under `wrong_literal` (SELECT elimination, normalization, the
+    wrong-literal reduction and classification), `well_designed` (the
+    union-free split, the well-designedness check and the well-designed core
+    decision) and `schemes` (the scheme table, witness and sample of the
+    fragment route); a stage left by an exception is charged up to the
+    raise.  Without one, no clock is read.
+    """
+    if stage_ns is None:
+        return _run_stages(pattern, builtins_as_bound, dnf_cap, lambda stage: None)
+    running = ["wrong_literal", perf_counter_ns()]
+
+    def enter(stage):
+        now = perf_counter_ns()
+        stage_ns[running[0]] = stage_ns.get(running[0], 0) + now - running[1]
+        running[:] = stage, now
+
+    try:
+        return _run_stages(pattern, builtins_as_bound, dnf_cap, enter)
+    finally:
+        enter(None)
+
+
+def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) -> PipelineResult:
+    """`run_pipeline`'s body; `enter(stage)` is called as each timed stage
+    after the first begins."""
     core, fresh_introduced = select_eliminate_info(pattern)
     try:
         core = normalize_filters(core, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap)
@@ -288,12 +318,14 @@ def run_pipeline(
     modified = reduced is not core
 
     profile = classify_fragment(reduced)
+    enter("well_designed")
     members = union_free_split(reduced)
     well_designed = all(
         member.union_free and is_well_designed(member.pattern)[0] for member in members
     )
 
     if profile.route is not Route.NONE:
+        enter("schemes")
         _, table = scheme_table(reduced)
         if not table[id(reduced)]:
             verdict: Verdict = Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
