@@ -45,37 +45,39 @@ def normalize_filters(
 
     Opaque builtin calls are only accepted when `builtins_as_bound` is set, in
     which case a call stands for "all mentioned variables are bound"; this is
-    an analysis approximation, not a semantics-preserving step.
+    an analysis approximation, not a semantics-preserving step.  A node with
+    no composite filter below it is returned itself.
     """
-    if isinstance(pattern, TriplePattern):
-        return pattern
-    if isinstance(pattern, (Union, And, Opt)):
-        return type(pattern)(
-            normalize_filters(pattern.left, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap),
-            normalize_filters(pattern.right, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap),
-        )
-    if isinstance(pattern, Select):
-        return Select(
-            pattern.scheme,
-            normalize_filters(pattern.pattern, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap),
-        )
-    sub = normalize_filters(pattern.pattern, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap)
-    if is_atomic(pattern.condition):
-        return Filter(sub, pattern.condition)
-    disjuncts = _to_dnf(pattern.condition, builtins_as_bound, dnf_cap)
-    branches = []
-    for conjunct in disjuncts:
-        branch = sub
-        for atom in conjunct:
-            branch = Filter(branch, atom)
-        branches.append(branch)
-    # fold balanced, so large disjunctions do not produce towers of unions
-    while len(branches) > 1:
-        branches = [
-            Union(branches[i], branches[i + 1]) if i + 1 < len(branches) else branches[i]
-            for i in range(0, len(branches), 2)
-        ]
-    return branches[0]
+
+    def rec(node: Pattern) -> Pattern:
+        if isinstance(node, TriplePattern):
+            return node
+        if isinstance(node, (Union, And, Opt)):
+            left, right = rec(node.left), rec(node.right)
+            if left is node.left and right is node.right:
+                return node
+            return type(node)(left, right)
+        sub = rec(node.pattern)
+        if isinstance(node, Select):
+            return node if sub is node.pattern else Select(node.scheme, sub)
+        if is_atomic(node.condition):
+            return node if sub is node.pattern else Filter(sub, node.condition)
+        disjuncts = _to_dnf(node.condition, builtins_as_bound, dnf_cap)
+        branches = []
+        for conjunct in disjuncts:
+            branch = sub
+            for atom in conjunct:
+                branch = Filter(branch, atom)
+            branches.append(branch)
+        # fold balanced, so large disjunctions do not produce towers of unions
+        while len(branches) > 1:
+            branches = [
+                Union(branches[i], branches[i + 1]) if i + 1 < len(branches) else branches[i]
+                for i in range(0, len(branches), 2)
+            ]
+        return branches[0]
+
+    return rec(pattern)
 
 
 def _negate_atom(atom: Constraint | Opaque) -> list[Constraint] | Opaque:

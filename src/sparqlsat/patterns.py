@@ -4,7 +4,9 @@ A pattern is a finite tree built from triple patterns with UNION, AND, OPT,
 and FILTER, plus a SELECT projection node kept as a flagged extension so the
 core analyses can insist on its absence.  Filter conditions are either one of
 the six atomic constraint forms or a boolean combination of atoms awaiting
-normalization.
+normalization.  `pattern_facts` collects what a pattern contains (variables,
+constants, filter variables and conditions, triples, node classes) into one
+`PatternFacts` record in a single walk, and the helpers here read from it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidPosition
 from .terms import Constant, Iri, Literal, Scheme, Term, Variable, is_constant
 
 #: Variables with this prefix are reserved for generated fresh names.
@@ -204,89 +205,74 @@ def iter_subpatterns(pattern: Pattern) -> Iterator[Pattern]:
         stack.extend(reversed(children(node)))
 
 
-def iter_positions(pattern: Pattern) -> Iterator[tuple[Position, Pattern]]:
-    stack: list[tuple[Position, Pattern]] = [((), pattern)]
+@dataclass(frozen=True, slots=True)
+class PatternFacts:
+    """What a pattern contains, collected by `pattern_facts` in one walk.
+
+    `triples` and `conditions` keep pre-order with repeats, the order of
+    `iter_subpatterns`; `filter_variables` are the variables of the filter
+    conditions, and `variables` add those of triples and SELECT schemes.
+    """
+
+    variables: Scheme
+    constants: frozenset
+    filter_variables: Scheme
+    conditions: tuple
+    triples: tuple
+    node_types: frozenset
+
+
+def pattern_facts(pattern: Pattern) -> PatternFacts:
+    """Collect the facts of a pattern in one pre-order walk, left child first."""
+    variables, constants, filter_vars, node_types = set(), set(), set(), set()
+    conditions, triples = [], []
+    stack = [pattern]
     while stack:
-        pos, node = stack.pop()
-        yield pos, node
-        for i, child in reversed(list(enumerate(children(node)))):
-            stack.append((pos + (i,), child))
-
-
-def node_at(pattern: Pattern, position: Position) -> Pattern:
-    node = pattern
-    for index in position:
-        kids = children(node)
-        if index >= len(kids):
-            raise InvalidPosition(f"no child {index} at {position}")
-        node = kids[index]
-    return node
-
-
-def iter_triple_patterns(pattern: Pattern) -> Iterator[TriplePattern]:
-    for node in iter_subpatterns(pattern):
-        if isinstance(node, TriplePattern):
-            yield node
-
-
-def iter_filter_conditions(pattern: Pattern) -> Iterator[FilterCondition]:
-    for node in iter_subpatterns(pattern):
-        if isinstance(node, Filter):
-            yield node.condition
+        node = stack.pop()
+        kind = type(node)
+        node_types.add(kind)
+        if kind is TriplePattern:
+            triples.append(node)
+            for term in (node.subject, node.predicate, node.object):
+                (variables if type(term) is Variable else constants).add(term)
+        elif kind is Filter:
+            conditions.append(node.condition)
+            todo = [node.condition]
+            while todo:
+                condition = todo.pop()
+                if isinstance(condition, NotExpr):
+                    todo.append(condition.operand)
+                elif isinstance(condition, (AndExpr, OrExpr)):
+                    todo += (condition.right, condition.left)
+                else:
+                    filter_vars.update(condition_vars(condition))
+                    if isinstance(condition, (EqC, NeqC)):
+                        constants.add(condition.constant)
+            stack.append(node.pattern)
+        elif kind is Select:
+            variables.update(node.scheme)
+            stack.append(node.pattern)
+        elif kind in BINARY_TYPES:
+            stack.append(node.right)
+            stack.append(node.left)
+    return PatternFacts(
+        frozenset(variables | filter_vars), frozenset(constants), frozenset(filter_vars),
+        tuple(conditions), tuple(triples), frozenset(node_types),
+    )
 
 
 def vars_of(pattern: Pattern) -> Scheme:
     """All variables occurring in triple patterns, filters, and SELECT schemes."""
-    acc: set[Variable] = set()
-    for node in iter_subpatterns(pattern):
-        if isinstance(node, TriplePattern):
-            acc.update(node.variables())
-        elif isinstance(node, Filter):
-            acc.update(condition_vars(node.condition))
-        elif isinstance(node, Select):
-            acc.update(node.scheme)
-    return frozenset(acc)
+    return pattern_facts(pattern).variables
 
 
 def constants_of(pattern: Pattern) -> frozenset:
     """All constants occurring in triple patterns or filter conditions."""
-    acc: set[Constant] = set()
-
-    def from_condition(condition: FilterCondition):
-        if isinstance(condition, (EqC, NeqC)):
-            acc.add(condition.constant)
-        elif isinstance(condition, NotExpr):
-            from_condition(condition.operand)
-        elif isinstance(condition, (AndExpr, OrExpr)):
-            from_condition(condition.left)
-            from_condition(condition.right)
-
-    for node in iter_subpatterns(pattern):
-        if isinstance(node, TriplePattern):
-            acc.update(t for t in node.terms() if is_constant(t))
-        elif isinstance(node, Filter):
-            from_condition(node.condition)
-    return frozenset(acc)
-
-
-def neq_constants(pattern: Pattern) -> frozenset:
-    """Constants appearing in constant-nonequality filter conditions."""
-    return frozenset(
-        c.constant for c in iter_filter_conditions(pattern) if isinstance(c, NeqC)
-    )
-
-
-def has_complex_filters(pattern: Pattern) -> bool:
-    return any(not is_atomic(c) for c in iter_filter_conditions(pattern))
+    return pattern_facts(pattern).constants
 
 
 def contains_node(pattern: Pattern, node_type) -> bool:
-    return any(isinstance(node, node_type) for node in iter_subpatterns(pattern))
-
-
-def pattern_size(pattern: Pattern) -> int:
-    """Number of nodes in the syntax tree (triples count as one node)."""
-    return sum(1 for _ in iter_subpatterns(pattern))
+    return any(issubclass(kind, node_type) for kind in pattern_facts(pattern).node_types)
 
 
 def rename_condition(condition: FilterCondition, renaming: dict[Variable, Variable]) -> FilterCondition:

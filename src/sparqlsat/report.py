@@ -20,7 +20,7 @@ from .corpus import CorpusEntry
 from .errors import SparqlSatError
 from .evaluator import format_graph
 from .patterns import Pattern
-from .satisfiability import PipelineResult, Satisfiable, Unsatisfiable, run_pipeline
+from .satisfiability import Satisfiable, Unsatisfiable, run_pipeline
 from .syntax import parse_pattern
 from .terms import format_term
 

@@ -15,6 +15,7 @@ from .patterns import (
     TriplePattern,
     Union,
     contains_node,
+    pattern_facts,
     rename_vars,
     vars_of,
 )
@@ -69,7 +70,10 @@ def select_eliminate(pattern: Pattern) -> Pattern:
 
 
 def select_eliminate_info(pattern: Pattern) -> tuple[Pattern, Scheme]:
-    """As select_eliminate, also reporting the set of fresh variables used."""
+    """As select_eliminate, also reporting the set of fresh variables used;
+    a SELECT-free pattern is returned itself."""
+    if Select not in pattern_facts(pattern).node_types:
+        return pattern, frozenset()
     fresh = FreshVars(pattern)
     introduced: set[Variable] = set()
 
@@ -121,9 +125,10 @@ def union_free_split(pattern: Pattern) -> list[UnionMember]:
 
 def af_reduce(pattern: Pattern) -> Pattern:
     """Strip every optional arm, leaving the AND/FILTER core of the pattern."""
-    if contains_node(pattern, Union):
+    node_types = pattern_facts(pattern).node_types
+    if Union in node_types:
         raise NotUnionFree("af_reduce requires a union-free pattern")
-    if contains_node(pattern, Select):
+    if Select in node_types:
         raise PreconditionViolated("af_reduce requires a SELECT-free pattern")
 
     def rec(node: Pattern) -> Pattern:

@@ -37,14 +37,11 @@ from .patterns import (
     NegBound,
     Opt,
     Pattern,
+    PatternFacts,
     TriplePattern,
     Union,
-    constants_of,
     is_atomic,
-    iter_filter_conditions,
-    iter_triple_patterns,
-    neq_constants,
-    vars_of,
+    pattern_facts,
 )
 from .rewrites import af_reduce, select_eliminate_info, union_free_split, wrong_literal_reduce
 from .schemes import candidate_schemes, scheme_sort_key, scheme_table
@@ -93,10 +90,13 @@ class FragmentProfile:
     route: Route
 
 
-def classify_fragment(pattern: Pattern) -> FragmentProfile:
-    """Collect the constraint kinds used and pick the decidable route, if any."""
+def classify_fragment(pattern: Pattern, *, facts: PatternFacts | None = None) -> FragmentProfile:
+    """Collect the constraint kinds used and pick the decidable route, if any
+    (`facts`, if given, are `pattern_facts(pattern)`)."""
+    if facts is None:
+        facts = pattern_facts(pattern)
     kinds = set()
-    for condition in iter_filter_conditions(pattern):
+    for condition in facts.conditions:
         if not is_atomic(condition):
             raise NotNormalized("classify_fragment requires atomic filter constraints")
         kinds.add(_KIND_OF[type(condition)])
@@ -146,9 +146,9 @@ Verdict = Satisfiable | Unsatisfiable | Unknown
 
 # --- witness graphs for the decidable fragments --------------------------------
 
-def _instantiate(pattern: Pattern, model: Mapping) -> RdfGraph:
+def _instantiate(facts: PatternFacts, model: Mapping) -> RdfGraph:
     triples = []
-    for tp in iter_triple_patterns(pattern):
+    for tp in facts.triples:
         try:
             triples.append(
                 RdfTriple(model.apply(tp.subject), model.apply(tp.predicate), model.apply(tp.object))
@@ -158,23 +158,26 @@ def _instantiate(pattern: Pattern, model: Mapping) -> RdfGraph:
     return RdfGraph.of(triples)
 
 
-def _witness_preconditions(pattern: Pattern, fragment: frozenset, name: str):
-    profile = classify_fragment(pattern)
+def _witness(pattern: Pattern, fragment: frozenset, name: str, model_of) -> tuple[RdfGraph, Mapping]:
+    facts = pattern_facts(pattern)
+    profile = classify_fragment(pattern, facts=facts)
     if not profile.kinds <= fragment:
         raise PreconditionViolated(f"{name} requires constraint kinds within {sorted(k.value for k in fragment)}")
     if not scheme_table(pattern)[1][id(pattern)]:
         raise PreconditionViolated(f"{name} requires a nonempty scheme family")
+    model = model_of(facts)
+    return _instantiate(facts, model), model
 
 
-def _constant_model(pattern: Pattern) -> Mapping:
-    constant = next(fresh_iris(constants_of(pattern)))
-    return Mapping({v: constant for v in vars_of(pattern)})
+def _constant_model(facts: PatternFacts) -> Mapping:
+    constant = next(fresh_iris(facts.constants))
+    return Mapping({v: constant for v in facts.variables})
 
 
-def _injective_model(pattern: Pattern) -> Mapping:
-    pool = fresh_iris(constants_of(pattern) | neq_constants(pattern))
+def _injective_model(facts: PatternFacts) -> Mapping:
+    pool = fresh_iris(facts.constants)
     return Mapping(
-        (v, next(pool)) for v in sorted(vars_of(pattern), key=lambda v: v.name)
+        (v, next(pool)) for v in sorted(facts.variables, key=lambda v: v.name)
     )
 
 
@@ -185,9 +188,7 @@ def constant_witness(pattern: Pattern) -> tuple[RdfGraph, Mapping]:
     pattern (in particular every constant-nonequality constant) and collects
     the instantiated triple patterns.
     """
-    _witness_preconditions(pattern, EQUALITY_FRAGMENT, "constant_witness")
-    model = _constant_model(pattern)
-    return _instantiate(pattern, model), model
+    return _witness(pattern, EQUALITY_FRAGMENT, "constant_witness", _constant_model)
 
 
 def injective_witness(pattern: Pattern) -> tuple[RdfGraph, Mapping]:
@@ -196,9 +197,7 @@ def injective_witness(pattern: Pattern) -> tuple[RdfGraph, Mapping]:
     Maps the variables injectively to fresh IRIs disjoint from every constant
     of the pattern (the constant-nonequality constants in particular).
     """
-    _witness_preconditions(pattern, NONEQUALITY_FRAGMENT, "injective_witness")
-    model = _injective_model(pattern)
-    return _instantiate(pattern, model), model
+    return _witness(pattern, NONEQUALITY_FRAGMENT, "injective_witness", _injective_model)
 
 
 def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping:
@@ -317,12 +316,12 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) 
         )
     modified = reduced is not core
 
-    profile = classify_fragment(reduced)
+    facts = pattern_facts(reduced)
+    profile = classify_fragment(reduced, facts=facts)
     enter("well_designed")
     members = union_free_split(reduced)
-    well_designed = all(
-        member.union_free and is_well_designed(member.pattern)[0] for member in members
-    )
+    blocking = _blocking_feature(members)
+    well_designed = blocking is None
 
     if profile.route is not Route.NONE:
         enter("schemes")
@@ -331,10 +330,10 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) 
             verdict: Verdict = Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
         else:
             if profile.route in (Route.EQUALITY, Route.BOTH):
-                model = _constant_model(reduced)
+                model = _constant_model(facts)
             else:
-                model = _injective_model(reduced)
-            witness = _instantiate(reduced, model)
+                model = _injective_model(facts)
+            witness = _instantiate(facts, model)
             sample = _realized_solution(reduced, model, table).drop(fresh_introduced)
             verdict = Satisfiable(witness, sample)
         return PipelineResult(verdict, profile, well_designed, modified, None)
@@ -352,7 +351,6 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) 
             Unsatisfiable(reasons[0]), profile, True, modified, None
         )
 
-    blocking = _blocking_feature(members)
     kinds = ", ".join(sorted(k.value for k in profile.kinds))
     return PipelineResult(
         Unknown(f"constraint kinds {{{kinds}}} are outside the decidable fragments and {blocking}"),
@@ -363,14 +361,15 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) 
     )
 
 
-def _blocking_feature(members) -> str:
+def _blocking_feature(members) -> str | None:
+    """Why the members are not all union-free and well-designed; None if they are."""
     for member in members:
         if not member.union_free:
             return "a UNION is nested under another operator"
         ok, violations = is_well_designed(member.pattern)
         if not ok:
             return f"the pattern is not well-designed ({violations[0].describe()})"
-    return "the pattern is not well-designed"
+    return None
 
 
 def decide_well_designed(pattern: Pattern) -> Verdict:
@@ -382,33 +381,35 @@ def decide_well_designed(pattern: Pattern) -> Verdict:
     ok, violations = is_well_designed(pattern)  # also rejects UNION / SELECT
     if not ok:
         raise NotWellDesigned("; ".join(v.describe() for v in violations))
+    if any(isinstance(tp.subject, Literal) for tp in pattern_facts(pattern).triples):
+        raise PreconditionViolated("run wrong_literal_reduce before the well-designed decision")
     return _decide_well_designed_core(pattern)
 
 
 def _decide_well_designed_core(pattern: Pattern) -> Verdict:
-    if any(isinstance(tp.subject, Literal) for tp in iter_triple_patterns(pattern)):
-        raise PreconditionViolated("run wrong_literal_reduce before the well-designed decision")
+    """decide_well_designed without its checks, for `run_pipeline`'s members."""
     reduced = af_reduce(pattern)
     schemes = candidate_schemes(reduced)
     if not schemes:
         return Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
     (scheme,) = schemes
 
-    constraint_set = extract_constraints(reduced)
-    sorts = derive_sort_map(reduced)
+    facts = pattern_facts(reduced)
+    constraint_set = extract_constraints(reduced, facts=facts)
+    sorts = derive_sort_map(reduced, facts=facts)
     solved = solve_constraints(constraint_set, sorts)
     if solved is Failure.SORT_CLASH:
         return Unsatisfiable(UnsatReason.SORT_CONFLICT)
     if isinstance(solved, Failure):
         return Unsatisfiable(UnsatReason.INCONSISTENT_CONSTRAINTS)
 
-    pool = fresh_iris(constants_of(reduced) | frozenset(t for _, t in solved.items()))
+    pool = fresh_iris(facts.constants | frozenset(t for _, t in solved.items()))
     bindings = dict(solved.items())
     for var in sorted(scheme - solved.domain, key=lambda v: v.name):
         bindings[var] = next(pool)
     model = Mapping(bindings)
 
-    witness = _instantiate(reduced, model)
+    witness = _instantiate(facts, model)
     # The optional arms of a well-designed pattern only extend solutions of
     # its AND/FILTER core, so the model's core solution reappears extended.
     solutions = evaluate(pattern, witness)

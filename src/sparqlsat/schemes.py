@@ -48,11 +48,10 @@ from .patterns import (
     Pattern,
     TriplePattern,
     Union,
-    condition_vars,
     is_atomic,
-    iter_filter_conditions,
+    pattern_facts,
 )
-from .terms import Scheme, Variable
+from .terms import Scheme
 
 #: Families beyond this many schemes raise SchemeSetBlowup.  Only the
 #: materialized families count against it; the decision's maximal-scheme
@@ -132,10 +131,7 @@ def _products(left: frozenset, right: frozenset, cap: int) -> frozenset:
 
 def filter_variables(pattern: Pattern) -> Scheme:
     """All variables mentioned in any filter condition of the pattern."""
-    acc: set[Variable] = set()
-    for condition in iter_filter_conditions(pattern):
-        acc.update(condition_vars(condition))
-    return frozenset(acc)
+    return pattern_facts(pattern).filter_variables
 
 
 def _maximal(schemes) -> SchemeSet:

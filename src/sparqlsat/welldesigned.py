@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constraints import SortMap, SortReq
-from .errors import NotAFPattern, NotNormalized, NotUnionFree, PreconditionViolated
+from .errors import InvalidPosition, NotAFPattern, NotNormalized, NotUnionFree, PreconditionViolated
 from .patterns import (
     Constraint,
     Eq,
@@ -15,17 +15,15 @@ from .patterns import (
     NeqC,
     Opt,
     Pattern,
+    PatternFacts,
     Position,
     Select,
     TriplePattern,
     Union,
     children,
     condition_vars,
-    contains_node,
     is_atomic,
-    iter_filter_conditions,
-    iter_triple_patterns,
-    node_at,
+    pattern_facts,
     vars_of,
 )
 from .terms import Scheme, Variable
@@ -47,25 +45,19 @@ class WdViolation:
 
 def outside_vars(pattern: Pattern, position: Position) -> Scheme:
     """Variables of the addressed subpattern that also occur outside of it."""
-    occurrence = node_at(pattern, position)  # raises InvalidPosition
-
-    acc: set[Variable] = set()
-
-    def walk(node: Pattern, pos: Position):
-        if pos == position:
-            return
-        if isinstance(node, TriplePattern):
-            acc.update(node.variables())
-            return
+    outside: set[Variable] = set()
+    node = pattern
+    for index in position:  # the ancestors' own variables and their other children's
+        kids = children(node)
+        if index >= len(kids):
+            raise InvalidPosition(f"no child {index} at {position}")
         if isinstance(node, Filter):
-            acc.update(condition_vars(node.condition))
+            outside.update(condition_vars(node.condition))
         elif isinstance(node, Select):
-            acc.update(node.scheme)
-        for i, child in enumerate(children(node)):
-            walk(child, pos + (i,))
-
-    walk(pattern, ())
-    return vars_of(occurrence) & frozenset(acc)
+            outside.update(node.scheme)
+        outside.update(*(vars_of(kid) for i, kid in enumerate(kids) if i != index))
+        node = kids[index]
+    return vars_of(node) & frozenset(outside)
 
 
 def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
@@ -76,13 +68,9 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
     OPT node must occur in the mandatory arm.
 
     Runs in two linear passes: subtree variable sets bottom-up, then
-    outside-occurring variable sets top-down.
+    outside-occurring variable sets top-down.  A UNION anywhere raises
+    NotUnionFree in the first pass, a SELECT PreconditionViolated in the second.
     """
-    if contains_node(pattern, Union):
-        raise NotUnionFree("well-designedness is defined for union-free patterns")
-    if contains_node(pattern, Select):
-        raise PreconditionViolated("run select_eliminate before the well-designedness check")
-
     subtree: dict[int, frozenset] = {}
 
     def collect(node: Pattern) -> frozenset:
@@ -90,6 +78,10 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
             out = node.variables()
         elif isinstance(node, Filter):
             out = collect(node.pattern) | condition_vars(node.condition)
+        elif isinstance(node, Union):
+            raise NotUnionFree("well-designedness is defined for union-free patterns")
+        elif isinstance(node, Select):
+            out = collect(node.pattern)
         else:
             out = collect(node.left) | collect(node.right)
         subtree[id(node)] = out
@@ -101,6 +93,8 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
     def check(node: Pattern, pos: Position, outside: frozenset):
         if isinstance(node, TriplePattern):
             return
+        if isinstance(node, Select):
+            raise PreconditionViolated("run select_eliminate before the well-designedness check")
         if isinstance(node, Filter):
             unsafe = condition_vars(node.condition) - subtree[id(node.pattern)]
             for var in sorted(unsafe, key=lambda v: v.name):
@@ -120,15 +114,18 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
     return (not violations, violations)
 
 
-def extract_constraints(pattern: Pattern) -> frozenset:
+def extract_constraints(pattern: Pattern, *, facts: PatternFacts | None = None) -> frozenset:
     """The value constraints (four comparison kinds) in an AND/FILTER pattern.
 
-    Bound checks are excluded: they influence the scheme analysis only.
+    Bound checks are excluded: they influence the scheme analysis only
+    (`facts`, if given, are `pattern_facts(pattern)`).
     """
-    if contains_node(pattern, (Union, Opt, Select)):
+    if facts is None:
+        facts = pattern_facts(pattern)
+    if not facts.node_types.isdisjoint((Union, Opt, Select)):
         raise NotAFPattern("extract_constraints requires an AND/FILTER pattern")
     out: set[Constraint] = set()
-    for condition in iter_filter_conditions(pattern):
+    for condition in facts.conditions:
         if not is_atomic(condition):
             raise NotNormalized("extract_constraints requires atomic filter constraints")
         if isinstance(condition, (Eq, Neq, EqC, NeqC)):
@@ -136,10 +133,13 @@ def extract_constraints(pattern: Pattern) -> frozenset:
     return frozenset(out)
 
 
-def derive_sort_map(pattern: Pattern) -> SortMap:
-    """Positional sort requirements: subject/predicate variables need IRIs."""
+def derive_sort_map(pattern: Pattern, *, facts: PatternFacts | None = None) -> SortMap:
+    """Positional sort requirements: subject/predicate variables need IRIs
+    (`facts`, if given, are `pattern_facts(pattern)`)."""
+    if facts is None:
+        facts = pattern_facts(pattern)
     sorts: SortMap = {}
-    for node in iter_triple_patterns(pattern):
+    for node in facts.triples:
         if isinstance(node.subject, Variable):
             sorts[node.subject] = SortReq.IRI_REQUIRED
         if isinstance(node.predicate, Variable):

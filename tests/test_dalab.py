@@ -340,13 +340,12 @@ def test_cover_pattern_rejects_empty_groups():
 
 
 def test_cover_pattern_uses_only_bound_filters_and_no_optionals():
-    from sparqlsat.patterns import Bound, Opt, iter_filter_conditions
-    from sparqlsat.patterns import contains_node
+    from sparqlsat.patterns import Bound, Opt, contains_node, pattern_facts
 
     cnf = (frozenset({1, 2}), frozenset({-1, 3}), frozenset({-2, -3}))
     pattern = choice_cover_to_pattern(cnf_to_choice_cover(cnf))
     assert not contains_node(pattern, Opt)
-    assert all(isinstance(c, Bound) for c in iter_filter_conditions(pattern))
+    assert all(isinstance(c, Bound) for c in pattern_facts(pattern).conditions)
 
 
 def test_small_cnf_pipeline_equivalence():

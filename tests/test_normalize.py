@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from randgen import random_constraint, random_graph, random_pattern
 from sparqlsat import (
+    And,
     Bound,
     Eq,
     EqC,
@@ -17,6 +18,7 @@ from sparqlsat import (
     NeqC,
     NegBound,
     Opaque,
+    Opt,
     TriplePattern,
     Union,
     Variable,
@@ -28,8 +30,8 @@ from sparqlsat.patterns import (
     AndExpr,
     NotExpr,
     OrExpr,
-    has_complex_filters,
-    iter_filter_conditions,
+    is_atomic,
+    pattern_facts,
 )
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -39,6 +41,15 @@ base = TriplePattern(x, Iri("p"), y)
 def test_conjunction_becomes_filter_chain():
     pattern = Filter(base, AndExpr(Bound(y), Bound(z)))
     assert normalize_filters(pattern) == Filter(Filter(base, Bound(y)), Bound(z))
+
+
+def test_unchanged_nodes_are_returned_themselves():
+    atomic = Filter(Opt(base, TriplePattern(y, Iri("q"), z)), Bound(z))
+    assert normalize_filters(atomic) is atomic
+    composite = Filter(base, OrExpr(Bound(x), Bound(y)))
+    mixed = normalize_filters(And(atomic, composite))
+    assert mixed.left is atomic
+    assert mixed.right is not composite
 
 
 def test_disjunction_becomes_union():
@@ -75,10 +86,9 @@ def test_output_is_always_atomic():
     for _ in range(100):
         pattern = parse_pattern_with_boolean_filters(rng)
         normalized = normalize_filters(pattern, builtins_as_bound=True)
-        assert not has_complex_filters(normalized)
-        assert not any(
-            isinstance(c, (NotExpr, AndExpr, OrExpr)) for c in iter_filter_conditions(normalized)
-        )
+        conditions = pattern_facts(normalized).conditions
+        assert all(is_atomic(c) for c in conditions)
+        assert not any(isinstance(c, (NotExpr, AndExpr, OrExpr)) for c in conditions)
 
 
 def parse_pattern_with_boolean_filters(rng):

@@ -306,3 +306,22 @@ def test_cli_dalab_round(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "brute-force satisfiable: False" in out
     assert "unsatisfiable" in out
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer rebinds these names through `owner.__dict__`,
+    # and its generators import `vars_of` and `constants_of`
+    import importlib.util
+    from pathlib import Path
+
+    from sparqlsat import patterns
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [
+        f"{owner.__name__}.{attr}" for owner, attr, _, _ in layertrace.SPANS if attr not in owner.__dict__
+    ]
+    assert missing == []
+    assert callable(patterns.vars_of) and callable(patterns.constants_of)

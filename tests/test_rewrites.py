@@ -78,6 +78,14 @@ def test_wrong_literal_requires_select_free():
         wrong_literal_reduce(Select(frozenset(), parse_pattern("(?x p ?y)")))
 
 
+def test_wrong_literal_rejects_a_select_beside_a_doomed_side():
+    # the reduction never descends into the right side of a doomed AND,
+    # so the SELECT there must still be caught
+    pattern = And(parse_pattern("(42 p ?y)"), Select(frozenset((x,)), parse_pattern("(?x p ?y)")))
+    with pytest.raises(PreconditionViolated):
+        wrong_literal_reduce(pattern)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_wrong_literal_reduction_preserves_semantics(seed):
@@ -100,9 +108,9 @@ def test_wrong_literal_reduction_preserves_semantics(seed):
 
 
 def _triples(pattern):
-    from sparqlsat.patterns import iter_triple_patterns
+    from sparqlsat.patterns import pattern_facts
 
-    return iter_triple_patterns(pattern)
+    return pattern_facts(pattern).triples
 
 
 # --- SELECT elimination --------------------------------------------------------------
@@ -125,6 +133,14 @@ def test_select_elimination_worked_example():
 def test_select_free_pattern_is_untouched():
     pattern = parse_pattern("(?x p ?y) OPT (?x q ?z)")
     assert select_eliminate(pattern) is pattern or select_eliminate(pattern) == pattern
+
+
+def test_select_free_pattern_is_returned_itself():
+    pattern = parse_pattern("((?x p ?y) OPT (?x q ?z)) FILTER ?x != c")
+    eliminated, fresh = select_eliminate_info(pattern)
+    assert eliminated is pattern
+    assert fresh == frozenset()
+    assert select_eliminate_info(Select(frozenset((x,)), pattern))[0] is not pattern
 
 
 def test_single_projection_renames_dropped_variable():
@@ -239,6 +255,17 @@ def test_af_reduce_nested_filter_example():
 def test_af_reduce_rejects_unions():
     with pytest.raises(NotUnionFree):
         af_reduce(parse_pattern("(?x p ?y) UNION (?x q ?y)"))
+
+
+def test_af_reduce_rejects_a_union_inside_an_optional_arm():
+    # the reduction drops optional arms unread, so the check must see into them
+    with pytest.raises(NotUnionFree):
+        af_reduce(Opt(parse_pattern("(?x p ?y)"), parse_pattern("(?x q ?z) UNION (?x r ?z)")))
+
+
+def test_af_reduce_rejects_a_select_inside_an_optional_arm():
+    with pytest.raises(PreconditionViolated):
+        af_reduce(Opt(parse_pattern("(?x p ?y)"), Select(frozenset((x,)), parse_pattern("(?x q ?z)"))))
 
 
 def test_af_reduce_output_is_and_filter_only():

@@ -25,7 +25,7 @@ from sparqlsat import (
     serialize_pattern,
 )
 from sparqlsat.errors import QuerySyntaxError, UnsupportedFeature
-from sparqlsat.patterns import AndExpr, OrExpr, iter_filter_conditions, vars_of
+from sparqlsat.patterns import AndExpr, OrExpr, pattern_facts, vars_of
 
 
 def tp(s, p, o):
@@ -69,7 +69,7 @@ def test_parse_filter_binds_tightest():
 
 def test_parse_boolean_filter_structure():
     pattern = parse_pattern("(?x p ?y) FILTER (bound(?y) && ?x = c || ?x != ?y)")
-    (condition,) = list(iter_filter_conditions(pattern))
+    (condition,) = pattern_facts(pattern).conditions
     assert isinstance(condition, OrExpr)
     assert isinstance(condition.left, AndExpr)
 
@@ -96,18 +96,18 @@ def test_parse_blank_nodes_become_fresh_variables():
 
 def test_parse_opaque_builtin_captures_text_and_mentions():
     pattern = parse_pattern('(?x p ?y) FILTER langMatches(lang(?y), "es")')
-    (condition,) = list(iter_filter_conditions(pattern))
+    (condition,) = pattern_facts(pattern).conditions
     assert isinstance(condition, Opaque)
     assert condition.text == 'langMatches(lang(?y), "es")'
     assert condition.mentions == {y}
 
 
 def test_parse_constant_comparisons():
-    assert list(iter_filter_conditions(parse_pattern("(?x p ?y) FILTER ?x = c"))) == [EqC(x, Iri("c"))]
-    assert list(iter_filter_conditions(parse_pattern("(?x p ?y) FILTER ?x != 42"))) == [
-        NeqC(x, Literal("42"))
-    ]
-    assert list(iter_filter_conditions(parse_pattern("(?x p ?y) FILTER c = ?x"))) == [EqC(x, Iri("c"))]
+    assert pattern_facts(parse_pattern("(?x p ?y) FILTER ?x = c")).conditions == (EqC(x, Iri("c")),)
+    assert pattern_facts(parse_pattern("(?x p ?y) FILTER ?x != 42")).conditions == (
+        NeqC(x, Literal("42")),
+    )
+    assert pattern_facts(parse_pattern("(?x p ?y) FILTER c = ?x")).conditions == (EqC(x, Iri("c")),)
 
 
 # --- query subset ---------------------------------------------------------------

@@ -6,17 +6,19 @@ import pytest
 
 from randgen import random_well_designed
 from sparqlsat import (
+    And,
     EqC,
     Iri,
     NeqC,
     Eq,
+    Select,
     Variable,
     extract_constraints,
     is_well_designed,
     outside_vars,
     parse_pattern,
 )
-from sparqlsat.errors import InvalidPosition, NotAFPattern, NotUnionFree
+from sparqlsat.errors import InvalidPosition, NotAFPattern, NotUnionFree, PreconditionViolated
 
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -43,6 +45,16 @@ def test_filter_variable_outside_subpattern_violates_condition_one():
 def test_union_is_rejected():
     with pytest.raises(NotUnionFree):
         is_well_designed(parse_pattern("(?x p ?y) UNION (?x q ?y)"))
+
+
+def test_union_is_reported_before_select():
+    projected = Select(frozenset((x,)), parse_pattern("(?x p ?y)"))
+    union = parse_pattern("(?x q ?z) UNION (?x r ?z)")
+    for pattern in (And(projected, union), And(union, projected), Select(frozenset((x,)), union)):
+        with pytest.raises(NotUnionFree):
+            is_well_designed(pattern)
+    with pytest.raises(PreconditionViolated):
+        is_well_designed(And(projected, parse_pattern("(?x q ?z)")))
 
 
 def test_generated_well_designed_patterns_pass_the_check():
