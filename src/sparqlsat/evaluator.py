@@ -1,13 +1,20 @@
 """Reference set-based evaluator for patterns over RDF graphs.
 
-This is a deliberately naive structural interpreter: no indexes, no planning.
-It exists as the ground-truth oracle that every static analysis in this
-package is checked against, so clarity beats speed throughout.
+This is a structural interpreter: each node is evaluated from its children's
+solution sets, with no graph indexes and no join reordering.  It exists as
+the ground-truth oracle that every static analysis in this package is
+checked against, so its results are always the definitional ones.  Two
+things keep it fast without changing them: `join` pairs mappings per pair
+of domains, probing on the shared values and laying the merged items out
+once per domain pair, and a FILTER directly over an AND hands its atomic
+condition to that join, which checks it on each compatible pair before the
+union is built.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import NotNormalized, QuerySyntaxError
 from .patterns import (
@@ -25,6 +32,7 @@ from .patterns import (
     Select,
     TriplePattern,
     Union,
+    condition_vars,
     is_atomic,
 )
 from .terms import (
@@ -57,31 +65,116 @@ def _by_domain(omega: SolutionSet) -> dict:
     return groups
 
 
-def _shared_value_index(group: list, shared: tuple) -> dict:
+def _by_name(variables) -> tuple:
+    return tuple(sorted(variables, key=lambda v: v._key))
+
+
+def _no_key(values: dict) -> tuple:
+    return ()
+
+
+def _key_getter(keys: tuple):
+    """Reads the values of `keys` from a mapping's dict, as one probe key."""
+    return itemgetter(*keys) if keys else _no_key
+
+
+def _value_index(group: list, keys: tuple, condition: Constraint | None = None) -> dict:
+    """The mappings of one domain group by their values of `keys`, keeping
+    only those that satisfy `condition` when one is given."""
+    key_of = _key_getter(keys)
     index: dict = {}
     for mapping in group:
-        index.setdefault(tuple(mapping[v] for v in shared), []).append(mapping)
+        if condition is None or satisfies(mapping, condition):
+            index.setdefault(key_of(mapping._map), []).append(mapping)
     return index
 
 
-def join(omega1: SolutionSet, omega2: SolutionSet) -> SolutionSet:
-    """All unions of compatible pairs drawn from the two solution sets.
+def _merged_layout(domain1: frozenset, domain2: frozenset):
+    """Picks the merged, name-sorted items out of `m1._items + m2._items`
+    for any m1 over `domain1` and compatible m2 over `domain2`.  Needs
+    neither domain to contain the other, so the merge has two items at least."""
+    position = {v: i for i, v in enumerate(_by_name(domain1))}
+    offset = len(position)
+    for j, var in enumerate(_by_name(domain2)):
+        position.setdefault(var, offset + j)
+    return itemgetter(*(position[v] for v in _by_name(position)))
+
+
+def _pair_plan(domain1: frozenset, domain2: frozenset, condition, condition_vars_: frozenset):
+    """How to pair a domain-1 group with a domain-2 group under `condition`.
+
+    Returns None when no pair can satisfy it, or (keys1, keys2, check1,
+    unequal): the probe keys of each side, a condition to check on each
+    domain-1 mapping alone, and a (var1, var2) pair whose values must differ.
+    A condition over domain 2 alone is checked when the index is built.
+    """
+    shared = _by_name(domain1 & domain2)
+    if condition_vars_ <= domain2:
+        return shared, shared, None, None
+    if condition_vars_ <= domain1:
+        return shared, shared, condition, None
+    if not condition_vars_ <= domain1 | domain2:
+        # some variable stays unbound: only a negated bound check holds
+        return (shared, shared, None, None) if isinstance(condition, NegBound) else None
+    # two variables, one bound only on each side
+    left, right = condition.left, condition.right
+    var1, var2 = (left, right) if left in domain1 else (right, left)
+    if isinstance(condition, Eq):
+        return shared + (var1,), shared + (var2,), None, None
+    return shared, shared, None, (var1, var2)
+
+
+def join(omega1: SolutionSet, omega2: SolutionSet, condition: Constraint | None = None) -> SolutionSet:
+    """All unions of compatible pairs drawn from the two solution sets; given
+    an atomic `condition`, only the unions that satisfy it.
 
     Two mappings are compatible exactly when they agree on the shared part of
-    their domains, so the pairs are found by grouping per domain and probing
-    on the shared variables' values; the result is the definitional one.
+    their domains, so the pairs are found per pair of domain groups by
+    probing on the shared variables' values (and on an equality's two
+    variables when each side binds one).  The condition is checked on each
+    compatible pair before its union is built, and the union's item layout
+    is worked out once per pair of domains; the result is the definitional
+    one, the join followed by the filter.
     """
     if not omega1 or not omega2:
         return frozenset()
     out = set()
+    trusted = Mapping._trusted
+    condition_vars_ = frozenset() if condition is None else condition_vars(condition)
     groups1 = _by_domain(omega1)
     for domain2, group2 in _by_domain(omega2).items():
+        check2 = condition if condition_vars_ <= domain2 else None
+        indexes: dict = {}  # probe keys -> index of group2
         for domain1, group1 in groups1.items():
-            shared = tuple(sorted(domain1 & domain2, key=lambda v: v.name))
-            index = _shared_value_index(group2, shared)
+            plan = _pair_plan(domain1, domain2, condition, condition_vars_)
+            if plan is None:
+                continue
+            keys1, keys2, check1, unequal = plan
+            index = indexes.get(keys2)
+            if index is None:
+                index = indexes[keys2] = _value_index(group2, keys2, check2)
+            if not index:
+                continue
+            key_of = _key_getter(keys1)
+            layout = None if domain2 <= domain1 or domain1 <= domain2 else _merged_layout(domain1, domain2)
             for m1 in group1:
-                for m2 in index.get(tuple(m1[v] for v in shared), ()):
-                    out.add(m1.merge(m2))
+                if check1 is not None and not satisfies(m1, check1):
+                    continue
+                matches = index.get(key_of(m1._map))
+                if not matches:
+                    continue
+                if unequal is not None:
+                    value, var2 = m1._map[unequal[0]], unequal[1]
+                    matches = [m2 for m2 in matches if m2._map[var2] is not value]
+                    if not matches:
+                        continue
+                if layout is not None:
+                    items1 = m1._items
+                    out.update([trusted(layout(items1 + m2._items)) for m2 in matches])
+                elif domain2 <= domain1:
+                    out.add(m1)  # the union of m1 and a compatible m2 is m1
+                else:
+                    out.update(matches)
     return frozenset(out)
 
 
@@ -99,11 +192,11 @@ def set_minus(omega1: SolutionSet, omega2: SolutionSet) -> SolutionSet:
             pair = (domain1, domain2)
             entry = indexes.get(pair)
             if entry is None:
-                shared = tuple(sorted(domain1 & domain2, key=lambda v: v.name))
-                entry = (shared, _shared_value_index(group2, shared))
+                shared = _by_name(domain1 & domain2)
+                entry = (_key_getter(shared), _value_index(group2, shared))
                 indexes[pair] = entry
-            shared, index = entry
-            if tuple(m1[v] for v in shared) in index:
+            key_of, index = entry
+            if key_of(m1._map) in index:
                 hit = True
                 break
         if not hit:
@@ -177,11 +270,14 @@ def evaluate(pattern: Pattern, graph: RdfGraph) -> SolutionSet:
         right = evaluate(pattern.right, graph)
         return join(left, right) | set_minus(left, right)
     if isinstance(pattern, Filter):
-        if not is_atomic(pattern.condition):
-            raise NotNormalized(f"composite filter condition in evaluate: {pattern.condition!r}")
-        return frozenset(
-            m for m in evaluate(pattern.pattern, graph) if satisfies(m, pattern.condition)
-        )
+        condition = pattern.condition
+        if not is_atomic(condition):
+            raise NotNormalized(f"composite filter condition in evaluate: {condition!r}")
+        child = pattern.pattern
+        if isinstance(child, And):
+            # checked on each compatible pair before its union is built
+            return join(evaluate(child.left, graph), evaluate(child.right, graph), condition)
+        return frozenset(m for m in evaluate(child, graph) if satisfies(m, condition))
     if isinstance(pattern, Select):
         return frozenset(
             m.restrict(pattern.scheme & m.domain) for m in evaluate(pattern.pattern, graph)

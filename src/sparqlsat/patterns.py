@@ -327,16 +327,15 @@ class FreshVars:
     """Deterministic fresh-variable allocator with the reserved ``_g<N>`` prefix.
 
     The counter starts past the largest reserved index already present in the
-    seed patterns, so repeated rewrites never collide.
+    seed patterns and in `variables`, so repeated rewrites never collide.
     """
 
-    def __init__(self, *patterns: Pattern):
+    def __init__(self, *patterns: Pattern, variables: Scheme = frozenset()):
         start = 0
-        for pattern in patterns:
-            for var in vars_of(pattern):
-                match = _RESERVED_RE.fullmatch(var.name)
-                if match:
-                    start = max(start, int(match.group(1)))
+        for var in variables.union(*(vars_of(pattern) for pattern in patterns)):
+            match = _RESERVED_RE.fullmatch(var.name)
+            if match:
+                start = max(start, int(match.group(1)))
         self._next = start + 1
 
     def take(self) -> Variable:

@@ -11,6 +11,7 @@ from .patterns import (
     FreshVars,
     Opt,
     Pattern,
+    PatternFacts,
     Select,
     TriplePattern,
     Union,
@@ -72,9 +73,10 @@ def select_eliminate(pattern: Pattern) -> Pattern:
 def select_eliminate_info(pattern: Pattern) -> tuple[Pattern, Scheme]:
     """As select_eliminate, also reporting the set of fresh variables used;
     a SELECT-free pattern is returned itself."""
-    if Select not in pattern_facts(pattern).node_types:
+    facts = pattern_facts(pattern)
+    if Select not in facts.node_types:
         return pattern, frozenset()
-    fresh = FreshVars(pattern)
+    fresh = FreshVars(variables=facts.variables)
     introduced: set[Variable] = set()
 
     def rec(node: Pattern) -> Pattern:
@@ -104,12 +106,16 @@ class UnionMember:
     union_free: bool
 
 
-def union_free_split(pattern: Pattern) -> list[UnionMember]:
+def union_free_split(pattern: Pattern, *, facts: PatternFacts | None = None) -> list[UnionMember]:
     """Distribute top-level UNION nodes into a list of members.
 
     Members that still contain UNION nested under other operators are flagged
     not union-free rather than rejected, so batch callers can report them.
+    When `facts` (`pattern_facts(pattern)`) show no UNION, the pattern is the
+    one union-free member and is not walked.
     """
+    if facts is not None and Union not in facts.node_types:
+        return [UnionMember(pattern, True)]
     members: list[UnionMember] = []
 
     def walk(node: Pattern):

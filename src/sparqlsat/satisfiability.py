@@ -319,7 +319,7 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) 
     facts = pattern_facts(reduced)
     profile = classify_fragment(reduced, facts=facts)
     enter("well_designed")
-    members = union_free_split(reduced)
+    members = union_free_split(reduced, facts=facts)
     blocking = _blocking_feature(members)
     well_designed = blocking is None
 

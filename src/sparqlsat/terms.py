@@ -5,32 +5,47 @@ variables.  IRIs and literals together are the *constants*.  Literals are
 compared by lexical form only; no datatype or language-tag semantics is
 applied anywhere in this package.
 
-The term classes are hand-rolled immutable values with cached hashes: they
-are the innermost objects of every join, scheme, and solution-set operation,
-so hashing must not recompute.
+The term classes are interned immutable values: each class keeps a weak table
+from key to its one live instance, and constructing a term returns that
+instance.  Equal terms are therefore the same object, so terms compare and
+hash by identity, in C; they are the innermost objects of every join,
+scheme, and solution-set operation.  Identity hashes differ from process to
+process, so every output that lists terms sorts them explicitly.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+_INTERN_LOCK = threading.Lock()
+
 
 class _Term:
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "__weakref__")
 
-    def __init__(self, key: str):
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((type(self), key)))
+    def __init_subclass__(cls):
+        cls._interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, key: str):
+        term = cls._interned.get(key)
+        if term is None:
+            with _INTERN_LOCK:  # two threads must not both create the instance
+                term = cls._interned.get(key)
+                if term is None:
+                    term = object.__new__(cls)
+                    object.__setattr__(term, "_key", key)
+                    cls._interned[key] = term
+        return term
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other._key == self._key
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the intern table
+        return (type(self), (self._key,))
 
     def __repr__(self):
         return f"{type(self).__name__}({self._key!r})"
@@ -72,10 +87,10 @@ class BlankNode(_Term):
 class Variable(_Term):
     __slots__ = ()
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name:
             raise ValueError("variable name must be nonempty")
-        super().__init__(name)
+        return super().__new__(cls, name)
 
     @property
     def name(self) -> str:

@@ -1,12 +1,13 @@
 """Reference evaluator semantics, including the error-as-false filter rules."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randgen import random_graph, random_pattern
+from randgen import ALL_KINDS, IRI_POOL, random_constraint, random_graph, random_pattern
 from sparqlsat import (
     Bound,
     EqC,
@@ -31,7 +32,7 @@ from sparqlsat import (
 )
 from sparqlsat.errors import NotNormalized
 from sparqlsat.evaluator import format_graph
-from sparqlsat.patterns import Opt
+from sparqlsat.patterns import And, Filter, Opt, Select, TriplePattern, Union, vars_of
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Iri("a"), Iri("b"), Iri("c")
@@ -71,25 +72,27 @@ def test_set_minus_examples():
     assert set_minus(solutions(mapping(x=a)), solutions(mapping(x=b))) == solutions(mapping(x=a))
 
 
-def test_join_and_minus_match_their_definitions():
-    # definitional (pairwise) implementations as the independent oracle
-    def naive_join(o1, o2):
-        out = set()
-        for m1 in o1:
-            for m2 in o2:
-                if all(m1[v] == m2[v] for v in m1.domain & m2.domain):
-                    out.add(m1.merge(m2))
-        return frozenset(out)
+# definitional (pairwise) implementations as the independent oracle
+def naive_join(o1, o2):
+    out = set()
+    for m1 in o1:
+        for m2 in o2:
+            if all(m1[v] == m2[v] for v in m1.domain & m2.domain):
+                out.add(m1.merge(m2))
+    return frozenset(out)
 
-    def naive_minus(o1, o2):
-        return frozenset(
-            m1
-            for m1 in o1
-            if not any(
-                all(m1[v] == m2[v] for v in m1.domain & m2.domain) for m2 in o2
-            )
+
+def naive_minus(o1, o2):
+    return frozenset(
+        m1
+        for m1 in o1
+        if not any(
+            all(m1[v] == m2[v] for v in m1.domain & m2.domain) for m2 in o2
         )
+    )
 
+
+def test_join_and_minus_match_their_definitions():
     rng = random.Random(41)
     values = (a, b, c, Literal("5"))
     for _ in range(120):
@@ -232,6 +235,54 @@ def test_optional_solutions_extend_mandatory_ones(seed):
         assert any(
             solution.restrict(candidate.domain) == candidate for candidate in left_solutions
         )
+
+
+def naive_evaluate(pattern, g):
+    """Definitional evaluation: every join pairwise, every filter checked
+    on the finished solutions of its child."""
+    if isinstance(pattern, TriplePattern):
+        return evaluate(pattern, g)
+    if isinstance(pattern, Union):
+        return naive_evaluate(pattern.left, g) | naive_evaluate(pattern.right, g)
+    if isinstance(pattern, Filter):
+        return frozenset(m for m in naive_evaluate(pattern.pattern, g) if satisfies(m, pattern.condition))
+    if isinstance(pattern, Select):
+        return frozenset(m.restrict(pattern.scheme & m.domain) for m in naive_evaluate(pattern.pattern, g))
+    left, right = naive_evaluate(pattern.left, g), naive_evaluate(pattern.right, g)
+    if isinstance(pattern, And):
+        return naive_join(left, right)
+    return naive_join(left, right) | naive_minus(left, right)
+
+
+def test_filter_over_join_matches_join_then_filter():
+    # every condition kind, and the shapes the join treats apart: ?x = ?x,
+    # both variables on one side, one on each side, a variable on neither
+    pool = (x, y, z, Variable("w"))
+    nowhere = Variable("nowhere")
+    nodes = (Iri("k0"), Iri("k1")) + IRI_POOL[:2]
+    spo = [(s, p, o) for s in nodes for p in IRI_POOL for o in nodes + (Literal("11"),)]
+    rng = random.Random(20)
+    nonempty = Counter()
+    for _ in range(1500):
+        left = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
+        right = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
+        shape = rng.randrange(4)
+        if shape == 0:
+            var = rng.choice(pool)
+            condition = Eq(var, var)
+        elif shape == 1:
+            side = sorted(vars_of(rng.choice((left, right))), key=str) or list(pool)
+            condition = random_constraint(rng, ALL_KINDS, side)
+        else:
+            condition = random_constraint(rng, ALL_KINDS, pool + (nowhere,) * (shape == 2))
+        pattern = Filter(And(left, right), condition)
+        if rng.random() < 0.3:
+            pattern = rng.choice((Opt, Union, And))(pattern, random_pattern(rng, 1, variables=pool))
+        g = graph(*(rng.choice(spo) for _ in range(rng.randint(10, 40))))
+        expected = naive_evaluate(pattern, g)
+        assert evaluate(pattern, g) == expected, (pattern, format_graph(g))
+        nonempty[type(condition).__name__] += bool(expected)
+    assert len(nonempty) == 6 and min(nonempty.values()) >= 5, nonempty
 
 
 # --- graph fixture format ------------------------------------------------------------

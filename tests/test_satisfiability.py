@@ -1,6 +1,7 @@
 """The decision core: fragments, witnesses, and both decision routes."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -343,3 +344,15 @@ def test_sixteen_way_bound_disjunction_is_decided_fast():
     assert elapsed < 0.5, f"{elapsed:.3f} s"
     assert verdict.sample in evaluate(normalize_filters(pattern), verdict.witness)
     assert len(verdict.sample) == arms + 1
+
+
+def test_four_hundred_triple_bgp_is_decided_at_the_default_recursion_limit():
+    # the recursive passes take a few frames per AND level; a 400-triple
+    # basic graph pattern must still fit, with its sample replayed
+    assert sys.getrecursionlimit() == 1000
+    lines = [f"?s <http://example.org/bgp{i}> ?o{i} ." for i in range(400)]
+    pattern = parse_pattern("SELECT * WHERE {\n  " + "\n  ".join(lines) + "\n}")
+    verdict = decide_satisfiability(pattern)
+    assert isinstance(verdict, Satisfiable)
+    assert verdict.sample in evaluate(pattern, verdict.witness)
+    assert len(verdict.sample) == 401

@@ -1,5 +1,10 @@
 """Core value types: terms, triples, graphs, mappings."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
 from sparqlsat import BlankNode, Iri, Literal, Mapping, RdfGraph, RdfTriple, TriplePattern, Variable
@@ -10,6 +15,42 @@ def test_term_kinds_are_disjoint():
     assert Iri("a") != BlankNode("a")
     assert Literal("a") != Variable("a")
     assert len({Iri("a"), Literal("a"), BlankNode("a"), Variable("a")}) == 4
+
+
+def test_terms_are_interned_per_kind():
+    assert Iri("a") is Iri("a")
+    assert Variable("x") is Variable("x")
+    assert Literal("a") is not Iri("a")
+    assert Literal("a") == Literal("a") and Literal("a") != Literal("b")
+
+
+@pytest.mark.parametrize("term", [Iri("a"), Literal("a"), BlankNode("a"), Variable("a")])
+def test_copies_and_pickles_return_the_interned_term(term):
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+
+
+def test_concurrent_construction_yields_one_instance():
+    keys = [f"race{i}" for i in range(3000)]
+    results = [None] * 8
+
+    def build(slot):
+        results[slot] = [Iri(key) for key in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for built in results[1:]:
+        assert all(a is b for a, b in zip(results[0], built))
 
 
 def test_variable_name_must_be_nonempty():
