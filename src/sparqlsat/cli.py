@@ -19,6 +19,7 @@ from .dalab import (
     emulate_negbound,
     parse_da,
     parse_dimacs,
+    two_sat_wrapper,
 )
 from .errors import SparqlSatError, UnknownFormat
 from .report import PipelineOptions, analyze_batch, emit_report, format_verdict_text
@@ -141,8 +142,6 @@ def _cmd_dalab(args) -> int:
         else:
             pattern = emulate_eqc(expr, Iri(args.const_a), Iri(args.const_b))
         if args.wrapper:
-            from .dalab import two_sat_wrapper
-
             if args.variant == "eqneq":
                 pattern = two_sat_wrapper(expr)
             elif args.variant == "eqc":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import QuerySyntaxError, UnknownFormat, UnsupportedFeature
@@ -36,23 +37,7 @@ def _split_delim(text: str) -> list[str]:
 
 
 def _unescape_line(line: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and i + 1 < len(line):
-            nxt = line[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return re.sub(r"\\([n\\])", lambda m: "\n" if m.group(1) == "n" else "\\", line)
 
 
 def _escape_line(text: str) -> str:

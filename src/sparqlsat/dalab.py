@@ -95,11 +95,7 @@ def da_eval(expr: DAExpr, relation: BinaryRelation) -> BinaryRelation:
 
 def adom(relation: BinaryRelation) -> frozenset:
     """Active domain: every element occurring in some pair."""
-    out = set()
-    for x, y in relation:
-        out.add(x)
-        out.add(y)
-    return frozenset(out)
+    return frozenset(itertools.chain.from_iterable(relation))
 
 
 def graph_of_relation(relation: BinaryRelation, predicate: Iri = DEFAULT_RELATION_PREDICATE) -> RdfGraph:

@@ -1,7 +1,8 @@
 """Reference set-based evaluator for patterns over RDF graphs.
 
 This is a structural interpreter: each node is evaluated from its children's
-solution sets, with no graph indexes and no join reordering.  It exists as
+solution sets, folding the pattern along `post_order` with no recursion,
+and with no graph indexes and no join reordering.  It exists as
 the ground-truth oracle that every static analysis in this package is
 checked against, so its results are always the definitional ones.  Two
 things keep it fast without changing them: `join` pairs mappings per pair
@@ -32,8 +33,10 @@ from .patterns import (
     Select,
     TriplePattern,
     Union,
+    children,
     condition_vars,
     is_atomic,
+    post_order,
 )
 from .terms import (
     BlankNode,
@@ -215,21 +218,13 @@ def satisfies(mapping: Mapping, constraint: Constraint) -> bool:
         return constraint.var in mapping
     if isinstance(constraint, NegBound):
         return constraint.var not in mapping
-    if isinstance(constraint, Eq):
-        left = mapping.get(constraint.left)
-        right = mapping.get(constraint.right)
-        return left is not None and right is not None and left == right
-    if isinstance(constraint, Neq):
-        left = mapping.get(constraint.left)
-        right = mapping.get(constraint.right)
-        return left is not None and right is not None and left != right
-    if isinstance(constraint, EqC):
-        value = mapping.get(constraint.var)
-        return value is not None and value == constraint.constant
-    if isinstance(constraint, NeqC):
-        value = mapping.get(constraint.var)
-        return value is not None and value != constraint.constant
-    raise TypeError(f"not an atomic constraint: {constraint!r}")
+    if isinstance(constraint, (Eq, Neq)):
+        left, right = mapping.get(constraint.left), mapping.get(constraint.right)
+    elif isinstance(constraint, (EqC, NeqC)):
+        left, right = mapping.get(constraint.var), constraint.constant
+    else:
+        raise TypeError(f"not an atomic constraint: {constraint!r}")
+    return left is not None and right is not None and (left == right) == isinstance(constraint, (Eq, EqC))
 
 
 def _match_triple(tp: TriplePattern, graph: RdfGraph) -> SolutionSet:
@@ -254,35 +249,53 @@ def _match_triple(tp: TriplePattern, graph: RdfGraph) -> SolutionSet:
     return frozenset(out)
 
 
+def _operands(node: Pattern) -> tuple:
+    """The nodes whose solutions `evaluate` needs for `node`: those of its
+    children, except that a FILTER over an AND takes the AND's two sides."""
+    kind = type(node)
+    if kind is Filter:
+        sub = node.pattern
+        return (sub.left, sub.right) if type(sub) is And else (sub,)
+    return () if kind is TriplePattern else children(node)
+
+
 def evaluate(pattern: Pattern, graph: RdfGraph) -> SolutionSet:
     """The set of solution mappings of a pattern on a graph.
 
     Requires atomic filter constraints; normalize composite filters first.
+    Each distinct node is evaluated once, along `post_order`; the solutions
+    of a node with one parent are dropped as that parent reads them.
     """
-    if isinstance(pattern, TriplePattern):
+    if type(pattern) is TriplePattern:  # one triple pattern needs no walk
         return _match_triple(pattern, graph)
-    if isinstance(pattern, Union):
-        return evaluate(pattern.left, graph) | evaluate(pattern.right, graph)
-    if isinstance(pattern, And):
-        return join(evaluate(pattern.left, graph), evaluate(pattern.right, graph))
-    if isinstance(pattern, Opt):
-        left = evaluate(pattern.left, graph)
-        right = evaluate(pattern.right, graph)
-        return join(left, right) | set_minus(left, right)
-    if isinstance(pattern, Filter):
-        condition = pattern.condition
-        if not is_atomic(condition):
-            raise NotNormalized(f"composite filter condition in evaluate: {condition!r}")
-        child = pattern.pattern
-        if isinstance(child, And):
-            # checked on each compatible pair before its union is built
-            return join(evaluate(child.left, graph), evaluate(child.right, graph), condition)
-        return frozenset(m for m in evaluate(child, graph) if satisfies(m, condition))
-    if isinstance(pattern, Select):
-        return frozenset(
-            m.restrict(pattern.scheme & m.domain) for m in evaluate(pattern.pattern, graph)
-        )
-    raise TypeError(f"not a pattern: {pattern!r}")
+    shared: set = set()
+    solutions: dict = {}
+    for node in post_order(pattern, _operands, shared):
+        kind = type(node)
+        if kind is TriplePattern:
+            solutions[id(node)] = _match_triple(node, graph)
+            continue
+        args = [solutions[id(kid)] if id(kid) in shared else solutions.pop(id(kid)) for kid in _operands(node)]
+        if kind is Union:
+            out = args[0] | args[1]
+        elif kind is And:
+            out = join(*args)
+        elif kind is Opt:
+            out = join(*args) | set_minus(*args)
+        elif kind is Filter:
+            condition = node.condition
+            if not is_atomic(condition):
+                raise NotNormalized(f"composite filter condition in evaluate: {condition!r}")
+            if type(node.pattern) is And:  # checked on each compatible pair before its union is built
+                out = join(args[0], args[1], condition)
+            else:
+                out = frozenset(m for m in args[0] if satisfies(m, condition))
+        elif kind is Select:
+            out = frozenset(m.restrict(node.scheme & m.domain) for m in args[0])
+        else:
+            raise TypeError(f"not a pattern: {node!r}")
+        solutions[id(node)] = out
+    return solutions[id(pattern)]
 
 
 # --- graph fixture format -----------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import NormalizationBlowup, UnsupportedOpaquePredicate
 from .patterns import (
-    And,
     AndExpr,
     Bound,
     Constraint,
@@ -23,13 +22,13 @@ from .patterns import (
     NegBound,
     NotExpr,
     Opaque,
-    Opt,
     OrExpr,
     Pattern,
-    Select,
-    TriplePattern,
+    PatternFacts,
     Union,
     is_atomic,
+    pattern_facts,
+    rebuilt,
 )
 
 DEFAULT_DNF_CAP = 64
@@ -40,31 +39,27 @@ def normalize_filters(
     *,
     builtins_as_bound: bool = False,
     dnf_cap: int = DEFAULT_DNF_CAP,
+    facts: PatternFacts | None = None,
 ) -> Pattern:
     """Rewrite every composite filter into atomic FILTER chains under UNIONs.
 
     Opaque builtin calls are only accepted when `builtins_as_bound` is set, in
     which case a call stands for "all mentioned variables are bound"; this is
     an analysis approximation, not a semantics-preserving step.  A node with
-    no composite filter below it is returned itself.
+    no composite filter below it is returned itself, unwalked if the `facts`
+    (`pattern_facts(pattern)`, computed if not given) show none at all.
     """
-
-    def rec(node: Pattern) -> Pattern:
-        if isinstance(node, TriplePattern):
-            return node
-        if isinstance(node, (Union, And, Opt)):
-            left, right = rec(node.left), rec(node.right)
-            if left is node.left and right is node.right:
-                return node
-            return type(node)(left, right)
-        sub = rec(node.pattern)
-        if isinstance(node, Select):
-            return node if sub is node.pattern else Select(node.scheme, sub)
-        if is_atomic(node.condition):
-            return node if sub is node.pattern else Filter(sub, node.condition)
-        disjuncts = _to_dnf(node.condition, builtins_as_bound, dnf_cap)
+    facts = facts or pattern_facts(pattern)
+    if all(is_atomic(condition) for condition in facts.conditions):
+        return pattern
+    done: dict = {}
+    for node in facts.order:
+        if type(node) is not Filter or is_atomic(node.condition):
+            done[id(node)] = rebuilt(node, done)
+            continue
+        sub = done[id(node.pattern)]
         branches = []
-        for conjunct in disjuncts:
+        for conjunct in _to_dnf(node.condition, builtins_as_bound, dnf_cap):
             branch = sub
             for atom in conjunct:
                 branch = Filter(branch, atom)
@@ -75,31 +70,23 @@ def normalize_filters(
                 Union(branches[i], branches[i + 1]) if i + 1 < len(branches) else branches[i]
                 for i in range(0, len(branches), 2)
             ]
-        return branches[0]
+        done[id(node)] = branches[0]
+    return done[id(pattern)]
 
-    return rec(pattern)
+
+_NEGATED = {Bound: NegBound, NegBound: Bound, Eq: Neq, Neq: Eq, EqC: NeqC, NeqC: EqC}
 
 
 def _negate_atom(atom: Constraint | Opaque) -> list[Constraint] | Opaque:
-    if isinstance(atom, Bound):
-        return [NegBound(atom.var)]
-    if isinstance(atom, NegBound):
-        return [Bound(atom.var)]
-    if isinstance(atom, Eq):
-        if atom.left == atom.right:
-            # !(?x=?x) is never satisfied; the bound/!bound pair encodes
-            # that single always-false atom.
-            return [Bound(atom.left), NegBound(atom.left)]
-        return [Neq(atom.left, atom.right)]
-    if isinstance(atom, Neq):
-        return [Eq(atom.left, atom.right)]
-    if isinstance(atom, EqC):
-        return [NeqC(atom.var, atom.constant)]
-    if isinstance(atom, NeqC):
-        return [EqC(atom.var, atom.constant)]
-    # A negated builtin call still demands its arguments bound to come out
-    # true, so under builtin-as-bound both polarities lower the same way.
-    return atom
+    if isinstance(atom, Eq) and atom.left == atom.right:
+        # !(?x=?x) is never satisfied; the bound/!bound pair encodes
+        # that single always-false atom.
+        return [Bound(atom.left), NegBound(atom.left)]
+    if isinstance(atom, Opaque):
+        # A negated builtin call still demands its arguments bound to come
+        # out true, so under builtin-as-bound both polarities lower the same way.
+        return atom
+    return [_NEGATED[type(atom)](*(getattr(atom, field) for field in atom.__slots__))]
 
 
 def _to_dnf(condition: FilterCondition, builtins_as_bound: bool, cap: int) -> list[list[Constraint]]:

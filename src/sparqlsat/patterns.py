@@ -4,16 +4,20 @@ A pattern is a finite tree built from triple patterns with UNION, AND, OPT,
 and FILTER, plus a SELECT projection node kept as a flagged extension so the
 core analyses can insist on its absence.  Filter conditions are either one of
 the six atomic constraint forms or a boolean combination of atoms awaiting
-normalization.  `pattern_facts` collects what a pattern contains (variables,
-constants, filter variables and conditions, triples, node classes) into one
-`PatternFacts` record in a single walk, and the helpers here read from it.
+normalization.
+
+Every pass folds a pattern bottom-up along `post_order`, one explicit-stack
+walk that lists each distinct node after its descendants, so no pass
+recurses; `rebuilt` rebuilds a node only when a child changed.
+`pattern_facts` collects what a pattern contains (variables, constants,
+filter variables and conditions, triples, node classes, the post-order)
+into one `PatternFacts` record in that walk; the helpers here read it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
 
 from .terms import Constant, Iri, Literal, Scheme, Term, Variable, is_constant
 
@@ -132,12 +136,10 @@ def is_atomic(condition: FilterCondition) -> bool:
 
 def condition_vars(condition: FilterCondition) -> Scheme:
     """All variables mentioned by a filter condition, atomic or composite."""
-    if isinstance(condition, (Bound, NegBound)):
+    if isinstance(condition, (Bound, NegBound, EqC, NeqC)):
         return frozenset((condition.var,))
     if isinstance(condition, (Eq, Neq)):
         return frozenset((condition.left, condition.right))
-    if isinstance(condition, (EqC, NeqC)):
-        return frozenset((condition.var,))
     if isinstance(condition, Opaque):
         return condition.mentions
     if isinstance(condition, NotExpr):
@@ -189,29 +191,59 @@ Position = tuple
 def children(pattern: Pattern) -> tuple[Pattern, ...]:
     if isinstance(pattern, BINARY_TYPES):
         return (pattern.left, pattern.right)
-    if isinstance(pattern, Filter):
-        return (pattern.pattern,)
-    if isinstance(pattern, Select):
+    if isinstance(pattern, (Filter, Select)):
         return (pattern.pattern,)
     return ()
 
 
-def iter_subpatterns(pattern: Pattern) -> Iterator[Pattern]:
-    """Pre-order traversal of all subpattern occurrences."""
-    stack = [pattern]
+def post_order(pattern: Pattern, operands=children, shared: set | None = None, pre: list | None = None) -> list:
+    """Each distinct node (by identity) once, after all of its `operands`
+    (default `children`), left first; an explicit stack makes depth no limit.
+    A node reached again, below a second parent, is skipped and its id added
+    to `shared` if given; `pre`, if given, receives the nodes in pre-order.
+    """
+    post, seen, stack = [], set(), [pattern]
+    shared = set() if shared is None else shared
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
+        if type(node) is tuple:  # every operand of node[0] is listed
+            post.append(node[0])
+        elif id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            if pre is not None:
+                pre.append(node)
+            kids = operands(node)
+            if kids:
+                stack.append((node,))
+                stack.extend(kids[::-1])
+            else:
+                post.append(node)
+    return post
+
+
+def rebuilt(node: Pattern, done: dict) -> Pattern:
+    """`node` over its children's results `done[id(child)]`; `node` itself
+    when every child's result is that child."""
+    kind = type(node)
+    if kind in BINARY_TYPES:
+        left, right = done[id(node.left)], done[id(node.right)]
+        return node if left is node.left and right is node.right else kind(left, right)
+    if kind is Filter or kind is Select:
+        sub = done[id(node.pattern)]
+        return node if sub is node.pattern else replace(node, pattern=sub)
+    return node
 
 
 @dataclass(frozen=True, slots=True)
 class PatternFacts:
     """What a pattern contains, collected by `pattern_facts` in one walk.
 
-    `triples` and `conditions` keep pre-order with repeats, the order of
-    `iter_subpatterns`; `filter_variables` are the variables of the filter
-    conditions, and `variables` add those of triples and SELECT schemes.
+    Each distinct node counts once.  `triples` and `conditions` keep
+    pre-order, left child first; `filter_variables` are the variables of the
+    filter conditions, and `variables` add those of triples and SELECT
+    schemes; `order` is `post_order(pattern)`, for the passes that fold it.
     """
 
     variables: Scheme
@@ -220,15 +252,15 @@ class PatternFacts:
     conditions: tuple
     triples: tuple
     node_types: frozenset
+    order: tuple
 
 
 def pattern_facts(pattern: Pattern) -> PatternFacts:
-    """Collect the facts of a pattern in one pre-order walk, left child first."""
+    """Collect the facts of a pattern in one walk."""
     variables, constants, filter_vars, node_types = set(), set(), set(), set()
-    conditions, triples = [], []
-    stack = [pattern]
-    while stack:
-        node = stack.pop()
+    conditions, triples, pre = [], [], []
+    post = post_order(pattern, pre=pre)
+    for node in pre:
         kind = type(node)
         node_types.add(kind)
         if kind is TriplePattern:
@@ -248,16 +280,11 @@ def pattern_facts(pattern: Pattern) -> PatternFacts:
                     filter_vars.update(condition_vars(condition))
                     if isinstance(condition, (EqC, NeqC)):
                         constants.add(condition.constant)
-            stack.append(node.pattern)
         elif kind is Select:
             variables.update(node.scheme)
-            stack.append(node.pattern)
-        elif kind in BINARY_TYPES:
-            stack.append(node.right)
-            stack.append(node.left)
     return PatternFacts(
         frozenset(variables | filter_vars), frozenset(constants), frozenset(filter_vars),
-        tuple(conditions), tuple(triples), frozenset(node_types),
+        tuple(conditions), tuple(triples), frozenset(node_types), tuple(post),
     )
 
 
@@ -276,47 +303,31 @@ def contains_node(pattern: Pattern, node_type) -> bool:
 
 
 def rename_condition(condition: FilterCondition, renaming: dict[Variable, Variable]) -> FilterCondition:
-    def r(v: Variable) -> Variable:
-        return renaming.get(v, v)
-
-    if isinstance(condition, Bound):
-        return Bound(r(condition.var))
-    if isinstance(condition, NegBound):
-        return NegBound(r(condition.var))
-    if isinstance(condition, Eq):
-        return Eq(r(condition.left), r(condition.right))
-    if isinstance(condition, Neq):
-        return Neq(r(condition.left), r(condition.right))
-    if isinstance(condition, EqC):
-        return EqC(r(condition.var), condition.constant)
-    if isinstance(condition, NeqC):
-        return NeqC(r(condition.var), condition.constant)
     if isinstance(condition, Opaque):
-        return Opaque(condition.text, frozenset(r(v) for v in condition.mentions))
+        return Opaque(condition.text, frozenset(renaming.get(v, v) for v in condition.mentions))
     if isinstance(condition, NotExpr):
         return NotExpr(rename_condition(condition.operand, renaming))
-    if isinstance(condition, AndExpr):
-        return AndExpr(rename_condition(condition.left, renaming), rename_condition(condition.right, renaming))
-    return OrExpr(rename_condition(condition.left, renaming), rename_condition(condition.right, renaming))
+    if isinstance(condition, (AndExpr, OrExpr)):
+        return type(condition)(rename_condition(condition.left, renaming), rename_condition(condition.right, renaming))
+    # an atom: rename its variables, keep its constant
+    return type(condition)(*(renaming.get(t, t) for t in (getattr(condition, f) for f in condition.__slots__)))
 
 
 def rename_vars(pattern: Pattern, renaming: dict[Variable, Variable]) -> Pattern:
     """Apply a variable renaming throughout a pattern."""
-
-    def term(t: Term) -> Term:
-        return renaming.get(t, t) if isinstance(t, Variable) else t
-
-    if isinstance(pattern, TriplePattern):
-        return TriplePattern(term(pattern.subject), term(pattern.predicate), term(pattern.object))
-    if isinstance(pattern, Union):
-        return Union(rename_vars(pattern.left, renaming), rename_vars(pattern.right, renaming))
-    if isinstance(pattern, And):
-        return And(rename_vars(pattern.left, renaming), rename_vars(pattern.right, renaming))
-    if isinstance(pattern, Opt):
-        return Opt(rename_vars(pattern.left, renaming), rename_vars(pattern.right, renaming))
-    if isinstance(pattern, Filter):
-        return Filter(rename_vars(pattern.pattern, renaming), rename_condition(pattern.condition, renaming))
-    return Select(frozenset(renaming.get(v, v) for v in pattern.scheme), rename_vars(pattern.pattern, renaming))
+    done: dict = {}
+    for node in post_order(pattern):
+        kind = type(node)
+        if kind is TriplePattern:
+            out = TriplePattern(*(renaming.get(t, t) for t in node.terms()))
+        elif kind is Filter:
+            out = Filter(done[id(node.pattern)], rename_condition(node.condition, renaming))
+        elif kind is Select:
+            out = Select(frozenset(renaming.get(v, v) for v in node.scheme), done[id(node.pattern)])
+        else:
+            out = rebuilt(node, done)
+        done[id(node)] = out
+    return done[id(pattern)]
 
 
 def is_reserved_name(name: str) -> bool:

@@ -17,47 +17,44 @@ from .patterns import (
     Union,
     contains_node,
     pattern_facts,
+    post_order,
+    rebuilt,
     rename_vars,
     vars_of,
 )
 from .terms import Literal, Scheme, Variable
 
 
-def wrong_literal_reduce(pattern: Pattern) -> Pattern | None:
+def wrong_literal_reduce(pattern: Pattern, *, facts: PatternFacts | None = None) -> Pattern | None:
     """Remove triple patterns with a literal subject, preserving semantics.
 
     Returns None when the whole pattern is equivalent to the empty result on
     every graph; otherwise returns an equivalent pattern with no literal in
-    any subject position.  (Literal predicates are already ruled out by the
-    triple-pattern type.)
+    any subject position, the pattern itself when nothing is removed.
+    (Literal predicates are already ruled out by the triple-pattern type.)
     """
-    if contains_node(pattern, Select):
+    facts = facts or pattern_facts(pattern)
+    if Select in facts.node_types:
         raise PreconditionViolated("wrong_literal_reduce requires a SELECT-free pattern")
-    return _reduce(pattern)
-
-
-def _reduce(pattern: Pattern) -> Pattern | None:
-    """As wrong_literal_reduce; returns `pattern` itself when nothing is removed."""
-    if isinstance(pattern, TriplePattern):
-        return None if isinstance(pattern.subject, Literal) else pattern
-    if isinstance(pattern, Filter):
-        sub = _reduce(pattern.pattern)
-        if sub is None:
-            return None
-        return pattern if sub is pattern.pattern else Filter(sub, pattern.condition)
-    if not isinstance(pattern, (Union, And, Opt)):
-        raise TypeError(f"not a pattern: {pattern!r}")
-    left = _reduce(pattern.left)
-    if left is None and not isinstance(pattern, Union):
-        return None  # AND needs both sides, OPT its left side
-    right = _reduce(pattern.right)
-    if left is None:
-        return right
-    if right is None:
-        return None if isinstance(pattern, And) else left
-    if left is pattern.left and right is pattern.right:
+    if not any(isinstance(tp.subject, Literal) for tp in facts.triples):
         return pattern
-    return type(pattern)(left, right)
+    done: dict = {}
+    for node in facts.order:
+        kind = type(node)
+        if kind is TriplePattern:
+            out = None if isinstance(node.subject, Literal) else node
+        elif kind is Filter:
+            out = None if done[id(node.pattern)] is None else rebuilt(node, done)
+        else:
+            left, right = done[id(node.left)], done[id(node.right)]
+            if left is None:  # AND needs both sides, OPT its left side
+                out = right if kind is Union else None
+            elif right is None:
+                out = None if kind is And else left
+            else:
+                out = rebuilt(node, done)
+        done[id(node)] = out
+    return done[id(pattern)]
 
 
 def select_eliminate(pattern: Pattern) -> Pattern:
@@ -70,29 +67,31 @@ def select_eliminate(pattern: Pattern) -> Pattern:
     return select_eliminate_info(pattern)[0]
 
 
-def select_eliminate_info(pattern: Pattern) -> tuple[Pattern, Scheme]:
+def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None) -> tuple[Pattern, Scheme]:
     """As select_eliminate, also reporting the set of fresh variables used;
-    a SELECT-free pattern is returned itself."""
-    facts = pattern_facts(pattern)
+    a SELECT-free pattern is returned itself.  With a SELECT, a subtree that
+    two parents share raises PreconditionViolated (the parser builds trees).
+    """
+    facts = facts or pattern_facts(pattern)
     if Select not in facts.node_types:
         return pattern, frozenset()
+    shared: set = set()
+    order = post_order(pattern, shared=shared)
+    if shared:  # each SELECT occurrence needs fresh names of its own
+        raise PreconditionViolated("select_eliminate requires a pattern that shares no subtree")
     fresh = FreshVars(variables=facts.variables)
     introduced: set[Variable] = set()
-
-    def rec(node: Pattern) -> Pattern:
-        if isinstance(node, TriplePattern):
-            return node
-        if isinstance(node, (Union, And, Opt)):
-            return type(node)(rec(node.left), rec(node.right))
-        if isinstance(node, Filter):
-            return Filter(rec(node.pattern), node.condition)
-        body = rec(node.pattern)
+    done: dict = {}
+    for node in order:
+        if type(node) is not Select:
+            done[id(node)] = rebuilt(node, done)
+            continue
+        body = done[id(node.pattern)]
         projected_out = sorted(vars_of(body) - node.scheme, key=lambda v: v.name)
         renaming = {v: fresh.take() for v in projected_out}
         introduced.update(renaming.values())
-        return rename_vars(body, renaming)
-
-    return rec(pattern), frozenset(introduced)
+        done[id(node)] = rename_vars(body, renaming)
+    return done[id(pattern)], frozenset(introduced)
 
 
 def exists_rewrite(pattern: Pattern, subquery: Pattern) -> Pattern:
@@ -117,33 +116,24 @@ def union_free_split(pattern: Pattern, *, facts: PatternFacts | None = None) -> 
     if facts is not None and Union not in facts.node_types:
         return [UnionMember(pattern, True)]
     members: list[UnionMember] = []
-
-    def walk(node: Pattern):
-        if isinstance(node, Union):
-            walk(node.left)
-            walk(node.right)
+    todo = [pattern]
+    while todo:
+        node = todo.pop()
+        if type(node) is Union:
+            todo += (node.right, node.left)
         else:
             members.append(UnionMember(node, not contains_node(node, Union)))
-
-    walk(pattern)
     return members
 
 
 def af_reduce(pattern: Pattern) -> Pattern:
     """Strip every optional arm, leaving the AND/FILTER core of the pattern."""
-    node_types = pattern_facts(pattern).node_types
-    if Union in node_types:
+    facts = pattern_facts(pattern)
+    if Union in facts.node_types:
         raise NotUnionFree("af_reduce requires a union-free pattern")
-    if Select in node_types:
+    if Select in facts.node_types:
         raise PreconditionViolated("af_reduce requires a SELECT-free pattern")
-
-    def rec(node: Pattern) -> Pattern:
-        if isinstance(node, TriplePattern):
-            return node
-        if isinstance(node, And):
-            return And(rec(node.left), rec(node.right))
-        if isinstance(node, Filter):
-            return Filter(rec(node.pattern), node.condition)
-        return rec(node.left)  # Opt: keep the mandatory side only
-
-    return rec(pattern)
+    done: dict = {}
+    for node in facts.order:  # an OPT keeps its mandatory side only
+        done[id(node)] = done[id(node.left)] if type(node) is Opt else rebuilt(node, done)
+    return done[id(pattern)]

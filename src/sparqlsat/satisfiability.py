@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedOpaquePredicate,
 )
 from .evaluator import evaluate
-from .normalize import DEFAULT_DNF_CAP, normalize_filters
+from .normalize import normalize_filters
 from .patterns import (
     And,
     Bound,
@@ -93,8 +93,7 @@ class FragmentProfile:
 def classify_fragment(pattern: Pattern, *, facts: PatternFacts | None = None) -> FragmentProfile:
     """Collect the constraint kinds used and pick the decidable route, if any
     (`facts`, if given, are `pattern_facts(pattern)`)."""
-    if facts is None:
-        facts = pattern_facts(pattern)
+    facts = facts or pattern_facts(pattern)
     kinds = set()
     for condition in facts.conditions:
         if not is_atomic(condition):
@@ -163,7 +162,7 @@ def _witness(pattern: Pattern, fragment: frozenset, name: str, model_of) -> tupl
     profile = classify_fragment(pattern, facts=facts)
     if not profile.kinds <= fragment:
         raise PreconditionViolated(f"{name} requires constraint kinds within {sorted(k.value for k in fragment)}")
-    if not scheme_table(pattern)[1][id(pattern)]:
+    if not scheme_table(pattern, facts=facts)[1][id(pattern)]:
         raise PreconditionViolated(f"{name} requires a nonempty scheme family")
     model = model_of(facts)
     return _instantiate(facts, model), model
@@ -204,40 +203,44 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
     """A restriction of the witness model that the evaluator must return.
 
     Follows the inductive argument behind the witness construction: choose a
-    maximal scheme at the root and descend.  Every maximal scheme of a join,
-    and of an optional join whose arm has schemes at all, is the union of
-    maximal schemes of its two sides; the arm's solutions are restrictions of
-    the same model, hence always compatible, so the arm is always joined.
+    maximal scheme at the root and descend with a worklist of (node, target).
+    Every maximal scheme of a join, and of an optional join whose arm has
+    schemes at all, is the union of maximal schemes of its two sides; the
+    arm's solutions are restrictions of the same model, hence always
+    compatible, so the arm is always joined.
     """
+    realized: set = set()
+    work = [(pattern, min(table[id(pattern)], key=scheme_sort_key))]
+    while work:
+        node, target = work.pop()
+        kind = type(node)
+        if kind is TriplePattern:
+            realized.update(node.variables())
+        elif kind is Union:
+            branch = node.left if target in table[id(node.left)] else node.right
+            if target not in table[id(branch)]:
+                raise AssertionError("target scheme lost in union branch")
+            work.append((branch, target))
+        elif kind is And or (kind is Opt and table[id(node.right)]):
+            work += _decompose(node, target, table)
+        elif kind is Opt:  # the optional arm has no solutions
+            work.append((node.left, target))
+        elif kind is Filter:
+            work.append((node.pattern, target))
+        else:
+            raise TypeError(f"not a pattern node: {node!r}")
+    return model.restrict(realized)
 
-    def decompose(left: Pattern, right: Pattern, target: Scheme) -> Scheme:
-        for s1 in sorted(table[id(left)], key=scheme_sort_key):
-            if not s1 <= target:
-                continue
-            for s2 in sorted(table[id(right)], key=scheme_sort_key):
-                if s1 | s2 == target:
-                    return realize(left, s1) | realize(right, s2)
-        raise AssertionError("target scheme not decomposable over a join")
 
-    def realize(node: Pattern, target: Scheme) -> Scheme:
-        if isinstance(node, TriplePattern):
-            return node.variables()
-        if isinstance(node, Union):
-            for branch in (node.left, node.right):
-                if target in table[id(branch)]:
-                    return realize(branch, target)
-            raise AssertionError("target scheme lost in union branch")
-        if isinstance(node, And) or (isinstance(node, Opt) and table[id(node.right)]):
-            return decompose(node.left, node.right, target)
-        if isinstance(node, Opt):  # the optional arm has no solutions
-            return realize(node.left, target)
-        if isinstance(node, Filter):
-            return realize(node.pattern, target)
-        raise TypeError(f"not a pattern node: {node!r}")
-
-    root_schemes = table[id(pattern)]
-    target = min(root_schemes, key=scheme_sort_key)
-    return model.restrict(realize(pattern, target))
+def _decompose(node: Pattern, target: Scheme, table: dict) -> tuple:
+    """The first maximal schemes of the two sides whose union is `target`."""
+    for s1 in sorted(table[id(node.left)], key=scheme_sort_key):
+        if not s1 <= target:
+            continue
+        for s2 in sorted(table[id(node.right)], key=scheme_sort_key):
+            if s1 | s2 == target:
+                return (node.left, s1), (node.right, s2)
+    raise AssertionError("target scheme not decomposable over a join")
 
 
 # --- the decision pipeline ------------------------------------------------------
@@ -253,23 +256,15 @@ class PipelineResult:
     blocking: str | None
 
 
-def decide_satisfiability(
-    pattern: Pattern,
-    *,
-    builtins_as_bound: bool = False,
-    dnf_cap: int = DEFAULT_DNF_CAP,
-) -> Verdict:
+def decide_satisfiability(pattern: Pattern, *, builtins_as_bound: bool = False) -> Verdict:
     """Decide satisfiability where possible; Unknown names the blocker otherwise."""
-    return run_pipeline(
-        pattern, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap
-    ).verdict
+    return run_pipeline(pattern, builtins_as_bound=builtins_as_bound).verdict
 
 
 def run_pipeline(
     pattern: Pattern,
     *,
     builtins_as_bound: bool = False,
-    dnf_cap: int = DEFAULT_DNF_CAP,
     stage_ns: dict | None = None,
 ) -> PipelineResult:
     """Rewrite, classify and decide one pattern.
@@ -283,7 +278,7 @@ def run_pipeline(
     raise.  Without one, no clock is read.
     """
     if stage_ns is None:
-        return _run_stages(pattern, builtins_as_bound, dnf_cap, lambda stage: None)
+        return _run_stages(pattern, builtins_as_bound, lambda stage: None)
     running = ["wrong_literal", perf_counter_ns()]
 
     def enter(stage):
@@ -292,31 +287,34 @@ def run_pipeline(
         running[:] = stage, now
 
     try:
-        return _run_stages(pattern, builtins_as_bound, dnf_cap, enter)
+        return _run_stages(pattern, builtins_as_bound, enter)
     finally:
         enter(None)
 
 
-def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) -> PipelineResult:
+def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineResult:
     """`run_pipeline`'s body; `enter(stage)` is called as each timed stage
-    after the first begins."""
-    core, fresh_introduced = select_eliminate_info(pattern)
+    after the first begins.  Each stage reads the facts of its input, which
+    are collected again only when a rewrite returns a new pattern."""
+    facts = pattern_facts(pattern)
+    core, fresh_introduced = select_eliminate_info(pattern, facts=facts)
+    facts = facts if core is pattern else pattern_facts(core)
     try:
-        core = normalize_filters(core, builtins_as_bound=builtins_as_bound, dnf_cap=dnf_cap)
+        normalized = normalize_filters(core, builtins_as_bound=builtins_as_bound, facts=facts)
     except UnsupportedOpaquePredicate as exc:
         return PipelineResult(Unknown(str(exc)), None, None, False, "opaque-builtin")
     except NormalizationBlowup as exc:
         return PipelineResult(Unknown(str(exc)), None, None, False, "normalization-blowup")
+    core, facts = normalized, facts if normalized is core else pattern_facts(normalized)
 
-    reduced = wrong_literal_reduce(core)
+    reduced = wrong_literal_reduce(core, facts=facts)
     if reduced is None:
-        profile = classify_fragment(core)
+        profile = classify_fragment(core, facts=facts)
         return PipelineResult(
             Unsatisfiable(UnsatReason.WRONG_LITERAL), profile, None, True, None
         )
     modified = reduced is not core
-
-    facts = pattern_facts(reduced)
+    facts = pattern_facts(reduced) if modified else facts
     profile = classify_fragment(reduced, facts=facts)
     enter("well_designed")
     members = union_free_split(reduced, facts=facts)
@@ -325,7 +323,7 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, dnf_cap: int, enter) 
 
     if profile.route is not Route.NONE:
         enter("schemes")
-        _, table = scheme_table(reduced)
+        _, table = scheme_table(reduced, facts=facts)
         if not table[id(reduced)]:
             verdict: Verdict = Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
         else:

@@ -7,8 +7,7 @@ two decidable constraint fragments the converse holds as well.
 
 The full family can grow exponentially in the number of UNION/OPT operators.
 Only variables mentioned in filters can ever make it empty, so the pruned
-family intersects every scheme with the filter variables; `candidate_schemes`
-and `pruned_schemes` materialize these two families with one recursion.
+family intersects every scheme with the filter variables.
 
 The decision itself reads `scheme_table`, which keeps only the ⊆-maximal
 pruned schemes of every node.  Every constraint kind of the two fragments
@@ -29,6 +28,9 @@ one scheme per node instead of 2^k.  The worst case stays exponential,
 as NP-completeness requires: a join of UNIONs over disjoint variables has
 exponentially many maximal schemes.  `!bound` is not upward-closed, so
 `scheme_table` refuses it.
+
+One fold along a post-order, `_families`, computes all three kinds of
+family, one object per distinct family: a filter-free BGP's triples share {∅}.
 """
 
 from __future__ import annotations
@@ -46,16 +48,17 @@ from .patterns import (
     NegBound,
     Opt,
     Pattern,
+    PatternFacts,
     TriplePattern,
     Union,
     is_atomic,
     pattern_facts,
+    post_order,
 )
 from .terms import Scheme
 
-#: Families beyond this many schemes raise SchemeSetBlowup.  Only the
-#: materialized families count against it; the decision's maximal-scheme
-#: table stays small unless UNIONs multiply under AND.
+#: Families beyond this many schemes raise SchemeSetBlowup.  The decision's
+#: maximal-scheme table stays far below it unless UNIONs multiply under AND.
 DEFAULT_SCHEME_CAP = 1 << 20
 
 SchemeSet = frozenset  # frozenset[Scheme]
@@ -72,15 +75,9 @@ def admits(scheme: Scheme, constraint: Constraint) -> bool:
     raise NotNormalized(f"not an atomic constraint: {constraint!r}")
 
 
-def _atomic_condition(node: Filter) -> Constraint:
-    if not is_atomic(node.condition):
-        raise NotNormalized("scheme analysis requires atomic filter constraints")
-    return node.condition
-
-
 def candidate_schemes(pattern: Pattern, cap: int = DEFAULT_SCHEME_CAP) -> SchemeSet:
     """The full scheme family of a SELECT-free pattern with atomic filters."""
-    return _family(pattern, None, cap)
+    return _families(post_order(pattern), None, cap)[id(pattern)]
 
 
 def pruned_schemes(pattern: Pattern) -> SchemeSet:
@@ -90,33 +87,40 @@ def pruned_schemes(pattern: Pattern) -> SchemeSet:
     with the filter variables, so it is empty exactly when the full family
     is, while its size is bounded by two to the number of filter variables.
     """
-    return _family(pattern, filter_variables(pattern), DEFAULT_SCHEME_CAP)
+    facts = pattern_facts(pattern)
+    return _families(facts.order, facts.filter_variables, DEFAULT_SCHEME_CAP)[id(pattern)]
 
 
-def _family(pattern: Pattern, keep: Scheme | None, cap: int) -> SchemeSet:
-    """The family of every scheme, each intersected with `keep` unless None."""
-
-    def rec(node: Pattern) -> frozenset:
-        if isinstance(node, TriplePattern):
+def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> dict[int, SchemeSet]:
+    """The scheme family of every node of a post-order, by node identity, its
+    schemes intersected with `keep` unless None, ⊆-maximal ones if `maximal`."""
+    table: dict[int, SchemeSet] = {}
+    distinct: dict = {}
+    for node in order:
+        kind = type(node)
+        if kind is TriplePattern:
             scheme = node.variables()
-            return frozenset((scheme if keep is None else scheme & keep,))
-        if isinstance(node, Union):
-            out = rec(node.left) | rec(node.right)
-        elif isinstance(node, And):
-            out = _products(rec(node.left), rec(node.right), cap)
-        elif isinstance(node, Opt):
-            left = rec(node.left)
-            out = _products(left, rec(node.right), cap) | left
-        elif isinstance(node, Filter):
-            condition = _atomic_condition(node)
-            out = frozenset(s for s in rec(node.pattern) if admits(s, condition))
+            out = frozenset((scheme if keep is None else scheme & keep,))
+        elif kind is Filter:
+            condition = node.condition
+            if not is_atomic(condition):
+                raise NotNormalized("scheme analysis requires atomic filter constraints")
+            if maximal and isinstance(condition, NegBound):
+                raise PreconditionViolated("scheme_table cannot keep maximal schemes under !bound")
+            out = frozenset(s for s in table[id(node.pattern)] if admits(s, condition))
+        elif kind is Union or kind is And or kind is Opt:
+            left, right = table[id(node.left)], table[id(node.right)]
+            out = left | right if kind is Union else _products(left, right, cap)
+            if kind is Opt:  # the left solutions that no arm solution extends
+                out |= left
+            if maximal:
+                out = _maximal(out)
         else:
             raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
         if len(out) > cap:
             raise SchemeSetBlowup(f"scheme family exceeds {cap} schemes")
-        return out
-
-    return rec(pattern)
+        table[id(node)] = distinct.setdefault(out, out)
+    return table
 
 
 def _products(left: frozenset, right: frozenset, cap: int) -> frozenset:
@@ -143,7 +147,7 @@ def _maximal(schemes) -> SchemeSet:
     return frozenset(kept)
 
 
-def scheme_table(pattern: Pattern) -> tuple[Scheme, dict[int, SchemeSet]]:
+def scheme_table(pattern: Pattern, *, facts: PatternFacts | None = None) -> tuple[Scheme, dict[int, SchemeSet]]:
     """Maximal pruned schemes of every subpattern, keyed by node identity.
 
     Returns the filter-variable set and the per-node table; the table backs
@@ -151,36 +155,9 @@ def scheme_table(pattern: Pattern) -> tuple[Scheme, dict[int, SchemeSet]]:
     PreconditionViolated on SELECT and on `!bound`, whose admitted schemes
     are not closed upwards, and NotNormalized on composite filters.
     """
-    fv = filter_variables(pattern)
-    table: dict[int, SchemeSet] = {}
-
-    def rec(node: Pattern) -> SchemeSet:
-        known = table.get(id(node))  # rewrites share subtrees between branches
-        if known is not None:
-            return known
-        if isinstance(node, TriplePattern):
-            out = frozenset((node.variables() & fv,))
-        elif isinstance(node, Union):
-            out = _maximal(rec(node.left) | rec(node.right))
-        elif isinstance(node, (And, Opt)):
-            left = rec(node.left)
-            right = rec(node.right)
-            if right or isinstance(node, And):
-                out = _maximal(s1 | s2 for s1 in left for s2 in right)
-            else:  # an optional arm without solutions leaves the left side alone
-                out = left
-        elif isinstance(node, Filter):
-            condition = _atomic_condition(node)
-            if isinstance(condition, NegBound):
-                raise PreconditionViolated("scheme_table cannot keep maximal schemes under !bound")
-            out = frozenset(s for s in rec(node.pattern) if admits(s, condition))
-        else:
-            raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
-        table[id(node)] = out
-        return out
-
-    rec(pattern)
-    return fv, table
+    facts = facts or pattern_facts(pattern)
+    fv = facts.filter_variables
+    return fv, _families(facts.order, fv, DEFAULT_SCHEME_CAP, maximal=True)
 
 
 def scheme_sort_key(scheme: Scheme):

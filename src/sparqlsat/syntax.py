@@ -723,27 +723,35 @@ def serialize_condition(condition: FilterCondition) -> str:
     raise ValueError(f"cannot serialize condition: {condition!r}")
 
 
+_OPERATOR_WORDS = {Union: " UNION ", And: " AND ", Opt: " OPT "}
+
+
 def serialize_pattern(pattern: Pattern) -> str:
-    """Render the compact form; parsing it back yields a structurally equal AST."""
+    """Render the compact form; parsing it back yields a structurally equal AST.
 
-    def wrap(node: Pattern) -> str:
-        text = serialize_pattern(node)
-        return text if isinstance(node, TriplePattern) else f"({text})"
+    The pieces are written left to right off an explicit stack of pending
+    pieces and nodes, so depth costs no frames and the text is built once.
+    """
 
-    if isinstance(pattern, TriplePattern):
-        return (
-            f"({_term_compact(pattern.subject)} {_term_compact(pattern.predicate)}"
-            f" {_term_compact(pattern.object)})"
-        )
-    if isinstance(pattern, Union):
-        return f"{wrap(pattern.left)} UNION {wrap(pattern.right)}"
-    if isinstance(pattern, And):
-        return f"{wrap(pattern.left)} AND {wrap(pattern.right)}"
-    if isinstance(pattern, Opt):
-        return f"{wrap(pattern.left)} OPT {wrap(pattern.right)}"
-    if isinstance(pattern, Filter):
-        return f"{wrap(pattern.pattern)} FILTER {serialize_condition(pattern.condition)}"
-    if isinstance(pattern, Select):
-        names = ", ".join(f"?{v.name}" for v in sorted(pattern.scheme, key=lambda v: v.name))
-        return f"SELECT {{{names}}} ({serialize_pattern(pattern.pattern)})"
-    raise ValueError(f"cannot serialize pattern: {pattern!r}")
+    def wrapped(node: Pattern) -> tuple:  # an operand's pieces, reversed for the stack
+        return (node,) if isinstance(node, TriplePattern) else (")", node, "(")
+
+    out, todo = [], [pattern]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, TriplePattern):
+            terms = " ".join(_term_compact(t) for t in node.terms())
+            out.append(f"({terms})")
+        elif isinstance(node, (Union, And, Opt)):
+            todo += (*wrapped(node.right), _OPERATOR_WORDS[type(node)], *wrapped(node.left))
+        elif isinstance(node, Filter):
+            todo += (f" FILTER {serialize_condition(node.condition)}", *wrapped(node.pattern))
+        elif isinstance(node, Select):
+            names = ", ".join(f"?{v.name}" for v in sorted(node.scheme, key=lambda v: v.name))
+            out.append(f"SELECT {{{names}}} (")
+            todo += (")", node.pattern)
+        else:
+            raise ValueError(f"cannot serialize pattern: {node!r}")
+    return "".join(out)

@@ -1,7 +1,12 @@
-"""Well-designedness checks and the constraint set of an AND/FILTER pattern."""
+"""Well-designedness checks and the constraint set of an AND/FILTER pattern.
+
+Both scoping checks read one pre-order numbering of the node occurrences,
+in which every subtree is a contiguous range.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .constraints import SortMap, SortReq
@@ -24,7 +29,6 @@ from .patterns import (
     condition_vars,
     is_atomic,
     pattern_facts,
-    vars_of,
 )
 from .terms import Scheme, Variable
 
@@ -43,21 +47,64 @@ class WdViolation:
         return f"{self.variable} from the optional arm at {self.position or 'root'} escapes to the outside"
 
 
+def _preorder_index(pattern: Pattern):
+    """Number the node occurrences in pre-order, left child first, so every
+    subtree is a contiguous range.  Returns the nodes, each one's parent
+    (-1 at the root), the end of each one's range, the nearest OPT above
+    each that holds it in its optional arm (-1 if none), and per variable
+    the sorted numbers of the triples, filter conditions and SELECT schemes
+    that mention it."""
+    nodes, parents, arm_of, occurrences = [], [], [], {}
+    stack = [(pattern, -1, -1)]
+    while stack:
+        node, parent, arm = stack.pop()
+        index = len(nodes)
+        nodes.append(node)
+        parents.append(parent)
+        arm_of.append(arm)
+        kind = type(node)
+        if kind is TriplePattern:
+            for term in (node.subject, node.predicate, node.object):
+                if type(term) is Variable:
+                    occurrences.setdefault(term, []).append(index)
+        elif kind is Filter or kind is Select:
+            for var in condition_vars(node.condition) if kind is Filter else node.scheme:
+                occurrences.setdefault(var, []).append(index)
+            stack.append((node.pattern, index, arm))
+        else:  # an OPT's right child is its optional arm
+            stack += ((node.right, index, index if kind is Opt else arm), (node.left, index, arm))
+    ends = list(range(1, len(nodes) + 1))
+    for index in range(len(nodes) - 1, 0, -1):  # children before parents
+        ends[parents[index]] = max(ends[parents[index]], ends[index])
+    return nodes, parents, ends, arm_of, occurrences
+
+
+def _occurs_in(places: list, start: int, stop: int) -> bool:
+    k = bisect_left(places, start)
+    return k < len(places) and places[k] < stop
+
+
+def _position(parents: list, index: int) -> Position:
+    path = []
+    while (parent := parents[index]) >= 0:
+        path.append(0 if index == parent + 1 else 1)
+        index = parent
+    return tuple(reversed(path))
+
+
 def outside_vars(pattern: Pattern, position: Position) -> Scheme:
     """Variables of the addressed subpattern that also occur outside of it."""
-    outside: set[Variable] = set()
-    node = pattern
-    for index in position:  # the ancestors' own variables and their other children's
-        kids = children(node)
-        if index >= len(kids):
-            raise InvalidPosition(f"no child {index} at {position}")
-        if isinstance(node, Filter):
-            outside.update(condition_vars(node.condition))
-        elif isinstance(node, Select):
-            outside.update(node.scheme)
-        outside.update(*(vars_of(kid) for i, kid in enumerate(kids) if i != index))
-        node = kids[index]
-    return vars_of(node) & frozenset(outside)
+    nodes, _, ends, _, occurrences = _preorder_index(pattern)
+    start = 0
+    for step in position:
+        if not 0 <= step < len(children(nodes[start])):
+            raise InvalidPosition(f"no child {step} at {position}")
+        start = start + 1 if step == 0 else ends[start + 1]
+    stop = ends[start]
+    return frozenset(
+        var for var, places in occurrences.items()
+        if _occurs_in(places, start, stop) and (places[0] < start or places[-1] >= stop)
+    )
 
 
 def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
@@ -67,50 +114,39 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
     Condition 2: a variable of an optional arm that also occurs outside that
     OPT node must occur in the mandatory arm.
 
-    Runs in two linear passes: subtree variable sets bottom-up, then
-    outside-occurring variable sets top-down.  A UNION anywhere raises
-    NotUnionFree in the first pass, a SELECT PreconditionViolated in the second.
+    Over the pre-order numbering, "occurs in a subtree" is a bisection of
+    the variable's sorted occurrences.  A condition-2 violation is found
+    from the variable's first occurrence inside the OPT node, which lies in
+    the optional arm, by climbing the OPT nodes that hold that occurrence in
+    their optional arms: each step but the last finds one.  So the check
+    takes O(n log n) time and O(n) memory, plus the violations' positions.
+    Violations come in pre-order, by variable name within a node.  A UNION
+    anywhere raises NotUnionFree; else a SELECT raises PreconditionViolated.
     """
-    subtree: dict[int, frozenset] = {}
-
-    def collect(node: Pattern) -> frozenset:
-        if isinstance(node, TriplePattern):
-            out = node.variables()
-        elif isinstance(node, Filter):
-            out = collect(node.pattern) | condition_vars(node.condition)
-        elif isinstance(node, Union):
-            raise NotUnionFree("well-designedness is defined for union-free patterns")
-        elif isinstance(node, Select):
-            out = collect(node.pattern)
-        else:
-            out = collect(node.left) | collect(node.right)
-        subtree[id(node)] = out
-        return out
-
-    collect(pattern)
-    violations: list[WdViolation] = []
-
-    def check(node: Pattern, pos: Position, outside: frozenset):
-        if isinstance(node, TriplePattern):
-            return
-        if isinstance(node, Select):
-            raise PreconditionViolated("run select_eliminate before the well-designedness check")
-        if isinstance(node, Filter):
-            unsafe = condition_vars(node.condition) - subtree[id(node.pattern)]
-            for var in sorted(unsafe, key=lambda v: v.name):
-                violations.append(WdViolation("filter-unsafe", pos, var))
-            check(node.pattern, pos + (0,), outside | condition_vars(node.condition))
-            return
-        left_vars = subtree[id(node.left)]
-        right_vars = subtree[id(node.right)]
-        if isinstance(node, Opt):
-            escaped = (right_vars & outside) - left_vars
-            for var in sorted(escaped, key=lambda v: v.name):
-                violations.append(WdViolation("optional-escape", pos, var))
-        check(node.left, pos + (0,), outside | right_vars)
-        check(node.right, pos + (1,), outside | left_vars)
-
-    check(pattern, (), frozenset())
+    nodes, parents, ends, arm_of, occurrences = _preorder_index(pattern)
+    kinds = set(map(type, nodes))
+    if Union in kinds:
+        raise NotUnionFree("well-designedness is defined for union-free patterns")
+    if Select in kinds:
+        raise PreconditionViolated("run select_eliminate before the well-designedness check")
+    found = []  # (node number, variable)
+    for index, node in enumerate(nodes):
+        if type(node) is Filter:
+            for var in condition_vars(node.condition):
+                if not _occurs_in(occurrences[var], index + 1, ends[index]):
+                    found.append((index, var))
+    for var, places in occurrences.items():
+        previous = -1
+        for place in places:
+            opt = arm_of[place]
+            # above the previous occurrence, `place` is the first one inside
+            while opt > previous and (previous >= 0 or ends[opt] <= places[-1]):
+                found.append((opt, var))  # and some occurrence lies outside
+                opt = arm_of[opt]
+            previous = place
+    found.sort(key=lambda item: (item[0], item[1].name))
+    kind_of = {Filter: "filter-unsafe", Opt: "optional-escape"}
+    violations = [WdViolation(kind_of[type(nodes[i])], _position(parents, i), var) for i, var in found]
     return (not violations, violations)
 
 
@@ -120,8 +156,7 @@ def extract_constraints(pattern: Pattern, *, facts: PatternFacts | None = None) 
     Bound checks are excluded: they influence the scheme analysis only
     (`facts`, if given, are `pattern_facts(pattern)`).
     """
-    if facts is None:
-        facts = pattern_facts(pattern)
+    facts = facts or pattern_facts(pattern)
     if not facts.node_types.isdisjoint((Union, Opt, Select)):
         raise NotAFPattern("extract_constraints requires an AND/FILTER pattern")
     out: set[Constraint] = set()
@@ -136,8 +171,7 @@ def extract_constraints(pattern: Pattern, *, facts: PatternFacts | None = None) 
 def derive_sort_map(pattern: Pattern, *, facts: PatternFacts | None = None) -> SortMap:
     """Positional sort requirements: subject/predicate variables need IRIs
     (`facts`, if given, are `pattern_facts(pattern)`)."""
-    if facts is None:
-        facts = pattern_facts(pattern)
+    facts = facts or pattern_facts(pattern)
     sorts: SortMap = {}
     for node in facts.triples:
         if isinstance(node.subject, Variable):

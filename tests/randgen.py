@@ -33,7 +33,7 @@ from sparqlsat import (
     evaluate,
 )
 from sparqlsat.constraints import SortReq
-from sparqlsat.patterns import condition_vars, constants_of, vars_of
+from sparqlsat.patterns import children, condition_vars, constants_of, vars_of
 
 ALL_KINDS = ("bound", "negbound", "eq", "neq", "eqc", "neqc")
 EQ_KINDS = ("bound", "eq", "neqc")
@@ -42,6 +42,15 @@ NEQ_KINDS = ("bound", "neq", "neqc")
 VAR_POOL = tuple(Variable(name) for name in ("a", "b", "c", "d", "e", "f", "g", "h"))
 IRI_POOL = tuple(Iri(name) for name in ("p", "q", "r", "s", "t"))
 CONST_POOL = tuple(Iri(name) for name in ("k0", "k1", "k2")) + (Literal("11"), Literal("lit"))
+
+
+def iter_subpatterns(pattern: Pattern):
+    """Pre-order traversal of all subpattern occurrences, left child first."""
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def random_constraint(rng: random.Random, kinds, variables, constants=CONST_POOL):

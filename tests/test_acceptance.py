@@ -12,6 +12,7 @@ from randgen import (
     EQ_KINDS,
     NEQ_KINDS,
     enumerate_model,
+    iter_subpatterns,
     random_graph,
     random_pattern,
     random_value_constraints,
@@ -60,7 +61,7 @@ from sparqlsat.dalab import (
 )
 from sparqlsat.evaluator import satisfies
 from sparqlsat.normalize import normalize_filters
-from sparqlsat.patterns import Filter, NegBound, iter_subpatterns
+from sparqlsat.patterns import Filter, NegBound
 from sparqlsat.rewrites import af_reduce, wrong_literal_reduce
 from sparqlsat.report import PipelineOptions, measure_scaling
 from sparqlsat.satisfiability import run_pipeline

@@ -2,7 +2,7 @@
 
 import random
 
-from randgen import ALL_KINDS, VAR_POOL, random_constraint, random_pattern
+from randgen import ALL_KINDS, VAR_POOL, iter_subpatterns, random_constraint, random_pattern
 from sparqlsat import And, AndExpr, Filter, NotExpr, Opaque, OrExpr, Select, TriplePattern, Union
 from sparqlsat.patterns import (
     EqC,
@@ -10,7 +10,6 @@ from sparqlsat.patterns import (
     condition_vars,
     constants_of,
     contains_node,
-    iter_subpatterns,
     pattern_facts,
     vars_of,
 )

@@ -106,7 +106,7 @@ def test_stage_times_are_spans_of_the_real_run():
 def test_a_stage_left_by_an_exception_keeps_its_span(monkeypatch):
     from sparqlsat import satisfiability
 
-    def failing_table(pattern):
+    def failing_table(pattern, **facts):
         raise AssertionError("scheme table failed")
 
     monkeypatch.setattr(satisfiability, "scheme_table", failing_table)

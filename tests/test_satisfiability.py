@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -150,9 +151,8 @@ def test_normalization_blowup_is_reported_as_unknown():
     for _ in range(8):
         condition = AndExpr(condition, OrExpr(Bound(x), Bound(y)))
     pattern = Filter(parse_pattern("(?x p ?y)"), condition)
-    verdict = decide_satisfiability(pattern, dnf_cap=64)
+    verdict = decide_satisfiability(pattern)
     assert isinstance(verdict, Unknown)
-    assert isinstance(decide_satisfiability(pattern, dnf_cap=1 << 12), Satisfiable)
 
 
 def test_undecidable_kinds_without_well_designedness_are_unknown():
@@ -278,7 +278,7 @@ def test_witness_model_restricts_into_every_subpattern():
     # for satisfiable AND/FILTER patterns, the sample restricted to each
     # subpattern's (unique) scheme is a solution of that subpattern
     from sparqlsat import af_reduce
-    from sparqlsat.patterns import iter_subpatterns
+    from randgen import iter_subpatterns
 
     rng = random.Random(61)
     checked = 0
@@ -346,13 +346,69 @@ def test_sixteen_way_bound_disjunction_is_decided_fast():
     assert len(verdict.sample) == arms + 1
 
 
-def test_four_hundred_triple_bgp_is_decided_at_the_default_recursion_limit():
-    # the recursive passes take a few frames per AND level; a 400-triple
-    # basic graph pattern must still fit, with its sample replayed
+_PREFIX = "PREFIX p: <http://example.org/>\n"
+
+
+def _bgp(triples):
+    lines = [f"?s p:bgp{i} ?o{i} ." for i in range(triples)]
+    return _PREFIX + "SELECT * WHERE {\n  " + "\n  ".join(lines) + "\n}"
+
+
+def _optional_nest(arms):
+    lines = ["?s a p:University .", "?s p:country p:Chile ."]
+    lines += [f"OPTIONAL {{ ?s p:arm{i} ?v{i} . }}" for i in range(arms)]
+    lines += [f'FILTER ( langMatches(lang(?v{i}), "es") || langMatches(lang(?v{i}), "en") )' for i in (1, 2)]
+    return _PREFIX + "SELECT DISTINCT * WHERE {\n  " + "\n  ".join(lines) + "\n}"
+
+
+def _union_group(arms):
+    body = " UNION ".join(f"{{ ?s p:alt{i} ?o . }}" for i in range(arms))
+    return _PREFIX + "SELECT ?s ?o WHERE {\n  " + body + "\n  ?s a p:Thing .\n}"
+
+
+def _well_designed_opt_chain(arms):
+    lines = ["?s p:name ?o ."] + [f"OPTIONAL {{ ?s p:arm{i} ?v{i} . }}" for i in range(arms)]
+    return _PREFIX + "SELECT * WHERE {\n  " + "\n  ".join(lines) + "\n  FILTER ( ?o = p:c )\n}"
+
+
+@pytest.mark.parametrize(
+    "text, builtins_as_bound, route, bound_s, replay",
+    [
+        pytest.param(_bgp(400), False, Route.BOTH, 1.0, True, id="bgp-400"),
+        pytest.param(_bgp(2000), False, Route.BOTH, 2.0, True, id="bgp-2000"),
+        # replaying costs about 24 s here: `_match_triple` scans the graph per triple pattern
+        pytest.param(_bgp(5000), False, Route.BOTH, 4.0, False, id="bgp-5000"),
+        pytest.param(_optional_nest(1000), True, Route.BOTH, 2.0, True, id="optional-nest-1000"),
+        pytest.param(_union_group(1000), False, Route.BOTH, 2.0, True, id="union-1000"),
+        # route none: af_reduce, the scheme family and evaluate decide it
+        pytest.param(_well_designed_opt_chain(1000), False, Route.NONE, 2.0, True, id="wd-opt-chain-1000"),
+    ],
+)
+def test_deep_patterns_are_decided_at_the_default_recursion_limit(text, builtins_as_bound, route, bound_s, replay):
+    # every pass walks with an explicit stack, so depth costs no frames
     assert sys.getrecursionlimit() == 1000
-    lines = [f"?s <http://example.org/bgp{i}> ?o{i} ." for i in range(400)]
-    pattern = parse_pattern("SELECT * WHERE {\n  " + "\n  ".join(lines) + "\n}")
-    verdict = decide_satisfiability(pattern)
+    pattern = parse_pattern(text)
+    start = time.perf_counter()
+    result = run_pipeline(pattern, builtins_as_bound=builtins_as_bound)
+    elapsed = time.perf_counter() - start
+    assert isinstance(result.verdict, Satisfiable), result.verdict
+    assert result.profile.route is route
+    assert elapsed < bound_s, f"{elapsed:.3f} s"
+    if replay:
+        lowered = normalize_filters(pattern, builtins_as_bound=builtins_as_bound)
+        assert result.verdict.sample in evaluate(lowered, result.verdict.witness)
+
+
+def test_five_thousand_triple_bgp_decides_in_little_memory():
+    # one family object per distinct family, and a well-designedness index
+    # linear in the pattern: the traced peak stays under 4 MB
+    pattern = parse_pattern(_bgp(5000))
+    tracemalloc.start()
+    try:
+        verdict = decide_satisfiability(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert isinstance(verdict, Satisfiable)
-    assert verdict.sample in evaluate(pattern, verdict.witness)
-    assert len(verdict.sample) == 401
+    assert len(verdict.sample) == 5001
+    assert peak < 4_000_000, f"{peak / 1e6:.2f} MB"

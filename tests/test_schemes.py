@@ -104,7 +104,7 @@ UPWARD_CLOSED_KINDS = ("bound", "eq", "neq", "eqc", "neqc")
 
 
 def test_scheme_table_holds_the_maximal_pruned_schemes_of_every_node():
-    from sparqlsat.patterns import iter_subpatterns
+    from randgen import iter_subpatterns
 
     rng = random.Random(4)
     checked = 0

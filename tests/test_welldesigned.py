@@ -1,16 +1,20 @@
 """Well-designedness conditions, outside-variable sets, constraint extraction."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from randgen import random_well_designed
+import wd_reference
+from randgen import ALL_KINDS, VAR_POOL, random_constraint, random_pattern, random_well_designed
 from sparqlsat import (
     And,
     EqC,
+    Filter,
     Iri,
     NeqC,
     Eq,
+    Opt,
     Select,
     Variable,
     extract_constraints,
@@ -19,6 +23,7 @@ from sparqlsat import (
     parse_pattern,
 )
 from sparqlsat.errors import InvalidPosition, NotAFPattern, NotUnionFree, PreconditionViolated
+from sparqlsat.patterns import children
 
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -97,3 +102,35 @@ def test_extract_constraints_collects_all_four_kinds():
 def test_extract_constraints_rejects_non_af_patterns():
     with pytest.raises(NotAFPattern):
         extract_constraints(parse_pattern("(?x p ?y) OPT (?x q ?z)"))
+
+
+def _positions(pattern):
+    """Every occurrence's position, in pre-order."""
+    todo = [(pattern, ())]
+    while todo:
+        node, position = todo.pop()
+        yield position
+        todo += [(kid, position + (i,)) for i, kid in reversed(list(enumerate(children(node))))]
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (NotUnionFree, PreconditionViolated, InvalidPosition) as exc:
+        return type(exc)
+
+
+def test_well_designedness_matches_the_two_pass_reference():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(2000):
+        pattern = random_pattern(rng, depth=rng.randint(0, 5), select_rate=0.15)
+        if rng.random() < 0.2:  # one subtree at two positions
+            pattern = rng.choice((And, Opt))(pattern, Filter(pattern, random_constraint(rng, ALL_KINDS, VAR_POOL)))
+        expected = _outcome(wd_reference.is_well_designed, pattern)
+        assert _outcome(is_well_designed, pattern) == expected
+        seen[expected if isinstance(expected, type) else expected[0]] += 1
+        seen.update(v.kind for v in ([] if isinstance(expected, type) else expected[1]))
+        for position in list(_positions(pattern)) + [(2,), (0, 0, 0, 0, 0, 0, 0)]:
+            assert _outcome(outside_vars, pattern, position) == _outcome(wd_reference.outside_vars, pattern, position)
+    assert min(seen.values()) >= 50 and len(seen) == 6, seen
