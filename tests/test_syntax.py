@@ -1,5 +1,6 @@
 """Parsing and serialization of both grammars, plus round-trip properties."""
 
+import hashlib
 import random
 
 import pytest
@@ -220,3 +221,45 @@ def test_roundtrip_preserves_every_variable():
     for _ in range(50):
         pattern = random_pattern(rng, depth=3)
         assert vars_of(parse_pattern(serialize_pattern(pattern))) == vars_of(pattern)
+
+
+# --- pinned parse outcomes ----------------------------------------------------------
+
+#: sha256 of every outcome `_parse_outcomes` lists, pinned so that a change to
+#: the tokenizer or the parser cannot move a parse result or an error text.
+PARSE_OUTCOMES_DIGEST = "c9f07fbd45a495ad10ee163d52a70af788f62ddc9ea9be93e2d4efe0f7cc2492"
+
+_EDIT_ALPHABET = ' \n\t.#"^\\:?$_<>(){}[],;!=&|*+-@§abzAZ019'
+
+
+def _parse_outcomes():
+    """One line per input: its compact serialization, or its error's class and text.
+
+    The inputs are the seed-777 corpus, a seed-7 corpus with malformed
+    entries, and seeded one-character deletions and insertions of
+    seed-777 queries, which reach error offsets across the whole text.
+    """
+    from sparqlsat.corpus import generate_corpus
+
+    corpus = generate_corpus(2000, 777)
+    texts = corpus + generate_corpus(2000, 7, error_rate=0.2)
+    rng = random.Random(8)
+    for _ in range(5000):
+        text = rng.choice(corpus)
+        at = rng.randrange(len(text))
+        if rng.random() < 0.5:
+            texts.append(text[:at] + text[at + 1:])
+        else:
+            texts.append(text[:at] + rng.choice(_EDIT_ALPHABET) + text[at:])
+    for text in texts:
+        try:
+            yield serialize_pattern(parse_pattern(text))
+        except Exception as exc:  # the class and the text are the outcome
+            yield f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_outcomes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for outcome in _parse_outcomes():
+        digest.update(outcome.encode() + b"\0")
+    assert digest.hexdigest() == PARSE_OUTCOMES_DIGEST
