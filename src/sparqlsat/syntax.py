@@ -20,7 +20,6 @@ raises UnsupportedFeature.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import QuerySyntaxError, UnsupportedFeature
 from .patterns import (
@@ -49,47 +48,33 @@ from .terms import Iri, Literal, Term, Variable
 
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
+#: Whitespace and comments match unnamed, so they yield no token.  A pname's
+#: local part, and a `^^` datatype pname, never end in a dot: that dot ends
+#: the triple.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+|\#[^\n]*)
+      \s+ | \#[^\n]*
     | (?P<iriref><[^<>\s]*>)
-    | (?P<string>"(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]+))?)
+    | (?P<string>"(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?)
     | (?P<blank>_:[A-Za-z0-9_]+)
     | (?P<var>[?$][A-Za-z0-9_]+)
     | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<name>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_.-]*)?|[A-Za-z_][A-Za-z0-9_-]*)
+    | (?P<name>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?|[A-Za-z_][A-Za-z0-9_-]*)
     | (?P<op>&&|\|\||!=|<=|>=|\S)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    value: str
-    start: int
-    end: int
+#: A token is `(kind, value, start, end)`.
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise QuerySyntaxError(f"cannot read {text[pos]!r}", pos)
-        kind = match.lastgroup
-        value = match.group()
-        end = match.end()
-        if kind in ("name", "string"):
-            while value.endswith("."):  # pname locals must not end with a dot
-                value = value[:-1]
-                end -= 1
-        if kind != "ws":
-            tokens.append(_Token(kind, value, pos, end))
-        pos = end
-    tokens.append(_Token("eof", "", len(text), len(text)))
+    """Every token of `text` in one scan, then exactly one `eof` marker."""
+    tokens = [
+        (kind, m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)
+    ]
+    tokens.append(("eof", "", len(text), len(text)))
     return tokens
 
 
@@ -107,10 +92,12 @@ _COND_STOP = frozenset((")", "}", "&&", "||", ".", ";", ","))
 _COND_STOP_WORDS = frozenset(
     ("FILTER", "AND", "OPT", "UNION", "OPTIONAL", "MINUS", "GRAPH", "SERVICE", "BIND", "VALUES")
 )
+_BLOCK_STOP_WORDS = _SURFACE_UNSUPPORTED | {"OPTIONAL", "FILTER", "UNION"}
+_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"(.*)$', re.S)
 
 
 def _unescape_literal(raw: str) -> str:
-    match = re.match(r'"((?:[^"\\\n]|\\.)*)"(.*)$', raw, re.S)
+    match = _LITERAL_RE.match(raw)
     body = match.group(1)
     suffix = match.group(2)
     body = (
@@ -124,7 +111,11 @@ def _unescape_literal(raw: str) -> str:
 
 
 class _Parser:
-    """Shared machinery: token cursor, terms, and the filter-condition grammar."""
+    """Shared machinery: token cursor, terms, and the filter-condition grammar.
+
+    The texts the parser looks for, operators and keywords, each occur as
+    the value of one kind of token only, so the cursor compares values alone.
+    """
 
     surface = False
 
@@ -134,32 +125,35 @@ class _Parser:
         self.pos = 0
         self._fresh = 1
         self._blanks: dict[str, Variable] = {}
+        self._terms: dict[str, Term] = {}  # variable and pname texts to the terms they read as
 
     # -- cursor ---------------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> _Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        # the parser looks past a token only once it has seen that the token
+        # is not the end marker, so the index stays within the list
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
         token = self.tokens[self.pos]
-        if token.kind != "eof":
+        if token[0] != "eof":
             self.pos += 1
         return token
 
     def expect_op(self, op: str) -> _Token:
-        token = self.peek()
-        if token.kind == "op" and token.value == op:
-            return self.advance()
-        raise QuerySyntaxError(f"found {token.value!r}", token.start, expected=repr(op))
+        token = self.tokens[self.pos]
+        if token[1] == op:
+            self.pos += 1
+            return token
+        raise QuerySyntaxError(f"found {token[1]!r}", token[2], expected=repr(op))
 
-    def at_op(self, op: str) -> bool:
-        token = self.peek()
-        return token.kind == "op" and token.value == op
+    def at(self, value: str) -> bool:
+        return self.tokens[self.pos][1] == value
 
-    def at_word(self, *words: str) -> bool:
-        token = self.peek()
-        return token.kind == "name" and token.value.upper() in words and ":" not in token.value
+    def word(self) -> str:
+        """The name at the cursor upper-cased, to compare with keywords; else ''."""
+        kind, value, _, _ = self.tokens[self.pos]
+        return value.upper() if kind == "name" else ""
 
     # -- terms ----------------------------------------------------------------
 
@@ -169,12 +163,15 @@ class _Parser:
         return var
 
     def make_var(self, token: _Token) -> Variable:
-        name = token.value[1:]
-        if is_reserved_name(name):
-            raise QuerySyntaxError(
-                f"variable name {token.value!r} uses the reserved fresh-name prefix", token.start
-            )
-        return Variable(name)
+        text = token[1]
+        var = self._terms.get(text)
+        if var is None:
+            if is_reserved_name(text[1:]):
+                raise QuerySyntaxError(
+                    f"variable name {text!r} uses the reserved fresh-name prefix", token[2]
+                )
+            var = self._terms[text] = Variable(text[1:])
+        return var
 
     def blank_var(self, label: str) -> Variable:
         if label not in self._blanks:
@@ -185,20 +182,20 @@ class _Parser:
 
     def condition(self) -> FilterCondition:
         left = self._cond_and()
-        while self.at_op("||"):
+        while self.at("||"):
             self.advance()
             left = OrExpr(left, self._cond_and())
         return left
 
     def _cond_and(self) -> FilterCondition:
         left = self._cond_not()
-        while self.at_op("&&"):
+        while self.at("&&"):
             self.advance()
             left = AndExpr(left, self._cond_not())
         return left
 
     def _cond_not(self) -> FilterCondition:
-        if self.at_op("!"):
+        if self.at("!"):
             self.advance()
             operand = self._cond_not()
             if isinstance(operand, Bound):
@@ -208,94 +205,92 @@ class _Parser:
 
     def _cond_atom(self) -> FilterCondition:
         token = self.peek()
-        if self.at_op("("):
+        kind, value, start, _ = token
+        if value == "(":
             self.advance()
             inner = self.condition()
             self.expect_op(")")
             return inner
-        bound_name = token.value.lower() == "bound" if self.surface else token.value == "bound"
-        if token.kind == "name" and bound_name and self.peek(1).value == "(":
+        bound_name = self.word() == "BOUND" if self.surface else value == "bound"
+        if bound_name and self.peek(1)[1] == "(":
             self.advance()
             self.expect_op("(")
             var_token = self.peek()
-            if var_token.kind != "var":
-                raise QuerySyntaxError("bound() takes a variable", var_token.start)
+            if var_token[0] != "var":
+                raise QuerySyntaxError("bound() takes a variable", var_token[2])
             var = self.make_var(self.advance())
             self.expect_op(")")
             return Bound(var)
-        if token.kind == "var":
+        if kind == "var":
             return self._cond_from_var(token)
-        if token.kind == "name" and self.peek(1).kind == "op" and self.peek(1).value == "(":
-            return self._opaque_call(token.start)
-        if token.kind in ("iriref", "string", "number", "name"):
+        if kind == "name" and self.peek(1)[1] == "(":
+            return self._opaque_call(start)
+        if kind in ("iriref", "string", "number", "name"):
             return self._cond_from_constant(token)
-        raise QuerySyntaxError(f"found {token.value!r} in a filter condition", token.start)
+        raise QuerySyntaxError(f"found {value!r} in a filter condition", start)
 
     def _cond_from_var(self, first: _Token) -> FilterCondition:
-        start = first.start
+        _, _, start, first_end = first
         var = self.make_var(self.advance())
-        op = self.peek()
-        if op.kind == "op" and op.value in ("=", "!="):
-            rhs = self.peek(1)
-            if rhs.kind == "var":
+        op = self.peek()[1]
+        if op in ("=", "!="):
+            rhs_kind, _, _, rhs_end = self.peek(1)
+            if rhs_kind == "var":
                 self.advance()
                 other = self.make_var(self.advance())
-                if op.value == "=":
+                if op == "=":
                     return Eq(var, other)
                 if var == other:  # ?x != ?x is not one of the atomic forms
-                    return Opaque(self.text[start:rhs.end], frozenset((var,)))
+                    return Opaque(self.text[start:rhs_end], frozenset((var,)))
                 return Neq(var, other)
-            if rhs.kind in ("iriref", "string", "number") or (
-                rhs.kind == "name" and self.peek(2).value != "("
+            if rhs_kind in ("iriref", "string", "number") or (
+                rhs_kind == "name" and self.peek(2)[1] != "("
             ):
                 self.advance()
                 constant = self._constant(self.advance())
-                return EqC(var, constant) if op.value == "=" else NeqC(var, constant)
+                return EqC(var, constant) if op == "=" else NeqC(var, constant)
             return self._opaque_until_stop(start)
-        if op.kind == "op" and op.value in _CMP_OPS:
-            return self._opaque_until_stop(start)
-        if op.kind == "name" and op.value.upper() == "IN":
+        if op in _CMP_OPS or self.word() == "IN":
             return self._opaque_until_stop(start)
         # a bare variable used as an effective-boolean filter
-        return Opaque(self.text[start:first.end], frozenset((var,)))
+        return Opaque(self.text[start:first_end], frozenset((var,)))
 
     def _cond_from_constant(self, first: _Token) -> FilterCondition:
-        start = first.start
+        start = first[2]
         constant = self._constant(self.advance())
-        op = self.peek()
-        if op.kind == "op" and op.value in ("=", "!=") and self.peek(1).kind == "var":
-            self.advance()
+        if self.peek()[1] in ("=", "!=") and self.peek(1)[0] == "var":
+            op = self.advance()[1]
             var = self.make_var(self.advance())
-            return EqC(var, constant) if op.value == "=" else NeqC(var, constant)
+            return EqC(var, constant) if op == "=" else NeqC(var, constant)
         return self._opaque_until_stop(start)
 
     def _constant(self, token: _Token) -> Term:
-        if token.kind == "iriref":
-            return Iri(token.value[1:-1])
-        if token.kind == "string":
-            return Literal(_unescape_literal(token.value))
-        if token.kind == "number":
-            return Literal(token.value)
-        if token.kind == "name":
-            return Iri(token.value)
-        raise QuerySyntaxError(f"found {token.value!r}", token.start, expected="a constant")
+        kind, value, start, _ = token
+        if kind == "iriref":
+            return Iri(value[1:-1])
+        if kind == "string":
+            return Literal(_unescape_literal(value))
+        if kind == "number":
+            return Literal(value)
+        if kind == "name":
+            return Iri(value)
+        raise QuerySyntaxError(f"found {value!r}", start, expected="a constant")
 
     def _opaque_call(self, start: int) -> Opaque:
         self.advance()  # function name
         mentions = self._consume_balanced()
-        end = self.tokens[self.pos - 1].end
-        op = self.peek()
-        if op.kind == "op" and op.value in _CMP_OPS:
+        end = self.tokens[self.pos - 1][3]
+        if self.peek()[1] in _CMP_OPS:
             self.advance()
-            rhs = self.peek()
-            if rhs.kind == "var":
+            rhs_kind = self.peek()[0]
+            if rhs_kind == "var":
                 mentions |= {self.make_var(self.advance())}
-            elif rhs.kind == "name" and self.peek(1).value == "(":
+            elif rhs_kind == "name" and self.peek(1)[1] == "(":
                 self.advance()
                 mentions |= self._consume_balanced()
-            elif rhs.kind in ("iriref", "string", "number", "name"):
+            elif rhs_kind in ("iriref", "string", "number", "name"):
                 self.advance()
-            end = self.tokens[self.pos - 1].end
+            end = self.tokens[self.pos - 1][3]
         return Opaque(self.text[start:end], frozenset(mentions))
 
     def _consume_balanced(self) -> frozenset:
@@ -305,13 +300,14 @@ class _Parser:
         mentions: set[Variable] = set()
         while depth:
             token = self.advance()
-            if token.kind == "eof":
-                raise QuerySyntaxError("unbalanced parentheses in builtin call", token.start)
-            if token.kind == "op" and token.value == "(":
+            kind, value, start, _ = token
+            if kind == "eof":
+                raise QuerySyntaxError("unbalanced parentheses in builtin call", start)
+            if value == "(":
                 depth += 1
-            elif token.kind == "op" and token.value == ")":
+            elif value == ")":
                 depth -= 1
-            elif token.kind == "var":
+            elif kind == "var":
                 mentions.add(self.make_var(token))
         return frozenset(mentions)
 
@@ -320,60 +316,59 @@ class _Parser:
         depth = 0
         while True:
             token = self.peek()
-            if token.kind == "eof":
+            kind, value, _, _ = token
+            if kind == "eof":
                 break
-            if token.kind == "op":
-                if token.value == "(":
+            if kind == "op":
+                if value == "(":
                     depth += 1
-                elif token.value == ")":
+                elif value == ")":
                     if depth == 0:
                         break
                     depth -= 1
-                elif depth == 0 and token.value in _COND_STOP:
+                elif depth == 0 and value in _COND_STOP:
                     break
-            elif token.kind == "name" and depth == 0 and token.value.upper() in _COND_STOP_WORDS:
+            elif kind == "name" and depth == 0 and value.upper() in _COND_STOP_WORDS:
                 break
-            elif token.kind == "var":
+            elif kind == "var":
                 mentions.add(self.make_var(token))
             self.advance()
-        end = self.tokens[self.pos - 1].end
+        end = self.tokens[self.pos - 1][3]
         return Opaque(self.text[start:end].strip(), frozenset(mentions))
 
 
 class _CompactParser(_Parser):
     def parse(self) -> Pattern:
         pattern = self.pattern_expr(0)
-        token = self.peek()
-        if token.kind != "eof":
-            raise QuerySyntaxError(f"trailing {token.value!r}", token.start)
+        kind, value, start, _ = self.peek()
+        if kind != "eof":
+            raise QuerySyntaxError(f"trailing {value!r}", start)
         return pattern
 
     def pattern_expr(self, min_prec: int) -> Pattern:
         left = self.unit()
         while True:
-            token = self.peek()
-            if token.kind != "name" or token.value not in _PATTERN_PREC:
+            value = self.peek()[1]
+            if value not in _PATTERN_PREC:
                 return left
-            prec = _PATTERN_PREC[token.value]
+            prec = _PATTERN_PREC[value]
             if prec < min_prec:
                 return left
             self.advance()
             right = self.pattern_expr(prec + 1)
-            left = _PATTERN_NODE[token.value](left, right)
+            left = _PATTERN_NODE[value](left, right)
 
     def unit(self) -> Pattern:
-        token = self.peek()
-        if self.at_op("("):
+        _, value, start, _ = self.peek()
+        if value == "(":
             pattern = self._triple_or_group()
-        elif token.kind == "name" and token.value == "SELECT":
+        elif value == "SELECT":
             pattern = self._select()
         else:
-            raise QuerySyntaxError(
-                f"found {token.value!r}", token.start, expected="'(' or SELECT"
-            )
-        while self.peek().kind == "name" and self.peek().value == "FILTER":
+            raise QuerySyntaxError(f"found {value!r}", start, expected="'(' or SELECT")
+        while self.at("FILTER"):
             self.advance()
-            if self.peek().kind == "name" and self.peek().value == "EXISTS":
+            if self.at("EXISTS"):
                 self.advance()
                 self.expect_op("(")
                 subquery = self.pattern_expr(0)
@@ -385,13 +380,10 @@ class _CompactParser(_Parser):
 
     def _looks_like_triple(self) -> bool:
         for ahead in range(3):
-            token = self.peek(ahead)
-            if token.kind not in _TERM_KINDS:
+            kind, value, _, _ = self.peek(ahead)
+            if kind not in _TERM_KINDS or value in _COMPACT_RESERVED:
                 return False
-            if token.kind == "name" and token.value in _COMPACT_RESERVED:
-                return False
-        closing = self.peek(3)
-        return closing.kind == "op" and closing.value == ")"
+        return self.peek(3)[1] == ")"
 
     def _triple_or_group(self) -> Pattern:
         open_token = self.expect_op("(")
@@ -403,34 +395,35 @@ class _CompactParser(_Parser):
             try:
                 return TriplePattern(subject, predicate, obj)
             except ValueError as exc:
-                raise QuerySyntaxError(str(exc), open_token.start) from exc
+                raise QuerySyntaxError(str(exc), open_token[2]) from exc
         pattern = self.pattern_expr(0)
         self.expect_op(")")
         return pattern
 
     def _term(self) -> Term:
         token = self.advance()
-        if token.kind == "var":
+        kind, value, start, _ = token
+        if kind == "var":
             return self.make_var(token)
-        if token.kind == "iriref":
-            return Iri(token.value[1:-1])
-        if token.kind == "string":
-            return Literal(_unescape_literal(token.value))
-        if token.kind == "number":
-            return Literal(token.value)
-        if token.kind == "blank":
-            return self.blank_var(token.value[2:])
-        if token.kind == "name":
-            return Iri(token.value)
-        raise QuerySyntaxError(f"found {token.value!r}", token.start, expected="a term")
+        if kind == "iriref":
+            return Iri(value[1:-1])
+        if kind == "string":
+            return Literal(_unescape_literal(value))
+        if kind == "number":
+            return Literal(value)
+        if kind == "blank":
+            return self.blank_var(value[2:])
+        if kind == "name":
+            return Iri(value)
+        raise QuerySyntaxError(f"found {value!r}", start, expected="a term")
 
     def _select(self) -> Pattern:
         self.advance()
         self.expect_op("{")
         scheme: set[Variable] = set()
-        while self.peek().kind == "var":
+        while self.peek()[0] == "var":
             scheme.add(self.make_var(self.advance()))
-            if self.at_op(","):
+            if self.at(","):
                 self.advance()
         self.expect_op("}")
         self.expect_op("(")
@@ -447,89 +440,90 @@ class _SurfaceParser(_Parser):
         self.prefixes: dict[str, str] = {}
 
     def parse(self) -> Pattern:
-        while self.at_word("PREFIX"):
+        while self.word() == "PREFIX":
             self.advance()
-            name_token = self.peek()
-            if name_token.kind != "name" or not name_token.value.endswith(":"):
-                raise QuerySyntaxError("malformed PREFIX declaration", name_token.start)
+            name_kind, name, name_start, _ = self.peek()
+            if name_kind != "name" or not name.endswith(":"):
+                raise QuerySyntaxError("malformed PREFIX declaration", name_start)
             self.advance()
-            iri_token = self.peek()
-            if iri_token.kind != "iriref":
-                raise QuerySyntaxError("PREFIX needs an IRI", iri_token.start)
+            iri_kind, iri, iri_start, _ = self.peek()
+            if iri_kind != "iriref":
+                raise QuerySyntaxError("PREFIX needs an IRI", iri_start)
             self.advance()
-            self.prefixes[name_token.value[:-1]] = iri_token.value[1:-1]
+            self.prefixes[name[:-1]] = iri[1:-1]
 
-        token = self.peek()
-        if self.at_word(*_SURFACE_UNSUPPORTED):
-            raise UnsupportedFeature(token.value.upper(), token.start)
-        if not self.at_word("SELECT"):
-            raise QuerySyntaxError(
-                f"found {token.value!r}", token.start, expected="a SELECT query"
-            )
+        _, value, start, _ = self.peek()
+        word = self.word()
+        if word in _SURFACE_UNSUPPORTED:
+            raise UnsupportedFeature(word, start)
+        if word != "SELECT":
+            raise QuerySyntaxError(f"found {value!r}", start, expected="a SELECT query")
         self.advance()
-        if self.at_word("DISTINCT", "REDUCED"):
+        if self.word() in ("DISTINCT", "REDUCED"):
             self.advance()
         scheme: frozenset | None = None
-        if self.at_op("*"):
+        if self.at("*"):
             self.advance()
         else:
             variables: set[Variable] = set()
-            while self.peek().kind == "var":
+            while self.peek()[0] == "var":
                 variables.add(self.make_var(self.advance()))
-                if self.at_op(","):
+                if self.at(","):
                     self.advance()
             if not variables:
-                raise QuerySyntaxError(
-                    f"found {self.peek().value!r}", self.peek().start, expected="'*' or variables"
-                )
+                _, value, start, _ = self.peek()
+                raise QuerySyntaxError(f"found {value!r}", start, expected="'*' or variables")
             scheme = frozenset(variables)
-        if self.at_word("WHERE"):
+        if self.word() == "WHERE":
             self.advance()
         self.expect_op("{")
         body = self.group()
         self.expect_op("}")
-        tail = self.peek()
-        if tail.kind != "eof":
-            if self.at_word(*_SURFACE_UNSUPPORTED):
-                raise UnsupportedFeature(tail.value.upper(), tail.start)
-            raise QuerySyntaxError(f"trailing {tail.value!r}", tail.start)
+        kind, value, start, _ = self.peek()
+        if kind != "eof":
+            word = self.word()
+            if word in _SURFACE_UNSUPPORTED:
+                raise UnsupportedFeature(word, start)
+            raise QuerySyntaxError(f"trailing {value!r}", start)
         return Select(scheme, body) if scheme is not None else body
 
     def group(self) -> Pattern:
         elements: list[tuple[str, Pattern]] = []
         filters: list[tuple[str, object]] = []
         while True:
-            token = self.peek()
-            if token.kind == "eof" or self.at_op("}"):
+            kind, value, start, _ = self.peek()
+            if kind == "eof" or value == "}":
                 break
-            if self.at_word("OPTIONAL"):
+            word = self.word()
+            if word == "OPTIONAL":
                 self.advance()
                 self.expect_op("{")
                 sub = self.group()
                 self.expect_op("}")
                 elements.append(("opt", sub))
-            elif self.at_word("FILTER"):
+            elif word == "FILTER":
                 self.advance()
-                if self.at_word("EXISTS"):
+                word = self.word()
+                if word == "EXISTS":
                     self.advance()
                     self.expect_op("{")
                     sub = self.group()
                     self.expect_op("}")
                     filters.append(("exists", sub))
-                elif self.at_word("NOT"):
-                    raise UnsupportedFeature("NOT EXISTS", self.peek().start)
+                elif word == "NOT":
+                    raise UnsupportedFeature("NOT EXISTS", self.peek()[2])
                 else:
                     filters.append(("cond", self.condition()))
-            elif self.at_word(*_SURFACE_UNSUPPORTED):
-                raise UnsupportedFeature(token.value.upper(), token.start)
-            elif self.at_op("{"):
+            elif word in _SURFACE_UNSUPPORTED:
+                raise UnsupportedFeature(word, start)
+            elif value == "{":
                 elements.append(("and", self._braced_union()))
-            elif self.at_op("."):
+            elif value == ".":
                 self.advance()
-            elif token.kind in _TERM_KINDS or self.at_op("["):
+            elif kind in _TERM_KINDS or value == "[":
                 self._triple_block(elements)
             else:
-                raise QuerySyntaxError(f"found {token.value!r} in a group", token.start)
+                raise QuerySyntaxError(f"found {value!r} in a group", start)
 
         pattern: Pattern | None = None
         for kind, sub in elements:
@@ -540,7 +534,7 @@ class _SurfaceParser(_Parser):
                     raise UnsupportedFeature("OPTIONAL without a preceding pattern", 0)
                 pattern = Opt(pattern, sub)
         if pattern is None:
-            raise QuerySyntaxError("empty group pattern", self.peek().start)
+            raise QuerySyntaxError("empty group pattern", self.peek()[2])
         for kind, payload in filters:
             if kind == "cond":
                 pattern = Filter(pattern, payload)
@@ -552,7 +546,7 @@ class _SurfaceParser(_Parser):
         self.expect_op("{")
         pattern = self.group()
         self.expect_op("}")
-        while self.at_word("UNION"):
+        while self.word() == "UNION":
             self.advance()
             self.expect_op("{")
             right = self.group()
@@ -564,78 +558,81 @@ class _SurfaceParser(_Parser):
         subject = self._surface_term()
         while True:
             predicate = self._predicate()
-            self._check_property_path()
+            _, value, start, _ = self.peek()
+            if value in ("/", "|", "^", "*", "+", "?"):
+                raise UnsupportedFeature("property paths", start)
             obj = self._surface_term()
             elements.append(("and", self._make_triple(subject, predicate, obj)))
-            while self.at_op(","):
+            while self.at(","):
                 self.advance()
                 obj = self._surface_term()
                 elements.append(("and", self._make_triple(subject, predicate, obj)))
-            if self.at_op(";"):
+            if self.at(";"):
                 self.advance()
-                if self.peek().kind in _TERM_KINDS and not self.at_word(
-                    "OPTIONAL", "FILTER", "UNION", *(_SURFACE_UNSUPPORTED)
-                ):
+                if self.peek()[0] in _TERM_KINDS and self.word() not in _BLOCK_STOP_WORDS:
                     continue
             break
-        if self.at_op("."):
+        if self.at("."):
             self.advance()
 
     def _make_triple(self, subject: Term, predicate: Term, obj: Term) -> TriplePattern:
         try:
             return TriplePattern(subject, predicate, obj)
         except ValueError as exc:
-            raise QuerySyntaxError(str(exc), self.peek().start) from exc
+            raise QuerySyntaxError(str(exc), self.peek()[2]) from exc
 
     def _predicate(self) -> Term:
-        token = self.peek()
-        if token.kind == "name" and token.value == "a":
+        kind, value, start, _ = self.peek()
+        if value == "a":
             self.advance()
             return RDF_TYPE
-        if token.kind == "var":
+        if kind == "var":
             return self.make_var(self.advance())
-        if token.kind == "iriref":
-            return Iri(self.advance().value[1:-1])
-        if token.kind == "name":
+        if kind == "iriref":
+            self.advance()
+            return Iri(value[1:-1])
+        if kind == "name":
             return self._resolve_pname(self.advance())
-        raise QuerySyntaxError(f"found {token.value!r}", token.start, expected="a predicate")
-
-    def _check_property_path(self):
-        token = self.peek()
-        if token.kind == "op" and token.value in ("/", "|", "^", "*", "+", "?"):
-            raise UnsupportedFeature("property paths", token.start)
+        raise QuerySyntaxError(f"found {value!r}", start, expected="a predicate")
 
     def _surface_term(self) -> Term:
         token = self.peek()
-        if self.at_op("["):
+        kind, value, start, _ = token
+        if value == "[":
             self.advance()
             self.expect_op("]")
             return self.fresh_var()
         self.advance()
-        if token.kind == "var":
+        if kind == "var":
             return self.make_var(token)
-        if token.kind == "iriref":
-            return Iri(token.value[1:-1])
-        if token.kind == "string":
-            return Literal(_unescape_literal(token.value))
-        if token.kind == "number":
-            return Literal(token.value)
-        if token.kind == "blank":
-            return self.blank_var(token.value[2:])
-        if token.kind == "name":
-            if token.value in ("true", "false"):
-                return Literal(token.value)
+        if kind == "iriref":
+            return Iri(value[1:-1])
+        if kind == "string":
+            return Literal(_unescape_literal(value))
+        if kind == "number":
+            return Literal(value)
+        if kind == "blank":
+            return self.blank_var(value[2:])
+        if kind == "name":
+            if value in ("true", "false"):
+                return Literal(value)
             return self._resolve_pname(token)
-        raise QuerySyntaxError(f"found {token.value!r}", token.start, expected="a term")
+        raise QuerySyntaxError(f"found {value!r}", start, expected="a term")
 
     def _resolve_pname(self, token: _Token) -> Iri:
-        if ":" not in token.value:
-            return Iri(token.value)
-        prefix, local = token.value.split(":", 1)
-        base = self.prefixes.get(prefix)
-        if base is None:
-            raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", token.start)
-        return Iri(base + local)
+        _, value, start, _ = token
+        iri = self._terms.get(value)
+        if iri is None:
+            if ":" not in value:
+                iri = Iri(value)
+            else:
+                prefix, local = value.split(":", 1)
+                base = self.prefixes.get(prefix)
+                if base is None:
+                    raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", start)
+                iri = Iri(base + local)
+            self._terms[value] = iri
+        return iri
 
 
 def parse_pattern(text: str, dialect: str = "auto") -> Pattern:
@@ -657,14 +654,13 @@ def parse_pattern(text: str, dialect: str = "auto") -> Pattern:
 
 
 def _detect_dialect(tokens: list[_Token]) -> str:
-    first = tokens[0]
-    if first.kind == "op" and first.value in ("{",):
+    kind, value, _, _ = tokens[0]
+    if value == "{":
         return "surface"
-    if first.kind == "name" and ":" not in first.value:
-        word = first.value.upper()
-        if word == "SELECT":
-            second = tokens[1] if len(tokens) > 1 else first
-            return "compact" if second.kind == "op" and second.value == "{" else "surface"
+    if kind == "name":
+        word = value.upper()
+        if word == "SELECT":  # a name is followed at least by the end marker
+            return "compact" if tokens[1][1] == "{" else "surface"
         if word in _SURFACE_UNSUPPORTED or word == "PREFIX":
             return "surface"
     return "compact"

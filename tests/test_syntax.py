@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,11 @@ from sparqlsat import (
     parse_pattern,
     serialize_pattern,
 )
+import tokenize_reference
+from sparqlsat.corpus import generate_corpus
 from sparqlsat.errors import QuerySyntaxError, UnsupportedFeature
 from sparqlsat.patterns import AndExpr, OrExpr, pattern_facts, vars_of
+from sparqlsat.syntax import _tokenize
 
 
 def tp(s, p, o):
@@ -223,6 +227,67 @@ def test_roundtrip_preserves_every_variable():
         assert vars_of(parse_pattern(serialize_pattern(pattern))) == vars_of(pattern)
 
 
+def test_a_stray_character_after_a_query_is_trailing():
+    with pytest.raises(QuerySyntaxError, match=r"^trailing '§' at offset 29$"):
+        parse_pattern("SELECT * WHERE { ?x <p> ?y } §")
+    with pytest.raises(QuerySyntaxError, match=r"^trailing '§' at offset 10$"):
+        parse_pattern("(?x p ?y) §")
+
+
+# --- tokens ---------------------------------------------------------------------------
+
+#: Pieces random token texts are glued from: pnames and `^^` datatypes with
+#: trailing dots, comments, escapes, and the two-character operators.
+_TOKEN_PIECES = (
+    "p:a", "p:a..b.", ":", "xsd:", ".", "..", "...", '"1"^^xsd:int.', '"x"^^', "^^", "^", "@en", "@",
+    '"', "\\", '\\"', "\\n", "#", "# c\n", "\n", " ", "\t", "&&", "&", "||", "|", "!=", "!", "<=",
+    ">=", "<", ">", "<a>", "=", "?", "?x", "$", "_:b", "_", "-", "+", "9", "1.5", "e3", "a", "(", ")",
+    "{", "}", "[", "]", ",", ";", "*", "/", "§", "é",
+)
+
+
+def test_tokenizer_matches_the_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import LADDER
+
+    rng = random.Random(11)
+    random_texts = [
+        "".join(rng.choice(_TOKEN_PIECES) for _ in range(rng.randint(1, 12))) for _ in range(50_000)
+    ]
+    for texts in (generate_corpus(2000, 777), [text for _, text in LADDER], random_texts):
+        mismatched = [text for text in texts if _tokenize(text) != tokenize_reference.tokenize(text)]
+        assert mismatched == []
+
+
+def test_edited_queries_parse_or_raise_a_syntax_error():
+    # the parser looks ahead without bounds checks; no edit may make it read
+    # past the end marker
+    rng = random.Random(12)
+    queries = [serialize_pattern(random_pattern(rng, depth=rng.randint(0, 4))) for _ in range(500)]
+    queries += generate_corpus(500, 12)
+    words = ("(", ")", "{", "}", ".", "?x", "p:a", '"s"', "bound", "FILTER", "SELECT", "=", "!=", "regex(", "")
+    for _ in range(10_000):
+        parts = rng.choice(queries).split(" ")
+        for _ in range(rng.randint(1, 3)):
+            parts[rng.randrange(len(parts))] = rng.choice(words)
+        try:
+            parse_pattern(" ".join(parts))
+        except (QuerySyntaxError, UnsupportedFeature):
+            pass
+
+
+@pytest.mark.parametrize("text", ["", "  \n", "# only a comment", "(?x p ?y) # trailing", "p:a."])
+def test_tokenize_ends_in_exactly_one_end_marker(text):
+    tokens = _tokenize(text)
+    assert tokens[-1] == ("eof", "", len(text), len(text))
+    assert [kind for kind, _, _, _ in tokens].count("eof") == 1
+
+
+def test_tokens_per_corpus_query_are_counted_as_before():
+    # the benchmark's `syntax.tokens_per_op` is `len(_tokenize(text)) - 1`
+    assert sum(len(_tokenize(text)) - 1 for text in generate_corpus(2000, 777)) == 113_812
+
+
 # --- pinned parse outcomes ----------------------------------------------------------
 
 #: sha256 of every outcome `_parse_outcomes` lists, pinned so that a change to
@@ -239,8 +304,6 @@ def _parse_outcomes():
     entries, and seeded one-character deletions and insertions of
     seed-777 queries, which reach error offsets across the whole text.
     """
-    from sparqlsat.corpus import generate_corpus
-
     corpus = generate_corpus(2000, 777)
     texts = corpus + generate_corpus(2000, 7, error_rate=0.2)
     rng = random.Random(8)
@@ -254,7 +317,7 @@ def _parse_outcomes():
     for text in texts:
         try:
             yield serialize_pattern(parse_pattern(text))
-        except Exception as exc:  # the class and the text are the outcome
+        except (QuerySyntaxError, UnsupportedFeature) as exc:  # the class and the text are the outcome
             yield f"{type(exc).__name__}: {exc}"
 
 
