@@ -283,7 +283,7 @@ def test_tokenize_ends_in_exactly_one_end_marker(text):
     assert [kind for kind, _, _, _ in tokens].count("eof") == 1
 
 
-def test_tokens_per_corpus_query_are_counted_as_before():
+def test_the_seed_777_corpus_has_the_pinned_token_count():
     # the benchmark's `syntax.tokens_per_op` is `len(_tokenize(text)) - 1`
     assert sum(len(_tokenize(text)) - 1 for text in generate_corpus(2000, 777)) == 113_812
 
