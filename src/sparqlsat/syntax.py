@@ -496,6 +496,8 @@ class _SurfaceParser(_Parser):
                 break
             word = self.word()
             if word == "OPTIONAL":
+                if not elements:
+                    leading_optional = start  # nothing precedes this OPTIONAL
                 self.advance()
                 self.expect_op("{")
                 sub = self.group()
@@ -531,7 +533,7 @@ class _SurfaceParser(_Parser):
                 pattern = sub if pattern is None else And(pattern, sub)
             else:
                 if pattern is None:
-                    raise UnsupportedFeature("OPTIONAL without a preceding pattern", 0)
+                    raise UnsupportedFeature("OPTIONAL without a preceding pattern", leading_optional)
                 pattern = Opt(pattern, sub)
         if pattern is None:
             raise QuerySyntaxError("empty group pattern", self.peek()[2])

@@ -167,6 +167,13 @@ def test_surface_unsupported_features():
         parse_pattern("SELECT * WHERE { ?x <p> ?y FILTER NOT EXISTS { ?x <q> ?y } }")
 
 
+def test_leading_optional_is_reported_at_its_keyword():
+    text = "SELECT * WHERE { ?x <p> ?y . { OPTIONAL { ?x <q> ?z } } }"
+    with pytest.raises(UnsupportedFeature, match="OPTIONAL without a preceding pattern") as info:
+        parse_pattern(text)
+    assert info.value.position == text.index("OPTIONAL")
+
+
 def test_surface_exists_filter():
     pattern = parse_pattern("SELECT * WHERE { ?x <p> ?y FILTER EXISTS { ?x <q> ?z } }")
     assert isinstance(pattern, Select)
@@ -292,13 +299,14 @@ def test_the_seed_777_corpus_has_the_pinned_token_count():
 
 #: sha256 of every outcome `_parse_outcomes` lists, pinned so that a change to
 #: the tokenizer or the parser cannot move a parse result or an error text.
-PARSE_OUTCOMES_DIGEST = "c9f07fbd45a495ad10ee163d52a70af788f62ddc9ea9be93e2d4efe0f7cc2492"
+PARSE_OUTCOMES_DIGEST = "9861b9571e5f4ef9a09e3b2c5bf95815e290497ce52ebd4057a0942626bf2a9a"
 
 _EDIT_ALPHABET = ' \n\t.#"^\\:?$_<>(){}[],;!=&|*+-@§abzAZ019'
 
 
 def _parse_outcomes():
-    """One line per input: its compact serialization, or its error's class and text.
+    """One line per input: its compact serialization, or its error's class,
+    text and offset.
 
     The inputs are the seed-777 corpus, a seed-7 corpus with malformed
     entries, and seeded one-character deletions and insertions of
@@ -317,8 +325,8 @@ def _parse_outcomes():
     for text in texts:
         try:
             yield serialize_pattern(parse_pattern(text))
-        except (QuerySyntaxError, UnsupportedFeature) as exc:  # the class and the text are the outcome
-            yield f"{type(exc).__name__}: {exc}"
+        except (QuerySyntaxError, UnsupportedFeature) as exc:  # the class, text and offset are the outcome
+            yield f"{type(exc).__name__}: {exc} @ {exc.position}"
 
 
 def test_parse_outcomes_match_the_pinned_digest():
