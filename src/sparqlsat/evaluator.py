@@ -1,21 +1,32 @@
 """Reference set-based evaluator for patterns over RDF graphs.
 
 This is a structural interpreter: each node is evaluated from its children's
-solution sets, folding the pattern along `post_order` with no recursion,
-and with no graph indexes and no join reordering.  It exists as
-the ground-truth oracle that every static analysis in this package is
-checked against, so its results are always the definitional ones.  Two
-things keep it fast without changing them: `join` pairs mappings per pair
-of domains, probing on the shared values and laying the merged items out
-once per domain pair, and a FILTER directly over an AND hands its atomic
-condition to that join, which checks it on each compatible pair before the
-union is built.
+solutions, folding the pattern along `post_order` with no recursion and no
+join reordering.  It exists as the ground-truth oracle that every static
+analysis in this package is checked against, so its results are always the
+definitional ones.
+
+Inside `evaluate` the solutions of a node are a *table*: a dict from a
+domain, a name-sorted tuple of variables, to the nonempty set of value
+tuples of the mappings over it.  Only the root's rows become `Mapping`
+objects.  The graph is indexed by predicate once per call, so a triple
+pattern with a constant predicate reads only that predicate's triples.
+AND, OPT and set difference pair two tables per pair of domains through a
+plan made once per pair: the probe-key positions, the merged row layout,
+and where an atomic filter condition is checked.  A FILTER directly over an
+AND or an OPT hands its condition to that join, which checks it on each
+compatible pair before the merged row is built.  A condition is read once
+per domain, so a bound check keeps or drops a whole domain group without
+touching its rows.  `join`, `set_minus` and `satisfies` on mappings are
+thin wrappers over the same kernels.  Terms are interned, so `is` is term
+equality.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from bisect import bisect_left
+from operator import attrgetter, itemgetter
 
 from .errors import NotNormalized, QuerySyntaxError
 from .patterns import (
@@ -50,6 +61,11 @@ from .terms import (
     format_term,
 )
 
+#: How `_pair_plan` makes a merged row when one domain holds the other.
+_FIRST, _SECOND = "first", "second"
+
+_name = attrgetter("_key")
+
 
 def compatible(m1: Mapping, m2: Mapping) -> bool:
     """True iff the two mappings agree on the intersection of their domains."""
@@ -61,201 +77,303 @@ def compatible(m1: Mapping, m2: Mapping) -> bool:
     return True
 
 
-def _by_domain(omega: SolutionSet) -> dict:
-    groups: dict = {}
-    for mapping in omega:
-        groups.setdefault(mapping.domain, []).append(mapping)
-    return groups
-
-
-def _by_name(variables) -> tuple:
-    return tuple(sorted(variables, key=lambda v: v._key))
-
-
-def _no_key(values: dict) -> tuple:
+def _no_key(row: tuple) -> tuple:
     return ()
 
 
-def _key_getter(keys: tuple):
-    """Reads the values of `keys` from a mapping's dict, as one probe key."""
-    return itemgetter(*keys) if keys else _no_key
+def _key_getter(positions) -> object:
+    """Reads the values at `positions` of a row, as one probe key."""
+    return itemgetter(*positions) if positions else _no_key
 
 
-def _value_index(group: list, keys: tuple, condition: Constraint | None = None) -> dict:
-    """The mappings of one domain group by their values of `keys`, keeping
-    only those that satisfy `condition` when one is given."""
-    key_of = _key_getter(keys)
+def _condition_test(condition: Constraint, domain: tuple):
+    """How an atomic `condition` reads the rows over `domain`: True or False
+    when every row passes or fails alike, else a test on one row.
+
+    This is the error-as-false reading: when a mentioned variable is unbound,
+    equalities and nonequalities (and their constant forms) are both
+    unsatisfied; only the negated bound check holds on an unbound variable.
+    """
+    kind = type(condition)
+    if kind is Bound:
+        return condition.var in domain
+    if kind is NegBound:
+        return condition.var not in domain
+    if kind is Eq or kind is Neq:
+        if condition.left not in domain or condition.right not in domain:
+            return False
+        i, j = domain.index(condition.left), domain.index(condition.right)
+        if kind is Neq:
+            return lambda row: row[i] is not row[j]
+        return True if i == j else lambda row: row[i] is row[j]
+    if kind is EqC or kind is NeqC:
+        if condition.var not in domain:
+            return False
+        i, constant = domain.index(condition.var), condition.constant
+        if kind is NeqC:
+            return lambda row: row[i] is not constant
+        return lambda row: row[i] is constant
+    raise TypeError(f"not an atomic constraint: {condition!r}")
+
+
+def _pair_plan(domain1: tuple, domain2: tuple, condition: Constraint | None):
+    """How to pair rows over `domain1` with rows over `domain2` when their
+    union must satisfy `condition` (None for no condition).
+
+    Returns None when no pair can satisfy it, or (merged, layout, key1,
+    keys2, key2, check1, check2, unequal): the merged domain; how a merged
+    row is made, `_FIRST` for r1 itself when domain 2 is within domain 1,
+    `_SECOND` for r2 when domain 1 is within domain 2, else an itemgetter
+    over `r1 + r2`; the probe key of a domain-1 row, the probe-key positions
+    of a domain-2 row and their getter; a test on r1 alone and one on r2
+    alone, or None; and positions (i, j) such that `r1[i] is not r2[j]` must
+    hold, or None.  Two rows are compatible exactly when they agree on the
+    shared variables, which therefore make the probe key; an equality with
+    one variable on each side adds a key, a nonequality becomes `unequal`.
+    """
+    # one bisection per variable of the shorter domain, and otherwise C-level
+    # copies: a long chain of joins meets long domains
+    first_longer = len(domain1) >= len(domain2)
+    if first_longer:
+        longer, shorter, base, other_base = domain1, domain2, 0, len(domain1)
+    else:
+        longer, shorter, base, other_base = domain2, domain1, len(domain1), 0
+    merged = list(longer)
+    positions = list(range(base, base + len(longer)))  # of the merged items in r1 + r2
+    keys_longer, keys_shorter = [], []
+    for j, var in enumerate(shorter):
+        at = bisect_left(merged, var._key, key=_name)
+        if at < len(merged) and merged[at] is var:
+            keys_longer.append(positions[at] - base)
+            keys_shorter.append(j)
+        else:
+            merged.insert(at, var)
+            positions.insert(at, other_base + j)
+    merged = tuple(merged)
+    test = True if condition is None else _condition_test(condition, merged)
+    if test is False:
+        return None
+    keys1, keys2 = (keys_longer, keys_shorter) if first_longer else (keys_shorter, keys_longer)
+    check1 = check2 = unequal = None
+    if test is not True:
+        variables = condition_vars(condition)
+        if variables.issubset(domain2):
+            check2 = _condition_test(condition, domain2)
+        elif variables.issubset(domain1):
+            check1 = _condition_test(condition, domain1)
+        else:  # two variables, one bound only on each side
+            var1, var2 = condition.left, condition.right
+            if var1 not in domain1:
+                var1, var2 = var2, var1
+            if type(condition) is Eq:
+                keys1.append(domain1.index(var1))
+                keys2.append(domain2.index(var2))
+            else:
+                unequal = (domain1.index(var1), domain2.index(var2))
+    if len(merged) == len(longer):
+        layout = _FIRST if first_longer else _SECOND
+    else:  # neither domain holds the other, so the merge has two items at least
+        layout = itemgetter(*positions)
+    keys2 = tuple(keys2)
+    return merged, layout, _key_getter(keys1), keys2, _key_getter(keys2), check1, check2, unequal
+
+
+def _put(table: dict, domain: tuple, rows) -> None:
+    """Adds `rows` to `table[domain]` without changing a set another table holds."""
+    old = table.get(domain)
+    table[domain] = rows if old is None else old | rows
+
+
+def _union(table1: dict, table2: dict) -> dict:
+    out = dict(table1)
+    for domain, rows in table2.items():
+        _put(out, domain, rows)
+    return out
+
+
+def _index(rows, key, check) -> dict:
+    """The rows that pass `check` (all when it is None) by their probe key."""
     index: dict = {}
-    for mapping in group:
-        if condition is None or satisfies(mapping, condition):
-            index.setdefault(key_of(mapping._map), []).append(mapping)
+    for row in rows if check is None else filter(check, rows):
+        index.setdefault(key(row), []).append(row)
     return index
 
 
-def _merged_layout(domain1: frozenset, domain2: frozenset):
-    """Picks the merged, name-sorted items out of `m1._items + m2._items`
-    for any m1 over `domain1` and compatible m2 over `domain2`.  Needs
-    neither domain to contain the other, so the merge has two items at least."""
-    position = {v: i for i, v in enumerate(_by_name(domain1))}
-    offset = len(position)
-    for j, var in enumerate(_by_name(domain2)):
-        position.setdefault(var, offset + j)
-    return itemgetter(*(position[v] for v in _by_name(position)))
+def _join(table1: dict, table2: dict, condition: Constraint | None = None) -> dict:
+    """The rows of all unions of compatible pairs that satisfy `condition`."""
+    out: dict = {}
+    for domain2, rows2 in table2.items():
+        indexes: dict = {}  # probe-key positions -> index of rows2
+        for domain1, rows1 in table1.items():
+            plan = _pair_plan(domain1, domain2, condition)
+            if plan is None:
+                continue
+            merged, layout, key1, keys2, key2, check1, check2, unequal = plan
+            index = indexes.get(keys2)
+            if index is None:
+                index = indexes[keys2] = _index(rows2, key2, check2)
+            if not index:
+                continue
+            found = []
+            for r1 in rows1 if check1 is None else filter(check1, rows1):
+                matches = index.get(key1(r1))
+                if matches is None:
+                    continue
+                if unequal is not None:
+                    value, j = r1[unequal[0]], unequal[1]
+                    matches = [r2 for r2 in matches if r2[j] is not value]
+                    if not matches:
+                        continue
+                if layout is _FIRST:
+                    found.append(r1)
+                elif layout is _SECOND:
+                    found += matches
+                else:
+                    found += [layout(r1 + r2) for r2 in matches]
+            if found:
+                out.setdefault(merged, set()).update(found)
+    return out
 
 
-def _pair_plan(domain1: frozenset, domain2: frozenset, condition, condition_vars_: frozenset):
-    """How to pair a domain-1 group with a domain-2 group under `condition`.
+def _minus(table1: dict, table2: dict) -> dict:
+    """The rows of the first table compatible with no row of the second."""
+    out = {}
+    probes: dict = {}  # (domain 2, its probe-key positions) -> the probe keys of its rows
+    for domain1, rows1 in table1.items():
+        rows = rows1
+        for domain2, rows2 in table2.items():
+            _, _, key1, keys2, key2, _, _, _ = _pair_plan(domain1, domain2, None)
+            keys = probes.get((domain2, keys2))
+            if keys is None:
+                keys = probes[domain2, keys2] = set(map(key2, rows2))
+            rows = [row for row in rows if key1(row) not in keys]
+            if not rows:
+                break
+        if rows:
+            out[domain1] = rows1 if rows is rows1 else set(rows)
+    return out
 
-    Returns None when no pair can satisfy it, or (keys1, keys2, check1,
-    unequal): the probe keys of each side, a condition to check on each
-    domain-1 mapping alone, and a (var1, var2) pair whose values must differ.
-    A condition over domain 2 alone is checked when the index is built.
-    """
-    shared = _by_name(domain1 & domain2)
-    if condition_vars_ <= domain2:
-        return shared, shared, None, None
-    if condition_vars_ <= domain1:
-        return shared, shared, condition, None
-    if not condition_vars_ <= domain1 | domain2:
-        # some variable stays unbound: only a negated bound check holds
-        return (shared, shared, None, None) if isinstance(condition, NegBound) else None
-    # two variables, one bound only on each side
-    left, right = condition.left, condition.right
-    var1, var2 = (left, right) if left in domain1 else (right, left)
-    if isinstance(condition, Eq):
-        return shared + (var1,), shared + (var2,), None, None
-    return shared, shared, None, (var1, var2)
+
+def _filter(table: dict, condition: Constraint) -> dict:
+    out = {}
+    for domain, rows in table.items():
+        test = _condition_test(condition, domain)
+        if test is True:
+            out[domain] = rows
+        elif test is not False:
+            kept = set(filter(test, rows))
+            if kept:
+                out[domain] = kept
+    return out
+
+
+def _project(table: dict, scheme) -> dict:
+    out: dict = {}
+    for domain, rows in table.items():
+        positions = [i for i, var in enumerate(domain) if var in scheme]
+        if len(positions) == len(domain):
+            _put(out, domain, rows)
+            continue
+        if len(positions) > 1:
+            projected = set(map(itemgetter(*positions), rows))
+        elif positions:
+            i = positions[0]
+            projected = {(row[i],) for row in rows}
+        else:
+            projected = {()}
+        _put(out, tuple(domain[i] for i in positions), projected)
+    return out
+
+
+def _table(omega: SolutionSet) -> dict:
+    table: dict = {}
+    for mapping in omega:
+        items = mapping._items
+        table.setdefault(tuple([var for var, _ in items]), set()).add(tuple([value for _, value in items]))
+    return table
+
+
+def _mappings(table: dict) -> SolutionSet:
+    trusted = Mapping._trusted
+    return frozenset([trusted(tuple(zip(domain, row))) for domain, rows in table.items() for row in rows])
 
 
 def join(omega1: SolutionSet, omega2: SolutionSet, condition: Constraint | None = None) -> SolutionSet:
     """All unions of compatible pairs drawn from the two solution sets; given
-    an atomic `condition`, only the unions that satisfy it.
-
-    Two mappings are compatible exactly when they agree on the shared part of
-    their domains, so the pairs are found per pair of domain groups by
-    probing on the shared variables' values (and on an equality's two
-    variables when each side binds one).  The condition is checked on each
-    compatible pair before its union is built, and the union's item layout
-    is worked out once per pair of domains; the result is the definitional
-    one, the join followed by the filter.
-    """
-    if not omega1 or not omega2:
-        return frozenset()
-    out = set()
-    trusted = Mapping._trusted
-    condition_vars_ = frozenset() if condition is None else condition_vars(condition)
-    groups1 = _by_domain(omega1)
-    for domain2, group2 in _by_domain(omega2).items():
-        check2 = condition if condition_vars_ <= domain2 else None
-        indexes: dict = {}  # probe keys -> index of group2
-        for domain1, group1 in groups1.items():
-            plan = _pair_plan(domain1, domain2, condition, condition_vars_)
-            if plan is None:
-                continue
-            keys1, keys2, check1, unequal = plan
-            index = indexes.get(keys2)
-            if index is None:
-                index = indexes[keys2] = _value_index(group2, keys2, check2)
-            if not index:
-                continue
-            key_of = _key_getter(keys1)
-            layout = None if domain2 <= domain1 or domain1 <= domain2 else _merged_layout(domain1, domain2)
-            for m1 in group1:
-                if check1 is not None and not satisfies(m1, check1):
-                    continue
-                matches = index.get(key_of(m1._map))
-                if not matches:
-                    continue
-                if unequal is not None:
-                    value, var2 = m1._map[unequal[0]], unequal[1]
-                    matches = [m2 for m2 in matches if m2._map[var2] is not value]
-                    if not matches:
-                        continue
-                if layout is not None:
-                    items1 = m1._items
-                    out.update([trusted(layout(items1 + m2._items)) for m2 in matches])
-                elif domain2 <= domain1:
-                    out.add(m1)  # the union of m1 and a compatible m2 is m1
-                else:
-                    out.update(matches)
-    return frozenset(out)
+    an atomic `condition`, only the unions that satisfy it.  The condition is
+    checked on each compatible pair before its union is built; the result is
+    the definitional one, the join followed by the filter."""
+    return _mappings(_join(_table(omega1), _table(omega2), condition))
 
 
 def set_minus(omega1: SolutionSet, omega2: SolutionSet) -> SolutionSet:
     """Mappings of the first set compatible with nothing in the second."""
-    if not omega2:
-        return frozenset(omega1)
-    indexes: dict = {}  # (domain1, domain2) -> shared-value index into omega2
-    groups2 = _by_domain(omega2)
-    survivors = []
-    for m1 in omega1:
-        domain1 = m1.domain
-        hit = False
-        for domain2, group2 in groups2.items():
-            pair = (domain1, domain2)
-            entry = indexes.get(pair)
-            if entry is None:
-                shared = _by_name(domain1 & domain2)
-                entry = (_key_getter(shared), _value_index(group2, shared))
-                indexes[pair] = entry
-            key_of, index = entry
-            if key_of(m1._map) in index:
-                hit = True
-                break
-        if not hit:
-            survivors.append(m1)
-    return frozenset(survivors)
+    return _mappings(_minus(_table(omega1), _table(omega2)))
 
 
 def satisfies(mapping: Mapping, constraint: Constraint) -> bool:
-    """Constraint satisfaction under the error-as-false reading.
-
-    When a mentioned variable is unbound, equalities and nonequalities (and
-    their constant forms) are both unsatisfied; only the negated bound check
-    holds on an unbound variable.
-    """
-    if isinstance(constraint, Bound):
-        return constraint.var in mapping
-    if isinstance(constraint, NegBound):
-        return constraint.var not in mapping
-    if isinstance(constraint, (Eq, Neq)):
-        left, right = mapping.get(constraint.left), mapping.get(constraint.right)
-    elif isinstance(constraint, (EqC, NeqC)):
-        left, right = mapping.get(constraint.var), constraint.constant
-    else:
-        raise TypeError(f"not an atomic constraint: {constraint!r}")
-    return left is not None and right is not None and (left == right) == isinstance(constraint, (Eq, EqC))
+    """Constraint satisfaction under the error-as-false reading of
+    `_condition_test`: an equality or nonequality (or a constant form) over
+    an unbound variable is unsatisfied, a negated bound check satisfied."""
+    items = mapping._items
+    test = _condition_test(constraint, tuple([var for var, _ in items]))
+    return test if type(test) is bool else test(tuple([value for _, value in items]))
 
 
-def _match_triple(tp: TriplePattern, graph: RdfGraph) -> SolutionSet:
-    out = set()
-    pattern_terms = tp.terms()
-    for triple in graph:
-        bindings: dict[Variable, object] = {}
-        ok = True
-        for pat_term, graph_term in zip(pattern_terms, (triple.subject, triple.predicate, triple.object)):
-            if isinstance(pat_term, Variable):
-                bound = bindings.get(pat_term)
-                if bound is None:
-                    bindings[pat_term] = graph_term
-                elif bound != graph_term:
-                    ok = False
-                    break
-            elif pat_term != graph_term:
-                ok = False
-                break
-        if ok:
-            out.add(Mapping(bindings))
-    return frozenset(out)
+def _graph_index(graph: RdfGraph) -> dict:
+    """The graph's (subject, object) pairs by predicate."""
+    index: dict = {}
+    for triple in graph.triples:
+        index.setdefault(triple.predicate, []).append((triple.subject, triple.object))
+    return index
+
+
+def _match_triple(tp: TriplePattern, index: dict) -> dict:
+    """The table of one triple pattern over a graph indexed by `_graph_index`:
+    a constant predicate reads only its own pairs, a variable one all triples."""
+    subject, predicate, obj = tp.subject, tp.predicate, tp.object
+    if type(predicate) is not Variable:
+        pairs = index.get(predicate, ())
+        if type(subject) is not Variable:
+            if type(obj) is not Variable:
+                domain, rows = (), {() for s, o in pairs if s is subject and o is obj}
+            else:
+                domain, rows = (obj,), {(o,) for s, o in pairs if s is subject}
+        elif type(obj) is not Variable:
+            domain, rows = (subject,), {(s,) for s, o in pairs if o is obj}
+        elif subject is obj:
+            domain, rows = (subject,), {(s,) for s, o in pairs if s is o}
+        elif subject._key < obj._key:
+            domain, rows = (subject, obj), set(pairs)
+        else:
+            domain, rows = (obj, subject), {(o, s) for s, o in pairs}
+        return {domain: rows} if rows else {}
+    triples = [(s, p, o) for p, pairs in index.items() for s, o in pairs]
+    first: dict = {}  # variable -> its first position
+    for i, term in enumerate((subject, predicate, obj)):
+        if type(term) is not Variable:
+            triples = [t for t in triples if t[i] is term]
+        elif term in first:
+            j = first[term]
+            triples = [t for t in triples if t[i] is t[j]]
+        else:
+            first[term] = i
+    if not triples:
+        return {}
+    domain = tuple(sorted(first, key=_name))
+    if len(domain) > 1:
+        return {domain: set(map(itemgetter(*[first[var] for var in domain]), triples))}
+    i = first[predicate]  # the only variable
+    return {domain: {(t[i],) for t in triples}}
 
 
 def _operands(node: Pattern) -> tuple:
     """The nodes whose solutions `evaluate` needs for `node`: those of its
-    children, except that a FILTER over an AND takes the AND's two sides."""
+    children, except that a FILTER over an AND or an OPT takes its two sides."""
     kind = type(node)
     if kind is Filter:
         sub = node.pattern
-        return (sub.left, sub.right) if type(sub) is And else (sub,)
+        return (sub.left, sub.right) if type(sub) is And or type(sub) is Opt else (sub,)
     return () if kind is TriplePattern else children(node)
 
 
@@ -263,39 +381,45 @@ def evaluate(pattern: Pattern, graph: RdfGraph) -> SolutionSet:
     """The set of solution mappings of a pattern on a graph.
 
     Requires atomic filter constraints; normalize composite filters first.
-    Each distinct node is evaluated once, along `post_order`; the solutions
-    of a node with one parent are dropped as that parent reads them.
+    Each distinct node is evaluated once, along `post_order`; the table of a
+    node with one parent is dropped as that parent reads it.  A FILTER over
+    an OPT is the filtered join united with the filtered difference, so the
+    join rows the condition rejects are never built.
     """
+    index = _graph_index(graph)
     if type(pattern) is TriplePattern:  # one triple pattern needs no walk
-        return _match_triple(pattern, graph)
+        return _mappings(_match_triple(pattern, index))
     shared: set = set()
-    solutions: dict = {}
+    tables: dict = {}
     for node in post_order(pattern, _operands, shared):
         kind = type(node)
         if kind is TriplePattern:
-            solutions[id(node)] = _match_triple(node, graph)
+            tables[id(node)] = _match_triple(node, index)
             continue
-        args = [solutions[id(kid)] if id(kid) in shared else solutions.pop(id(kid)) for kid in _operands(node)]
+        args = [tables[id(kid)] if id(kid) in shared else tables.pop(id(kid)) for kid in _operands(node)]
         if kind is Union:
-            out = args[0] | args[1]
+            out = _union(*args)
         elif kind is And:
-            out = join(*args)
+            out = _join(*args)
         elif kind is Opt:
-            out = join(*args) | set_minus(*args)
+            out = _union(_join(*args), _minus(*args))
         elif kind is Filter:
             condition = node.condition
             if not is_atomic(condition):
                 raise NotNormalized(f"composite filter condition in evaluate: {condition!r}")
-            if type(node.pattern) is And:  # checked on each compatible pair before its union is built
-                out = join(args[0], args[1], condition)
+            sub = type(node.pattern)
+            if sub is And:
+                out = _join(args[0], args[1], condition)
+            elif sub is Opt:
+                out = _union(_join(args[0], args[1], condition), _filter(_minus(*args), condition))
             else:
-                out = frozenset(m for m in args[0] if satisfies(m, condition))
+                out = _filter(args[0], condition)
         elif kind is Select:
-            out = frozenset(m.restrict(node.scheme & m.domain) for m in args[0])
+            out = _project(args[0], node.scheme)
         else:
             raise TypeError(f"not a pattern: {node!r}")
-        solutions[id(node)] = out
-    return solutions[id(pattern)]
+        tables[id(node)] = out
+    return _mappings(tables[id(pattern)])
 
 
 # --- graph fixture format -----------------------------------------------------

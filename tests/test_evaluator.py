@@ -1,6 +1,7 @@
 """Reference evaluator semantics, including the error-as-false filter rules."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from sparqlsat import (
     Variable,
     candidate_schemes,
     compatible,
+    decide_satisfiability,
     evaluate,
     join,
     parse_graph,
@@ -30,9 +32,20 @@ from sparqlsat import (
     satisfies,
     set_minus,
 )
+from sparqlsat.dalab import (
+    _is_canonical,
+    da_eval,
+    emulate_eqc,
+    emulate_eqneq,
+    emulate_negbound,
+    graph_of_relation,
+    parse_da,
+    relations_over,
+    result_pairs,
+)
 from sparqlsat.errors import NotNormalized
 from sparqlsat.evaluator import format_graph
-from sparqlsat.patterns import And, Filter, Opt, Select, TriplePattern, Union, vars_of
+from sparqlsat.patterns import And, Filter, Opt, Select, TriplePattern, Union, post_order, vars_of
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 a, b, c = Iri("a"), Iri("b"), Iri("c")
@@ -77,8 +90,9 @@ def naive_join(o1, o2):
     out = set()
     for m1 in o1:
         for m2 in o2:
-            if all(m1[v] == m2[v] for v in m1.domain & m2.domain):
-                out.add(m1.merge(m2))
+            merged = m1.merge(m2)  # None when they disagree on a shared variable
+            if merged is not None:
+                out.add(merged)
     return frozenset(out)
 
 
@@ -295,3 +309,104 @@ def test_graph_fixture_roundtrip():
 def test_graph_fixture_parses_blank_nodes_and_bare_words():
     g = parse_graph("_:n <p> 42 .\ns p \"lit\" .")
     assert len(g) == 2
+
+
+# --- differential checks against the definitional evaluation -------------------------
+
+def test_filter_over_optional_matches_optional_then_filter():
+    # a FILTER over an OPT is evaluated as the filtered join united with the
+    # filtered difference; the shapes are those of the FILTER-over-AND test
+    pool = (x, y, z, Variable("w"))
+    nowhere = Variable("nowhere")
+    nodes = (Iri("k0"), Iri("k1")) + IRI_POOL[:2]
+    spo = [(s, p, o) for s in nodes for p in IRI_POOL for o in nodes + (Literal("11"),)]
+    rng = random.Random(21)
+    nonempty = Counter()
+    for _ in range(1500):
+        left = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
+        right = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
+        shape = rng.randrange(4)
+        if shape == 0:
+            var = rng.choice(pool)
+            condition = Eq(var, var)
+        elif shape == 1:
+            side = sorted(vars_of(rng.choice((left, right))), key=str) or list(pool)
+            condition = random_constraint(rng, ALL_KINDS, side)
+        else:
+            condition = random_constraint(rng, ALL_KINDS, pool + (nowhere,) * (shape == 2))
+        pattern = Filter(Opt(left, right), condition)
+        if rng.random() < 0.3:
+            pattern = rng.choice((Opt, Union, And))(pattern, random_pattern(rng, 1, variables=pool))
+        g = graph(*(rng.choice(spo) for _ in range(rng.randint(10, 40))))
+        expected = naive_evaluate(pattern, g)
+        assert evaluate(pattern, g) == expected, (pattern, format_graph(g))
+        nonempty[type(condition).__name__] += bool(expected)
+    assert len(nonempty) == 6 and min(nonempty.values()) >= 5, nonempty
+
+
+def test_difference_compilations_match_the_definitional_evaluation():
+    # full solution sets, fresh variables included, of the three compilations
+    # of both difference shapes, wherever each compiler is exact: every
+    # relation on at most three elements for negbound and eqc (eqc needs d1
+    # and d2 in the active domain), and for eqneq (two elements at least)
+    # every relation on two elements and, up to isomorphism, those on three
+    # with at most five pairs, where the pairwise oracle stays fast
+    d1, d2 = Iri("d1"), Iri("d2")
+    checked = Counter()
+    for text in ("(R . R) - R", "R - (R . R)"):
+        expr = parse_da(text)
+        compiled = (emulate_negbound(expr), emulate_eqneq(expr), emulate_eqc(expr, d1, d2))
+        for size in (1, 2, 3):
+            for relation in relations_over(size):
+                g = graph_of_relation(relation)
+                variants = [("negbound", compiled[0])]
+                if size == 2 or (size == 3 and len(relation) <= 5 and _is_canonical(relation, 3)):
+                    variants.append(("eqneq", compiled[1]))
+                if size >= 2:
+                    variants.append(("eqc", compiled[2]))
+                for name, pattern in variants:
+                    expected = naive_evaluate(pattern, g)
+                    assert evaluate(pattern, g) == expected, (text, name, sorted(relation, key=str))
+                    assert result_pairs(expected) == da_eval(expr, relation)
+                    checked[name] += 1
+    assert checked == {"negbound": 2 * 483, "eqc": 2 * 482, "eqneq": 2 * (8 + 71)}, checked
+
+
+def test_random_patterns_match_the_definitional_evaluation():
+    # triples with a repeated variable, a variable predicate, or no variable
+    # at all (the empty domain), under SELECT and every filter kind
+    pool = (x, y, z)
+    nodes = (Iri("k0"), Iri("k1")) + IRI_POOL[:3]
+    spo = [(s, p, o) for s in nodes for p in IRI_POOL[:3] for o in nodes + (Literal("11"),)]
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(2000):
+        pattern = random_pattern(rng, rng.randint(0, 3), variables=pool, select_rate=0.3)
+        g = graph(*(rng.choice(spo) for _ in range(rng.randint(5, 30))))
+        expected = naive_evaluate(pattern, g)
+        assert evaluate(pattern, g) == expected, (pattern, format_graph(g))
+        if not expected:
+            continue
+        for node in post_order(pattern):
+            if isinstance(node, TriplePattern):
+                variables = [t for t in node.terms() if isinstance(t, Variable)]
+                seen["repeated variable"] += len(set(variables)) < len(variables)
+                seen["variable predicate"] += isinstance(node.predicate, Variable)
+                seen["no variable"] += not variables
+            seen[type(node).__name__] += 1
+    assert min(seen[k] for k in ("repeated variable", "variable predicate", "no variable", "Select")) >= 20, seen
+
+
+def test_witness_of_a_3000_triple_bgp_replays_fast():
+    # the graph is indexed by predicate, so each triple reads only its own
+    # triples and the replay is linear in the pattern
+    triples = [TriplePattern(x, Iri(f"p{i}"), Variable(f"o{i}")) for i in range(3000)]
+    pattern = triples[0]
+    for tp in triples[1:]:
+        pattern = And(pattern, tp)
+    verdict = decide_satisfiability(pattern)
+    start = time.perf_counter()
+    solutions = evaluate(pattern, verdict.witness)
+    elapsed = time.perf_counter() - start
+    assert verdict.sample in solutions
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
