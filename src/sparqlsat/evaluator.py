@@ -285,11 +285,16 @@ def _project(table: dict, scheme) -> dict:
     return out
 
 
+def _domain_and_row(mapping: Mapping) -> tuple:
+    items = mapping._items
+    return tuple([var for var, _ in items]), tuple([value for _, value in items])
+
+
 def _table(omega: SolutionSet) -> dict:
     table: dict = {}
     for mapping in omega:
-        items = mapping._items
-        table.setdefault(tuple([var for var, _ in items]), set()).add(tuple([value for _, value in items]))
+        domain, row = _domain_and_row(mapping)
+        table.setdefault(domain, set()).add(row)
     return table
 
 
@@ -315,9 +320,9 @@ def satisfies(mapping: Mapping, constraint: Constraint) -> bool:
     """Constraint satisfaction under the error-as-false reading of
     `_condition_test`: an equality or nonequality (or a constant form) over
     an unbound variable is unsatisfied, a negated bound check satisfied."""
-    items = mapping._items
-    test = _condition_test(constraint, tuple([var for var, _ in items]))
-    return test if type(test) is bool else test(tuple([value for _, value in items]))
+    domain, row = _domain_and_row(mapping)
+    test = _condition_test(constraint, domain)
+    return test if type(test) is bool else test(row)
 
 
 def _graph_index(graph: RdfGraph) -> dict:

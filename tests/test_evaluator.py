@@ -268,14 +268,16 @@ def naive_evaluate(pattern, g):
     return naive_join(left, right) | naive_minus(left, right)
 
 
-def test_filter_over_join_matches_join_then_filter():
-    # every condition kind, and the shapes the join treats apart: ?x = ?x,
-    # both variables on one side, one on each side, a variable on neither
+def _check_filter_over(kind, seed):
+    """FILTER over a random `kind` node, against filtering its finished
+    solutions: every condition kind, and the shapes the join treats apart:
+    ?x = ?x, both variables on one side, one on each side, a variable on
+    neither."""
     pool = (x, y, z, Variable("w"))
     nowhere = Variable("nowhere")
     nodes = (Iri("k0"), Iri("k1")) + IRI_POOL[:2]
     spo = [(s, p, o) for s in nodes for p in IRI_POOL for o in nodes + (Literal("11"),)]
-    rng = random.Random(20)
+    rng = random.Random(seed)
     nonempty = Counter()
     for _ in range(1500):
         left = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
@@ -289,7 +291,7 @@ def test_filter_over_join_matches_join_then_filter():
             condition = random_constraint(rng, ALL_KINDS, side)
         else:
             condition = random_constraint(rng, ALL_KINDS, pool + (nowhere,) * (shape == 2))
-        pattern = Filter(And(left, right), condition)
+        pattern = Filter(kind(left, right), condition)
         if rng.random() < 0.3:
             pattern = rng.choice((Opt, Union, And))(pattern, random_pattern(rng, 1, variables=pool))
         g = graph(*(rng.choice(spo) for _ in range(rng.randint(10, 40))))
@@ -299,50 +301,18 @@ def test_filter_over_join_matches_join_then_filter():
     assert len(nonempty) == 6 and min(nonempty.values()) >= 5, nonempty
 
 
-# --- graph fixture format ------------------------------------------------------------
-
-def test_graph_fixture_roundtrip():
-    g = graph((a, Iri("p"), Literal('say "hi"')), (Iri("http://e/x"), Iri("q"), b))
-    assert parse_graph(format_graph(g)) == g
+def test_filter_over_join_matches_join_then_filter():
+    # the join checks the condition on each compatible pair
+    _check_filter_over(And, 20)
 
 
-def test_graph_fixture_parses_blank_nodes_and_bare_words():
-    g = parse_graph("_:n <p> 42 .\ns p \"lit\" .")
-    assert len(g) == 2
+def test_filter_over_optional_matches_optional_then_filter():
+    # a FILTER over an OPT is the filtered join united with the filtered
+    # difference
+    _check_filter_over(Opt, 21)
 
 
 # --- differential checks against the definitional evaluation -------------------------
-
-def test_filter_over_optional_matches_optional_then_filter():
-    # a FILTER over an OPT is evaluated as the filtered join united with the
-    # filtered difference; the shapes are those of the FILTER-over-AND test
-    pool = (x, y, z, Variable("w"))
-    nowhere = Variable("nowhere")
-    nodes = (Iri("k0"), Iri("k1")) + IRI_POOL[:2]
-    spo = [(s, p, o) for s in nodes for p in IRI_POOL for o in nodes + (Literal("11"),)]
-    rng = random.Random(21)
-    nonempty = Counter()
-    for _ in range(1500):
-        left = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
-        right = random_pattern(rng, rng.randint(0, 2), variables=pool, select_rate=0.3)
-        shape = rng.randrange(4)
-        if shape == 0:
-            var = rng.choice(pool)
-            condition = Eq(var, var)
-        elif shape == 1:
-            side = sorted(vars_of(rng.choice((left, right))), key=str) or list(pool)
-            condition = random_constraint(rng, ALL_KINDS, side)
-        else:
-            condition = random_constraint(rng, ALL_KINDS, pool + (nowhere,) * (shape == 2))
-        pattern = Filter(Opt(left, right), condition)
-        if rng.random() < 0.3:
-            pattern = rng.choice((Opt, Union, And))(pattern, random_pattern(rng, 1, variables=pool))
-        g = graph(*(rng.choice(spo) for _ in range(rng.randint(10, 40))))
-        expected = naive_evaluate(pattern, g)
-        assert evaluate(pattern, g) == expected, (pattern, format_graph(g))
-        nonempty[type(condition).__name__] += bool(expected)
-    assert len(nonempty) == 6 and min(nonempty.values()) >= 5, nonempty
-
 
 def test_difference_compilations_match_the_definitional_evaluation():
     # full solution sets, fresh variables included, of the three compilations
@@ -410,3 +380,15 @@ def test_witness_of_a_3000_triple_bgp_replays_fast():
     elapsed = time.perf_counter() - start
     assert verdict.sample in solutions
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+# --- graph fixture format ------------------------------------------------------------
+
+def test_graph_fixture_roundtrip():
+    g = graph((a, Iri("p"), Literal('say "hi"')), (Iri("http://e/x"), Iri("q"), b))
+    assert parse_graph(format_graph(g)) == g
+
+
+def test_graph_fixture_parses_blank_nodes_and_bare_words():
+    g = parse_graph("_:n <p> 42 .\ns p \"lit\" .")
+    assert len(g) == 2
