@@ -335,7 +335,7 @@ def _graph_index(graph: RdfGraph) -> dict:
 
 def _match_triple(tp: TriplePattern, index: dict) -> dict:
     """The table of one triple pattern over a graph indexed by `_graph_index`:
-    a constant predicate reads only its own pairs, a variable one all triples."""
+    a constant predicate reads only its own pairs, a variable one all of them."""
     subject, predicate, obj = tp.subject, tp.predicate, tp.object
     if type(predicate) is not Variable:
         pairs = index.get(predicate, ())
@@ -353,23 +353,33 @@ def _match_triple(tp: TriplePattern, index: dict) -> dict:
         else:
             domain, rows = (obj, subject), {(o, s) for s, o in pairs}
         return {domain: rows} if rows else {}
-    triples = [(s, p, o) for p, pairs in index.items() for s, o in pairs]
-    first: dict = {}  # variable -> its first position
-    for i, term in enumerate((subject, predicate, obj)):
-        if type(term) is not Variable:
-            triples = [t for t in triples if t[i] is term]
-        elif term in first:
-            j = first[term]
-            triples = [t for t in triples if t[i] is t[j]]
+    # a variable predicate: every predicate's pairs, tested as they are read;
+    # a subject or object that is the predicate's variable must be the
+    # predicate, a constant must be itself, an object that is the subject's
+    # variable must be the subject, and a variable seen first is free
+    s_is_p, o_is_p = subject is predicate, obj is predicate
+    s_free = not s_is_p and type(subject) is Variable
+    tie = s_free and obj is subject
+    o_free = not o_is_p and not tie and type(obj) is Variable
+    if s_free and o_free:
+        free = sorted(((subject, 0), (predicate, 1), (obj, 2)), key=lambda pair: pair[0]._key)
+        domain, row = tuple(var for var, _ in free), itemgetter(*[i for _, i in free])
+    elif s_free or o_free:  # the predicate's variable and one more
+        var, at = (subject, 0) if s_free else (obj, 2)
+        if var._key < predicate._key:
+            domain, row = (var, predicate), itemgetter(at, 1)
         else:
-            first[term] = i
-    if not triples:
-        return {}
-    domain = tuple(sorted(first, key=_name))
-    if len(domain) > 1:
-        return {domain: set(map(itemgetter(*[first[var] for var in domain]), triples))}
-    i = first[predicate]  # the only variable
-    return {domain: {(t[i],) for t in triples}}
+            domain, row = (predicate, var), itemgetter(1, at)
+    else:
+        domain, row = (predicate,), itemgetter(slice(1, 2))
+    rows = {
+        row((s, p, o))
+        for p, pairs in index.items()
+        for s, o in pairs
+        if (s_free or s is (p if s_is_p else subject))
+        and (o_free or o is (s if tie else p if o_is_p else obj))
+    }
+    return {domain: rows} if rows else {}
 
 
 def _operands(node: Pattern) -> tuple:

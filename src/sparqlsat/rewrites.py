@@ -15,7 +15,6 @@ from .patterns import (
     Select,
     TriplePattern,
     Union,
-    contains_node,
     pattern_facts,
     post_order,
     rebuilt,
@@ -69,8 +68,9 @@ def select_eliminate(pattern: Pattern) -> Pattern:
 
 def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None) -> tuple[Pattern, Scheme]:
     """As select_eliminate, also reporting the set of fresh variables used;
-    a SELECT-free pattern is returned itself.  With a SELECT, a subtree that
-    two parents share raises PreconditionViolated (the parser builds trees).
+    a SELECT-free pattern is returned itself, and a SELECT that projects no
+    variable out is its body.  With a SELECT, a subtree that two parents
+    share raises PreconditionViolated (the parser builds trees).
     """
     facts = facts or pattern_facts(pattern)
     if Select not in facts.node_types:
@@ -82,12 +82,20 @@ def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None
     fresh = FreshVars(variables=facts.variables)
     introduced: set[Variable] = set()
     done: dict = {}
+    selects = 0
     for node in order:
         if type(node) is not Select:
             done[id(node)] = rebuilt(node, done)
             continue
         body = done[id(node.pattern)]
-        projected_out = sorted(vars_of(body) - node.scheme, key=lambda v: v.name)
+        # a root SELECT over a SELECT-free body: the pattern's variables are
+        # the body's and the scheme's, so the body is not walked
+        variables = facts.variables if node is pattern and not selects else vars_of(body)
+        selects += 1
+        projected_out = sorted(variables - node.scheme, key=lambda v: v.name)
+        if not projected_out:  # the projection keeps every variable
+            done[id(node)] = body
+            continue
         renaming = {v: fresh.take() for v in projected_out}
         introduced.update(renaming.values())
         done[id(node)] = rename_vars(body, renaming)
@@ -103,6 +111,14 @@ def exists_rewrite(pattern: Pattern, subquery: Pattern) -> Pattern:
 class UnionMember:
     pattern: Pattern
     union_free: bool
+    #: an OPT or a FILTER lies in the member; without either the member is
+    #: well-designed as soon as it is union- and SELECT-free
+    opt_or_filter: bool
+
+
+#: The node classes `union_free_split` records below each node, as bits.
+_UNION, _OPT_OR_FILTER = 1, 2
+_BITS = {And: 0, Select: 0, Union: _UNION, Opt: _OPT_OR_FILTER, Filter: _OPT_OR_FILTER}
 
 
 def union_free_split(pattern: Pattern, *, facts: PatternFacts | None = None) -> list[UnionMember]:
@@ -110,11 +126,24 @@ def union_free_split(pattern: Pattern, *, facts: PatternFacts | None = None) -> 
 
     Members that still contain UNION nested under other operators are flagged
     not union-free rather than rejected, so batch callers can report them.
-    When `facts` (`pattern_facts(pattern)`) show no UNION, the pattern is the
-    one union-free member and is not walked.
+    One fold over the post-order (`facts.order` when `facts`, which are
+    `pattern_facts(pattern)`, are given) records which of UNION and
+    OPT-or-FILTER lie at or below each node, and each member reads its flags
+    there.  When `facts` show no UNION, the pattern is the one union-free
+    member and is not walked.
     """
     if facts is not None and Union not in facts.node_types:
-        return [UnionMember(pattern, True)]
+        kinds = facts.node_types
+        return [UnionMember(pattern, True, Opt in kinds or Filter in kinds)]
+    below: dict = {}
+    for node in post_order(pattern) if facts is None else facts.order:
+        kind = type(node)
+        if kind is TriplePattern:
+            below[id(node)] = 0
+        elif kind is Filter or kind is Select:
+            below[id(node)] = _BITS[kind] | below[id(node.pattern)]
+        else:
+            below[id(node)] = _BITS[kind] | below[id(node.left)] | below[id(node.right)]
     members: list[UnionMember] = []
     todo = [pattern]
     while todo:
@@ -122,7 +151,8 @@ def union_free_split(pattern: Pattern, *, facts: PatternFacts | None = None) -> 
         if type(node) is Union:
             todo += (node.right, node.left)
         else:
-            members.append(UnionMember(node, not contains_node(node, Union)))
+            bits = below[id(node)]
+            members.append(UnionMember(node, not bits & _UNION, bool(bits & _OPT_OR_FILTER)))
     return members
 
 

@@ -45,7 +45,7 @@ from .patterns import (
 )
 from .rewrites import af_reduce, select_eliminate_info, union_free_split, wrong_literal_reduce
 from .schemes import candidate_schemes, scheme_sort_key, scheme_table
-from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, format_term
+from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, Variable, format_term
 from .welldesigned import derive_sort_map, extract_constraints, is_well_designed
 
 
@@ -215,7 +215,9 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
         node, target = work.pop()
         kind = type(node)
         if kind is TriplePattern:
-            realized.update(node.variables())
+            for term in (node.subject, node.predicate, node.object):
+                if type(term) is Variable:
+                    realized.add(term)
         elif kind is Union:
             branch = node.left if target in table[id(node.left)] else node.right
             if target not in table[id(branch)]:
@@ -234,10 +236,16 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
 
 def _decompose(node: Pattern, target: Scheme, table: dict) -> tuple:
     """The first maximal schemes of the two sides whose union is `target`."""
-    for s1 in sorted(table[id(node.left)], key=scheme_sort_key):
+    left, right = table[id(node.left)], table[id(node.right)]
+    if len(left) == 1 == len(right):  # nothing to order
+        (s1,), (s2,) = left, right
+        if s1 | s2 == target:
+            return (node.left, s1), (node.right, s2)
+        raise AssertionError("target scheme not decomposable over a join")
+    for s1 in sorted(left, key=scheme_sort_key):
         if not s1 <= target:
             continue
-        for s2 in sorted(table[id(node.right)], key=scheme_sort_key):
+        for s2 in sorted(right, key=scheme_sort_key):
             if s1 | s2 == target:
                 return (node.left, s1), (node.right, s2)
     raise AssertionError("target scheme not decomposable over a join")
@@ -364,6 +372,8 @@ def _blocking_feature(members) -> str | None:
     for member in members:
         if not member.union_free:
             return "a UNION is nested under another operator"
+        if not member.opt_or_filter:  # nothing for either condition to reject
+            continue
         ok, violations = is_well_designed(member.pattern)
         if not ok:
             return f"the pattern is not well-designed ({violations[0].describe()})"

@@ -31,6 +31,10 @@ exponentially many maximal schemes.  `!bound` is not upward-closed, so
 
 One fold along a post-order, `_families`, computes all three kinds of
 family, one object per distinct family: a filter-free BGP's triples share {∅}.
+A join of two one-scheme sides is {s1 ∪ s2} without forming products, and
+so is an optional join's in the maximal table, where its left scheme lies
+below that union; `_maximal` runs only at a node with more than one
+candidate, so a BGP's table is one set union per AND.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .patterns import (
     pattern_facts,
     post_order,
 )
-from .terms import Scheme
+from .terms import Scheme, Variable
 
 #: Families beyond this many schemes raise SchemeSetBlowup.  The decision's
 #: maximal-scheme table stays far below it unless UNIONs multiply under AND.
@@ -99,7 +103,7 @@ def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> di
     for node in order:
         kind = type(node)
         if kind is TriplePattern:
-            scheme = node.variables()
+            scheme = frozenset(t for t in (node.subject, node.predicate, node.object) if type(t) is Variable)
             out = frozenset((scheme if keep is None else scheme & keep,))
         elif kind is Filter:
             condition = node.condition
@@ -110,10 +114,16 @@ def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> di
             out = frozenset(s for s in table[id(node.pattern)] if admits(s, condition))
         elif kind is Union or kind is And or kind is Opt:
             left, right = table[id(node.left)], table[id(node.right)]
-            out = left | right if kind is Union else _products(left, right, cap)
-            if kind is Opt:  # the left solutions that no arm solution extends
-                out |= left
-            if maximal:
+            if kind is Union:
+                out = left | right
+            elif len(left) == 1 == len(right) and (kind is And or maximal):
+                (s1,), (s2,) = left, right  # an OPT's s1 lies below s1 | s2
+                out = frozenset((s1 | s2,))
+            else:
+                out = _products(left, right, cap)
+                if kind is Opt:  # the left solutions that no arm solution extends
+                    out |= left
+            if maximal and len(out) > 1:
                 out = _maximal(out)
         else:
             raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")

@@ -272,8 +272,8 @@ class _Parser:
             return Literal(_unescape_literal(value))
         if kind == "number":
             return Literal(value)
-        if kind == "name":
-            return Iri(value)
+        if kind == "name":  # a surface query's pname reads as in a triple
+            return self._resolve_pname(token) if self.surface else Iri(value)
         raise QuerySyntaxError(f"found {value!r}", start, expected="a constant")
 
     def _opaque_call(self, start: int) -> Opaque:

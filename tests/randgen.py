@@ -123,6 +123,18 @@ def random_pattern(
     return Filter(sub, random_constraint(rng, kinds, variables))
 
 
+def random_shared_pattern(rng: random.Random, depth: int, kinds=ALL_KINDS, select_rate: float = 0.0) -> Pattern:
+    """Random patterns joined by random operators, each join reading any
+    earlier node, so that subtrees sit under more than one parent."""
+    pool = [random_pattern(rng, depth, kinds, select_rate=select_rate) for _ in range(3)]
+    for _ in range(rng.randint(1, 4)):
+        node = rng.choice((And, Opt, Union))(rng.choice(pool), rng.choice(pool))
+        if rng.random() < 0.3:
+            node = Filter(node, random_constraint(rng, kinds, VAR_POOL))
+        pool.append(node)
+    return pool[-1]
+
+
 def random_graph(rng: random.Random, pattern: Pattern, max_triples: int = 6) -> RdfGraph:
     """A small graph built from the pattern's own constants plus extras."""
     from sparqlsat import BlankNode

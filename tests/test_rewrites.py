@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randgen import random_graph, random_pattern
+from randgen import VAR_POOL, random_graph, random_pattern, random_shared_pattern
 from sparqlsat import (
     And,
     Filter,
@@ -28,7 +28,7 @@ from sparqlsat import (
     wrong_literal_reduce,
 )
 from sparqlsat.errors import NotUnionFree, PreconditionViolated
-from sparqlsat.patterns import contains_node
+from sparqlsat.patterns import contains_node, pattern_facts, vars_of
 from sparqlsat.rewrites import select_eliminate_info
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -143,6 +143,28 @@ def test_select_free_pattern_is_returned_itself():
     assert select_eliminate_info(Select(frozenset((x,)), pattern))[0] is not pattern
 
 
+def test_a_select_that_projects_nothing_out_is_its_body_itself():
+    rng = random.Random(31)
+    for _ in range(300):
+        body = random_pattern(rng, depth=rng.randint(0, 4))
+        scheme = vars_of(body) | frozenset(rng.sample(VAR_POOL, rng.randint(0, 2)))
+        eliminated, fresh = select_eliminate_info(Select(scheme, body))
+        assert eliminated is body and fresh == frozenset()
+        other = random_pattern(rng, depth=rng.randint(0, 2))
+        eliminated, _ = select_eliminate_info(And(Select(scheme, body), Select(frozenset(), other)))
+        assert eliminated.left is body
+
+
+def test_a_root_select_renames_exactly_the_body_variables_it_drops():
+    rng = random.Random(33)
+    for _ in range(300):
+        body = random_pattern(rng, depth=rng.randint(0, 4))
+        scheme = frozenset(rng.sample(VAR_POOL, rng.randint(0, 4)))
+        eliminated, fresh = select_eliminate_info(Select(scheme, body))
+        assert len(fresh) == len(vars_of(body) - scheme)
+        assert vars_of(eliminated) == (vars_of(body) & scheme) | fresh
+
+
 def test_single_projection_renames_dropped_variable():
     pattern = parse_pattern("SELECT {?x} ((?x p ?y))")
     assert select_eliminate(pattern) == TriplePattern(x, Iri("p"), g1)
@@ -233,6 +255,26 @@ def test_nested_union_is_flagged():
     pattern = parse_pattern("((?x p ?y) UNION (?x q ?y)) AND (?x r ?z)")
     members = union_free_split(pattern)
     assert len(members) == 1 and not members[0].union_free
+
+
+def test_union_split_flags_match_a_walk_of_each_member():
+    rng = random.Random(32)
+    seen = set()
+    for index in range(600):
+        if index % 2:
+            pattern = random_pattern(rng, depth=rng.randint(0, 5), select_rate=0.3)
+        else:
+            pattern = random_shared_pattern(rng, depth=rng.randint(0, 3), select_rate=0.3)
+        split = [
+            [(id(m.pattern), m.union_free, m.opt_or_filter) for m in union_free_split(pattern, facts=facts)]
+            for facts in (None, pattern_facts(pattern))
+        ]
+        assert split[0] == split[1]
+        for member in union_free_split(pattern):
+            assert member.union_free == (not contains_node(member.pattern, Union))
+            assert member.opt_or_filter == contains_node(member.pattern, (Opt, Filter))
+            seen.add((member.union_free, member.opt_or_filter))
+    assert len(seen) == 4
 
 
 # --- AND/FILTER reduction ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from randgen import (
     NEQ_KINDS,
     random_graph,
     random_pattern,
+    random_shared_pattern,
     random_well_designed,
     witness_is_sound,
 )
@@ -34,9 +35,22 @@ from sparqlsat import (
     normalize_filters,
     parse_pattern,
 )
+import realize_reference
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
 from sparqlsat.evaluator import format_graph
-from sparqlsat.satisfiability import ConstraintKind, _decide_well_designed_core, run_pipeline
+from sparqlsat.patterns import pattern_facts
+from sparqlsat.rewrites import select_eliminate, union_free_split
+from sparqlsat.satisfiability import (
+    ConstraintKind,
+    _blocking_feature,
+    _constant_model,
+    _decide_well_designed_core,
+    _injective_model,
+    _realized_solution,
+    run_pipeline,
+)
+from sparqlsat.schemes import scheme_table
+from sparqlsat.welldesigned import is_well_designed
 
 x, y = Variable("x"), Variable("y")
 
@@ -134,6 +148,14 @@ def test_select_queries_get_projected_samples():
     assert isinstance(verdict, Satisfiable)
     assert verdict.sample.domain <= {x, y}
     assert verdict.sample in evaluate(pattern, verdict.witness)
+
+
+def test_prefixed_filter_constant_is_the_iri_it_names():
+    pattern = parse_pattern(
+        "PREFIX dbo: <http://dbpedia.org/ontology/> SELECT * WHERE "
+        "{ ?x ?p ?y FILTER (?y = dbo:B && ?y != <http://dbpedia.org/ontology/B>) }"
+    )
+    assert decide_satisfiability(pattern) == Unsatisfiable(UnsatReason.INCONSISTENT_CONSTRAINTS)
 
 
 def test_opaque_filters_without_flag_are_unknown():
@@ -292,6 +314,90 @@ def test_witness_model_restricts_into_every_subpattern():
             (scheme,) = candidate_schemes(node)
             restricted = verdict.sample.restrict(scheme)
             assert restricted in evaluate(node, verdict.witness)
+
+
+def _random_select_free_pattern(rng, kinds, index):
+    """Trees with SELECT nodes eliminated, or patterns that share subtrees."""
+    if index % 2:
+        pattern = random_pattern(rng, depth=rng.randint(0, 5), kinds=kinds, select_rate=0.3)
+        return select_eliminate(pattern)
+    return random_shared_pattern(rng, depth=rng.randint(0, 3), kinds=kinds)
+
+
+def test_realized_solution_matches_the_always_sorting_reference():
+    rng = random.Random(62)
+    checked = 0
+    for index in range(1200):
+        kinds = EQ_KINDS if index % 4 < 2 else NEQ_KINDS
+        pattern = _random_select_free_pattern(rng, kinds, index)
+        facts = pattern_facts(pattern)
+        _, table = scheme_table(pattern, facts=facts)
+        if not table[id(pattern)]:
+            continue
+        checked += 1
+        model = (_constant_model if kinds is EQ_KINDS else _injective_model)(facts)
+        expected = realize_reference.realized_solution(pattern, model, table)
+        assert _realized_solution(pattern, model, table) == expected
+    assert checked > 600
+
+
+def _blocking_reference(members):
+    """`_blocking_feature` with the well-designedness check on every member."""
+    for member in members:
+        if not member.union_free:
+            return "a UNION is nested under another operator"
+        ok, violations = is_well_designed(member.pattern)
+        if not ok:
+            return f"the pattern is not well-designed ({violations[0].describe()})"
+    return None
+
+
+def test_blocking_feature_matches_checking_every_member():
+    rng = random.Random(63)
+    outcomes = set()
+    for index in range(1200):
+        if index % 3 == 2:
+            pattern = random_well_designed(rng, depth=rng.randint(1, 3))
+        else:
+            pattern = _random_select_free_pattern(rng, ("bound", "eq", "neq", "eqc", "neqc"), index)
+        members = union_free_split(pattern, facts=pattern_facts(pattern))
+        blocking = _blocking_feature(members)
+        assert blocking == _blocking_reference(members)
+        outcomes.add(blocking if blocking is None else blocking.split(" (")[0])
+        outcomes.update(member.opt_or_filter for member in members if member.union_free)
+    assert outcomes == {
+        None,
+        "a UNION is nested under another operator",
+        "the pattern is not well-designed",
+        True,
+        False,
+    }
+
+
+def test_pipeline_walks_of_the_seed_777_corpus(monkeypatch):
+    # how often `run_pipeline` collects a pattern's facts, per query: once,
+    # plus once after each rewrite that returns a new pattern
+    import sparqlsat
+    from sparqlsat import patterns
+    from sparqlsat.corpus import generate_corpus
+
+    walks = [0]
+
+    def counted(pattern):
+        walks[0] += 1
+        return original(pattern)
+
+    original = patterns.pattern_facts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparqlsat") and getattr(module, "pattern_facts", None) is original:
+            monkeypatch.setattr(module, "pattern_facts", counted)
+    histogram = {}
+    for text in generate_corpus(2000, 777):
+        pattern = sparqlsat.parse_pattern(text)
+        walks[0] = 0
+        run_pipeline(pattern, builtins_as_bound=True)
+        histogram[walks[0]] = histogram.get(walks[0], 0) + 1
+    assert histogram == {1: 1412, 2: 588}  # a mean of 1.29 walks
 
 
 # --- route consistency ------------------------------------------------------------------
