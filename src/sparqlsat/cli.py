@@ -23,7 +23,7 @@ from .dalab import (
 )
 from .errors import SparqlSatError, UnknownFormat
 from .report import PipelineOptions, analyze_batch, emit_report, format_verdict_text
-from .satisfiability import decide_satisfiability
+from .satisfiability import Unknown, decide_satisfiability
 from .syntax import parse_pattern, serialize_pattern
 from .terms import Iri
 
@@ -117,6 +117,8 @@ def _cmd_check(args) -> int:
     except SparqlSatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:  # the reason `analyze` records for the entry
+        verdict = Unknown(f"RecursionError: {exc}")
     print(format_verdict_text(verdict))
     return 0
 

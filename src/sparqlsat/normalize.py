@@ -119,7 +119,7 @@ def _to_dnf(condition: FilterCondition, builtins_as_bound: bool, cap: int) -> li
             return [[a for atom in flipped for a in lower_atom(atom)]]
         return [lower_atom(expr)]
 
-    return [_dedup(c) for c in rec(condition, False)]
+    return [list(dict.fromkeys(c)) for c in rec(condition, False)]  # first-seen order
 
 
 def _or(left: list[list[Constraint]], right: list[list[Constraint]], cap: int) -> list[list[Constraint]]:
@@ -133,10 +133,3 @@ def _and(left: list[list[Constraint]], right: list[list[Constraint]], cap: int) 
         raise NormalizationBlowup(f"DNF exceeds {cap} disjuncts")
     return [l + r for l in left for r in right]
 
-
-def _dedup(conjunct: list[Constraint]) -> list[Constraint]:
-    seen = []
-    for atom in conjunct:
-        if atom not in seen:
-            seen.append(atom)
-    return seen

@@ -243,7 +243,8 @@ class PatternFacts:
     Each distinct node counts once.  `triples` and `conditions` keep
     pre-order, left child first; `filter_variables` are the variables of the
     filter conditions, and `variables` add those of triples and SELECT
-    schemes; `order` is `post_order(pattern)`, for the passes that fold it.
+    schemes; `order` is `post_order(pattern)`, for the passes that fold it,
+    and `shares` tells whether a node is reached below two parents.
     """
 
     variables: Scheme
@@ -253,13 +254,14 @@ class PatternFacts:
     triples: tuple
     node_types: frozenset
     order: tuple
+    shares: bool
 
 
 def pattern_facts(pattern: Pattern) -> PatternFacts:
     """Collect the facts of a pattern in one walk."""
     variables, constants, filter_vars, node_types = set(), set(), set(), set()
-    conditions, triples, pre = [], [], []
-    post = post_order(pattern, pre=pre)
+    conditions, triples, pre, shared = [], [], [], set()
+    post = post_order(pattern, shared=shared, pre=pre)
     for node in pre:
         kind = type(node)
         node_types.add(kind)
@@ -284,7 +286,7 @@ def pattern_facts(pattern: Pattern) -> PatternFacts:
             variables.update(node.scheme)
     return PatternFacts(
         frozenset(variables | filter_vars), frozenset(constants), frozenset(filter_vars),
-        tuple(conditions), tuple(triples), frozenset(node_types), tuple(post),
+        tuple(conditions), tuple(triples), frozenset(node_types), tuple(post), bool(shared),
     )
 
 

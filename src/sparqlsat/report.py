@@ -34,10 +34,6 @@ class PipelineOptions:
     repeats: int = 5
     size_buckets: tuple = ()
 
-    @property
-    def timing(self) -> bool:
-        return self.repeats > 0
-
 
 @dataclass
 class EntryRecord:
@@ -121,7 +117,7 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
 
     stage_totals = None
     overheads = None
-    if options.timing:
+    if options.repeats > 0:
         records = _timed_rounds(entries, options)
         stage_totals = {
             stage: sum(record.stage_ns[stage] for record in records) / 1e6  # ms
@@ -146,7 +142,8 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
 
     scaling = None
     if options.size_buckets:
-        scaling = _run_scaling(entries, options)
+        raw_texts = [entry.raw_text for entry in entries]
+        scaling = measure_scaling(raw_texts, options.size_buckets, options)
 
     return AnalysisReport(
         total=len(entries),
@@ -215,10 +212,6 @@ def measure_scaling(raw_texts: list, sizes, options: PipelineOptions | None = No
     return ScalingResult(list(sizes), totals, pearson(sizes, totals))
 
 
-def _run_scaling(entries: list, options: PipelineOptions) -> ScalingResult:
-    return measure_scaling([entry.raw_text for entry in entries], options.size_buckets, options)
-
-
 def pearson(xs, ys) -> float:
     return statistics.correlation(list(map(float, xs)), list(map(float, ys)))
 
@@ -277,15 +270,16 @@ def _emit_table(report: AnalysisReport) -> str:
         wl = base + report.stage_totals_ms["wrong_literal"]
         schemes = wl + report.stage_totals_ms["schemes"]
         wd = base + report.stage_totals_ms["well_designed"]
+        overheads = report.overhead_pct  # None when the baseline took no time
 
-        def pct(value: float) -> str:
-            return "n/a" if base == 0 else f"{100.0 * (value - base) / base:.0f}%"
+        def pct(stage: str) -> str:
+            return "n/a" if overheads is None else f"{overheads[stage]:.0f}%"
 
         lines.append("")
         lines.append(f"{'baseline':>12} {'WL':>12} {'':>5} {'schemes':>12} {'':>5} {'AF':>12} {'':>5}")
         lines.append(
-            f"{base:12.1f} {wl:12.1f} {pct(wl):>5} {schemes:12.1f} {pct(schemes):>5} "
-            f"{wd:12.1f} {pct(wd):>5}"
+            f"{base:12.1f} {wl:12.1f} {pct('wrong_literal'):>5} {schemes:12.1f} {pct('schemes'):>5} "
+            f"{wd:12.1f} {pct('well_designed'):>5}"
         )
         lines.append("(cumulative milliseconds; percentages relative to the parse baseline)")
     if report.scaling:

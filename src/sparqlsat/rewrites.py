@@ -75,15 +75,13 @@ def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None
     facts = facts or pattern_facts(pattern)
     if Select not in facts.node_types:
         return pattern, frozenset()
-    shared: set = set()
-    order = post_order(pattern, shared=shared)
-    if shared:  # each SELECT occurrence needs fresh names of its own
+    if facts.shares:  # each SELECT occurrence needs fresh names of its own
         raise PreconditionViolated("select_eliminate requires a pattern that shares no subtree")
     fresh = FreshVars(variables=facts.variables)
     introduced: set[Variable] = set()
     done: dict = {}
     selects = 0
-    for node in order:
+    for node in facts.order:
         if type(node) is not Select:
             done[id(node)] = rebuilt(node, done)
             continue

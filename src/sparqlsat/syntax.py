@@ -178,6 +178,43 @@ class _Parser:
             self._blanks[label] = self.fresh_var()
         return self._blanks[label]
 
+    def term(self) -> Term:
+        """The term at the cursor, read alike in a triple and in a filter
+        comparison.  A surface query reads `[ ]` as a fresh variable,
+        `true` and `false` as literals, and resolves any other name as a
+        pname; the compact grammar reads a name as the IRI it spells."""
+        token = self.advance()
+        kind, value, start, _ = token
+        if kind == "var":
+            return self.make_var(token)
+        if kind == "name":
+            if not self.surface:
+                return Iri(value)
+            if value in ("true", "false"):
+                return Literal(value)
+            return self._resolve_pname(token)
+        if kind == "iriref":
+            return Iri(value[1:-1])
+        if kind == "string":
+            return Literal(_unescape_literal(value))
+        if kind == "number":
+            return Literal(value)
+        if kind == "blank":
+            return self.blank_var(value[2:])
+        if value == "[" and self.surface:
+            self.expect_op("]")
+            return self.fresh_var()
+        raise QuerySyntaxError(f"found {value!r}", start, expected="a term")
+
+    def variables(self) -> set[Variable]:
+        """The variables of a SELECT list at the cursor, commas optional."""
+        found: set[Variable] = set()
+        while self.peek()[0] == "var":
+            found.add(self.make_var(self.advance()))
+            if self.at(","):
+                self.advance()
+        return found
+
     # -- filter conditions -------------------------------------------------------
 
     def condition(self) -> FilterCondition:
@@ -247,7 +284,7 @@ class _Parser:
                 rhs_kind == "name" and self.peek(2)[1] != "("
             ):
                 self.advance()
-                constant = self._constant(self.advance())
+                constant = self.term()
                 return EqC(var, constant) if op == "=" else NeqC(var, constant)
             return self._opaque_until_stop(start)
         if op in _CMP_OPS or self.word() == "IN":
@@ -257,24 +294,12 @@ class _Parser:
 
     def _cond_from_constant(self, first: _Token) -> FilterCondition:
         start = first[2]
-        constant = self._constant(self.advance())
+        constant = self.term()
         if self.peek()[1] in ("=", "!=") and self.peek(1)[0] == "var":
             op = self.advance()[1]
             var = self.make_var(self.advance())
             return EqC(var, constant) if op == "=" else NeqC(var, constant)
         return self._opaque_until_stop(start)
-
-    def _constant(self, token: _Token) -> Term:
-        kind, value, start, _ = token
-        if kind == "iriref":
-            return Iri(value[1:-1])
-        if kind == "string":
-            return Literal(_unescape_literal(value))
-        if kind == "number":
-            return Literal(value)
-        if kind == "name":  # a surface query's pname reads as in a triple
-            return self._resolve_pname(token) if self.surface else Iri(value)
-        raise QuerySyntaxError(f"found {value!r}", start, expected="a constant")
 
     def _opaque_call(self, start: int) -> Opaque:
         self.advance()  # function name
@@ -388,9 +413,9 @@ class _CompactParser(_Parser):
     def _triple_or_group(self) -> Pattern:
         open_token = self.expect_op("(")
         if self._looks_like_triple():
-            subject = self._term()
-            predicate = self._term()
-            obj = self._term()
+            subject = self.term()
+            predicate = self.term()
+            obj = self.term()
             self.expect_op(")")
             try:
                 return TriplePattern(subject, predicate, obj)
@@ -400,31 +425,10 @@ class _CompactParser(_Parser):
         self.expect_op(")")
         return pattern
 
-    def _term(self) -> Term:
-        token = self.advance()
-        kind, value, start, _ = token
-        if kind == "var":
-            return self.make_var(token)
-        if kind == "iriref":
-            return Iri(value[1:-1])
-        if kind == "string":
-            return Literal(_unescape_literal(value))
-        if kind == "number":
-            return Literal(value)
-        if kind == "blank":
-            return self.blank_var(value[2:])
-        if kind == "name":
-            return Iri(value)
-        raise QuerySyntaxError(f"found {value!r}", start, expected="a term")
-
     def _select(self) -> Pattern:
         self.advance()
         self.expect_op("{")
-        scheme: set[Variable] = set()
-        while self.peek()[0] == "var":
-            scheme.add(self.make_var(self.advance()))
-            if self.at(","):
-                self.advance()
+        scheme = self.variables()
         self.expect_op("}")
         self.expect_op("(")
         body = self.pattern_expr(0)
@@ -465,20 +469,14 @@ class _SurfaceParser(_Parser):
         if self.at("*"):
             self.advance()
         else:
-            variables: set[Variable] = set()
-            while self.peek()[0] == "var":
-                variables.add(self.make_var(self.advance()))
-                if self.at(","):
-                    self.advance()
+            variables = self.variables()
             if not variables:
                 _, value, start, _ = self.peek()
                 raise QuerySyntaxError(f"found {value!r}", start, expected="'*' or variables")
             scheme = frozenset(variables)
         if self.word() == "WHERE":
             self.advance()
-        self.expect_op("{")
-        body = self.group()
-        self.expect_op("}")
+        body = self._braced_group()
         kind, value, start, _ = self.peek()
         if kind != "eof":
             word = self.word()
@@ -499,19 +497,13 @@ class _SurfaceParser(_Parser):
                 if not elements:
                     leading_optional = start  # nothing precedes this OPTIONAL
                 self.advance()
-                self.expect_op("{")
-                sub = self.group()
-                self.expect_op("}")
-                elements.append(("opt", sub))
+                elements.append(("opt", self._braced_group()))
             elif word == "FILTER":
                 self.advance()
                 word = self.word()
                 if word == "EXISTS":
                     self.advance()
-                    self.expect_op("{")
-                    sub = self.group()
-                    self.expect_op("}")
-                    filters.append(("exists", sub))
+                    filters.append(("exists", self._braced_group()))
                 elif word == "NOT":
                     raise UnsupportedFeature("NOT EXISTS", self.peek()[2])
                 else:
@@ -544,30 +536,31 @@ class _SurfaceParser(_Parser):
                 pattern = exists_rewrite(pattern, payload)
         return pattern
 
-    def _braced_union(self) -> Pattern:
+    def _braced_group(self) -> Pattern:
         self.expect_op("{")
         pattern = self.group()
         self.expect_op("}")
+        return pattern
+
+    def _braced_union(self) -> Pattern:
+        pattern = self._braced_group()
         while self.word() == "UNION":
             self.advance()
-            self.expect_op("{")
-            right = self.group()
-            self.expect_op("}")
-            pattern = Union(pattern, right)
+            pattern = Union(pattern, self._braced_group())
         return pattern
 
     def _triple_block(self, elements: list):
-        subject = self._surface_term()
+        subject = self.term()
         while True:
             predicate = self._predicate()
             _, value, start, _ = self.peek()
             if value in ("/", "|", "^", "*", "+", "?"):
                 raise UnsupportedFeature("property paths", start)
-            obj = self._surface_term()
+            obj = self.term()
             elements.append(("and", self._make_triple(subject, predicate, obj)))
             while self.at(","):
                 self.advance()
-                obj = self._surface_term()
+                obj = self.term()
                 elements.append(("and", self._make_triple(subject, predicate, obj)))
             if self.at(";"):
                 self.advance()
@@ -597,30 +590,6 @@ class _SurfaceParser(_Parser):
             return self._resolve_pname(self.advance())
         raise QuerySyntaxError(f"found {value!r}", start, expected="a predicate")
 
-    def _surface_term(self) -> Term:
-        token = self.peek()
-        kind, value, start, _ = token
-        if value == "[":
-            self.advance()
-            self.expect_op("]")
-            return self.fresh_var()
-        self.advance()
-        if kind == "var":
-            return self.make_var(token)
-        if kind == "iriref":
-            return Iri(value[1:-1])
-        if kind == "string":
-            return Literal(_unescape_literal(value))
-        if kind == "number":
-            return Literal(value)
-        if kind == "blank":
-            return self.blank_var(value[2:])
-        if kind == "name":
-            if value in ("true", "false"):
-                return Literal(value)
-            return self._resolve_pname(token)
-        raise QuerySyntaxError(f"found {value!r}", start, expected="a term")
-
     def _resolve_pname(self, token: _Token) -> Iri:
         _, value, start, _ = token
         iri = self._terms.get(value)
@@ -637,35 +606,34 @@ class _SurfaceParser(_Parser):
         return iri
 
 
-def parse_pattern(text: str, dialect: str = "auto") -> Pattern:
-    """Parse either grammar into the pattern AST.
+def parse_pattern(text: str) -> Pattern:
+    """Parse either grammar, told apart by its first tokens, into the
+    pattern AST.
 
-    `dialect` is "compact", "surface", or "auto" (detect from the first
-    tokens).  Blank nodes in triple positions are replaced by fresh
-    variables; FILTER EXISTS is rewritten to a projected conjunction at
-    parse time.
+    Blank nodes in triple positions are replaced by fresh variables; FILTER
+    EXISTS is rewritten to a projected conjunction at parse time.  Nesting
+    past the interpreter's recursion limit raises UnsupportedFeature at the
+    token the parser stopped at.
     """
     tokens = _tokenize(text)
-    if dialect == "auto":
-        dialect = _detect_dialect(tokens)
-    if dialect == "compact":
-        return _CompactParser(text, tokens).parse()
-    if dialect == "surface":
-        return _SurfaceParser(text, tokens).parse()
-    raise ValueError(f"unknown dialect: {dialect!r}")
+    parser = _detect_dialect(tokens)(text, tokens)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise UnsupportedFeature("nesting deeper than the parser supports", parser.peek()[2]) from None
 
 
-def _detect_dialect(tokens: list[_Token]) -> str:
+def _detect_dialect(tokens: list[_Token]) -> type[_Parser]:
     kind, value, _, _ = tokens[0]
     if value == "{":
-        return "surface"
+        return _SurfaceParser
     if kind == "name":
         word = value.upper()
         if word == "SELECT":  # a name is followed at least by the end marker
-            return "compact" if tokens[1][1] == "{" else "surface"
+            return _CompactParser if tokens[1][1] == "{" else _SurfaceParser
         if word in _SURFACE_UNSUPPORTED or word == "PREFIX":
-            return "surface"
-    return "compact"
+            return _SurfaceParser
+    return _CompactParser
 
 
 # --- serialization -------------------------------------------------------------

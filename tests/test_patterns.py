@@ -2,7 +2,7 @@
 
 import random
 
-from randgen import ALL_KINDS, VAR_POOL, iter_subpatterns, random_constraint, random_pattern
+from randgen import ALL_KINDS, VAR_POOL, iter_subpatterns, random_constraint, random_pattern, random_shared_pattern
 from sparqlsat import And, AndExpr, Filter, NotExpr, Opaque, OrExpr, Select, TriplePattern, Union
 from sparqlsat.patterns import (
     EqC,
@@ -11,6 +11,7 @@ from sparqlsat.patterns import (
     constants_of,
     contains_node,
     pattern_facts,
+    post_order,
     vars_of,
 )
 from sparqlsat.schemes import filter_variables
@@ -94,3 +95,20 @@ def test_pattern_facts_equal_the_node_by_node_reference():
         seen |= {type(c) for c in facts.conditions} | facts.node_types
     # the sample reached every node class and every composite condition form
     assert {Select, Union, Opaque, NotExpr, AndExpr, OrExpr, EqC, NeqC} <= seen
+
+
+def test_pattern_facts_record_their_order_and_any_sharing():
+    rng = random.Random(6)
+    seen = set()
+    for index in range(400):
+        if index % 2:
+            pattern = random_pattern(rng, depth=rng.randint(0, 5), select_rate=0.3)
+        else:
+            pattern = random_shared_pattern(rng, depth=rng.randint(0, 3), select_rate=0.3)
+        shared: set = set()
+        order = post_order(pattern, shared=shared)
+        facts = pattern_facts(pattern)
+        assert facts.order == tuple(order)
+        assert facts.shares == bool(shared)
+        seen.add(facts.shares)
+    assert seen == {False, True}

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from sparqlsat.cli import main
-from sparqlsat.corpus import entry_from_text, generate_corpus
+from sparqlsat.corpus import entry_from_text, generate_corpus, ingest_corpus, write_corpus
 from sparqlsat.report import (
     PipelineOptions,
     analyze_batch,
@@ -285,6 +285,43 @@ def test_cli_check_prints_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("satisfiable")
     assert "witness graph:" in out
+
+
+#: Inputs nested past the recursion limit: a group, a `!` chain and
+#: parentheses in a FILTER.
+DEEP_QUERIES = [
+    "SELECT * WHERE " + "{ " * 1000 + "?x <p> ?y" + " }" * 1000,
+    "SELECT * WHERE { ?x <p> ?y FILTER(" + "!" * 1000 + "bound(?y)) }",
+    "SELECT * WHERE { ?x <p> ?y FILTER" + "(" * 400 + "bound(?y)" + ")" * 400 + " }",
+]
+
+
+def test_deep_entries_are_unsupported_and_do_not_abort_the_batch(tmp_path):
+    ordinary = GOLDEN_QUERIES + generate_corpus(20, seed=5)
+    queries = ordinary[:3] + DEEP_QUERIES[:1] + ordinary[3:10] + DEEP_QUERIES[1:] + ordinary[10:]
+    path = tmp_path / "corpus.txt"
+    write_corpus(str(path), queries, "delim")
+    options = PipelineOptions(repeats=0, builtins_as_bound=True)
+    report = analyze_batch(ingest_corpus(str(path)), options)
+    assert report.total == len(queries) == len(report.entries)
+    deep = [record for record, text in zip(report.entries, queries) if text in DEEP_QUERIES]
+    assert [record.status for record in deep] == ["unsupported"] * 3
+    assert all("nesting deeper than the parser supports" in record.error for record in deep)
+    expected = analyze_batch(entries_from(ordinary), options).entries
+    kept = [record for record, text in zip(report.entries, queries) if text not in DEEP_QUERIES]
+    assert [(r.status, r.verdict, r.error) for r in kept] == [(r.status, r.verdict, r.error) for r in expected]
+
+
+def test_cli_check_answers_a_recursion_error_in_one_line(tmp_path, capsys):
+    text = "SELECT * WHERE { ?s <p> ?o FILTER(" + " && ".join(["bound(?o)"] * 1000) + ") }"
+    query = tmp_path / "query.rq"
+    query.write_text(text)
+    assert main(["check", str(query)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("unknown (RecursionError: maximum recursion depth exceeded")
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    (record,) = analyze_batch(entries_from([text]), PipelineOptions(repeats=0)).entries
+    assert record.verdict["reason"].startswith("RecursionError: maximum recursion depth exceeded")
 
 
 def test_cli_dalab_round(tmp_path, capsys):

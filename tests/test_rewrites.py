@@ -143,6 +143,14 @@ def test_select_free_pattern_is_returned_itself():
     assert select_eliminate_info(Select(frozenset((x,)), pattern))[0] is not pattern
 
 
+def test_select_elimination_refuses_a_shared_subtree_only_with_a_select():
+    body = parse_pattern("(?x p ?y)")
+    shared = And(body, body)
+    assert select_eliminate_info(shared)[0] is shared
+    with pytest.raises(PreconditionViolated, match="shares no subtree"):
+        select_eliminate_info(Select(frozenset((x,)), shared))
+
+
 def test_a_select_that_projects_nothing_out_is_its_body_itself():
     rng = random.Random(31)
     for _ in range(300):

@@ -158,6 +158,13 @@ def test_prefixed_filter_constant_is_the_iri_it_names():
     assert decide_satisfiability(pattern) == Unsatisfiable(UnsatReason.INCONSISTENT_CONSTRAINTS)
 
 
+def test_a_filter_true_on_a_subject_is_a_sort_conflict():
+    # `true` reads as a literal in a filter as in a triple, and a subject
+    # cannot be a literal
+    pattern = parse_pattern("SELECT * WHERE { ?x <p> ?o FILTER(?x = true) }")
+    assert decide_satisfiability(pattern) == Unsatisfiable(UnsatReason.SORT_CONFLICT)
+
+
 def test_opaque_filters_without_flag_are_unknown():
     pattern = parse_pattern('(?x p ?y) FILTER regex(?y, "a")')
     verdict = decide_satisfiability(pattern)

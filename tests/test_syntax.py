@@ -166,6 +166,31 @@ def test_surface_filter_constant_with_an_unknown_prefix_is_a_syntax_error():
         assert info.value.position == text.index("dbo:B")
 
 
+def test_surface_true_and_false_read_alike_in_triples_and_filters():
+    pattern = parse_pattern("SELECT * WHERE { ?x <p> true ; <q> false FILTER(?y = true || false != ?y) }")
+    (left, right), condition = (pattern.pattern.left, pattern.pattern.right), pattern.condition
+    assert (left.object, right.object) == (Literal("true"), Literal("false"))
+    assert condition == OrExpr(EqC(y, Literal("true")), NeqC(y, Literal("false")))
+    assert condition.left.constant is left.object and condition.right.constant is right.object
+
+
+def test_compact_true_is_the_iri_it_spells():
+    pattern = parse_pattern("(?x p true) FILTER ?y = true")
+    assert pattern == Filter(tp(x, Iri("p"), Iri("true")), EqC(y, Iri("true")))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 1000 + "?x p ?y" + ")" * 1000, "(?x p ?y) FILTER " + "!" * 1000 + "bound(?y)"],
+    ids=["parentheses", "negations"],
+)
+def test_compact_nesting_past_the_recursion_limit_is_unsupported(text):
+    # the surface grammar's deep inputs are run as corpus entries in test_report
+    with pytest.raises(UnsupportedFeature, match="nesting deeper than the parser supports") as info:
+        parse_pattern(text)
+    assert 0 < info.value.position < len(text)
+
+
 def test_surface_predicate_and_object_lists():
     pattern = parse_pattern("SELECT * WHERE { ?x <p> ?y, ?z ; <q> ?u . }")
     triples = [node for node in (pattern.left.left, pattern.left.right, pattern.right)]
