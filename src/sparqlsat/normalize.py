@@ -99,27 +99,30 @@ def _to_dnf(condition: FilterCondition, builtins_as_bound: bool, cap: int) -> li
             return [Bound(v) for v in sorted(atom.mentions, key=lambda v: v.name)]
         return [atom]
 
-    def rec(expr: FilterCondition, negated: bool) -> list[list[Constraint]]:
-        if isinstance(expr, NotExpr):
-            return rec(expr.operand, not negated)
-        if isinstance(expr, AndExpr):
-            left, right = (expr.left, expr.right)
-            if negated:
-                return _or(rec(left, True), rec(right, True), cap)
-            return _and(rec(left, False), rec(right, False), cap)
-        if isinstance(expr, OrExpr):
-            left, right = (expr.left, expr.right)
-            if negated:
-                return _and(rec(left, True), rec(right, True), cap)
-            return _or(rec(left, False), rec(right, False), cap)
-        if negated:
+    # Post-order over (expression, negated) on an explicit stack, left operand
+    # first; an entry `(_and or _or, None)` combines the two DNFs just done.
+    done: list[list[list[Constraint]]] = []
+    todo: list = [(condition, False)]
+    while todo:
+        expr, negated = todo.pop()
+        if negated is None:
+            right = done.pop()
+            done.append(expr(done.pop(), right, cap))
+        elif isinstance(expr, NotExpr):
+            todo.append((expr.operand, not negated))
+        elif isinstance(expr, (AndExpr, OrExpr)):
+            # De Morgan: a negated AND disjoins, a negated OR conjoins
+            combine = _or if isinstance(expr, OrExpr) != negated else _and
+            todo += ((combine, None), (expr.right, negated), (expr.left, negated))
+        elif negated:
             flipped = _negate_atom(expr)
             if isinstance(flipped, Opaque):
-                return [lower_atom(flipped)]
-            return [[a for atom in flipped for a in lower_atom(atom)]]
-        return [lower_atom(expr)]
-
-    return [list(dict.fromkeys(c)) for c in rec(condition, False)]  # first-seen order
+                done.append([lower_atom(flipped)])
+            else:
+                done.append([[a for atom in flipped for a in lower_atom(atom)]])
+        else:
+            done.append([lower_atom(expr)])
+    return [list(dict.fromkeys(c)) for c in done.pop()]  # first-seen order
 
 
 def _or(left: list[list[Constraint]], right: list[list[Constraint]], cap: int) -> list[list[Constraint]]:

@@ -232,13 +232,14 @@ class _Parser:
         return left
 
     def _cond_not(self) -> FilterCondition:
-        if self.at("!"):
+        depth = 0
+        while self.at("!"):
             self.advance()
-            operand = self._cond_not()
-            if isinstance(operand, Bound):
-                return NegBound(operand.var)
-            return NotExpr(operand)
-        return self._cond_atom()
+            depth += 1
+        operand = self._cond_atom()
+        for _ in range(depth):  # the innermost `!` applies first
+            operand = NegBound(operand.var) if isinstance(operand, Bound) else NotExpr(operand)
+        return operand
 
     def _cond_atom(self) -> FilterCondition:
         token = self.peek()

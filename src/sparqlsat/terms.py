@@ -11,16 +11,29 @@ instance.  Equal terms are therefore the same object, so terms compare and
 hash by identity, in C; they are the innermost objects of every join,
 scheme, and solution-set operation.  Identity hashes differ from process to
 process, so every output that lists terms sorts them explicitly.
+
+The weak table alone would let a query's vocabulary die with the query, and
+the next query would build it again, though finding a live term costs a
+fraction of building one.  So one ring, shared by all term classes, holds
+the last `RING_SIZE` terms built.  It is written only when a term is built,
+so a lookup that finds its term costs nothing extra, and at most
+`RING_SIZE` terms are kept alive that nothing else references.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 _INTERN_LOCK = threading.Lock()
+
+#: How many of the most recently built terms are kept alive.
+RING_SIZE = 4096
+_RING = [None] * RING_SIZE
+_RING_SLOTS = itertools.cycle(range(RING_SIZE))
 
 
 class _Term:
@@ -38,6 +51,7 @@ class _Term:
                     term = object.__new__(cls)
                     object.__setattr__(term, "_key", key)
                     cls._interned[key] = term
+                    _RING[next(_RING_SLOTS)] = term
         return term
 
     def __setattr__(self, name, value):

@@ -36,9 +36,11 @@ from sparqlsat import (
     parse_pattern,
 )
 import realize_reference
+from sparqlsat.corpus import entry_from_text, generate_corpus
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
 from sparqlsat.evaluator import format_graph
 from sparqlsat.patterns import pattern_facts
+from sparqlsat.report import PipelineOptions, analyze_batch, format_verdict_text
 from sparqlsat.rewrites import select_eliminate, union_free_split
 from sparqlsat.satisfiability import (
     ConstraintKind,
@@ -523,3 +525,46 @@ def test_five_thousand_triple_bgp_decides_in_little_memory():
     assert isinstance(verdict, Satisfiable)
     assert len(verdict.sample) == 5001
     assert peak < 4_000_000, f"{peak / 1e6:.2f} MB"
+
+
+def _deep_filter(chain, depth):
+    """A filter `depth` operators deep, and its depth-2 equivalent: an `&&`
+    chain ending in a contradiction (unsatisfiable), or an even `!` chain
+    (satisfiable)."""
+    if chain == "and":
+        conjuncts = ["bound(?o)"] * (depth - 1) + ["!bound(?o)"]
+        condition, shallow = " && ".join(conjuncts), "bound(?o) && !bound(?o)"
+    else:
+        condition, shallow = "!" * depth + "bound(?o)", "!!bound(?o)"
+    query = "SELECT * WHERE {{ ?s <p> ?o FILTER({}) }}"
+    return query.format(condition), query.format(shallow)
+
+
+@pytest.mark.parametrize("depth", [1000, 5000])
+@pytest.mark.parametrize("chain, verdict", [("and", Unsatisfiable), ("not", Satisfiable)])
+def test_deep_filters_decide_like_their_shallow_equivalents(chain, verdict, depth):
+    # the parser reads `!` prefixes in a loop and DNF lowering keeps its own stack
+    assert sys.getrecursionlimit() == 1000
+    text, shallow = _deep_filter(chain, depth)
+    start = time.perf_counter()
+    deep_verdict = decide_satisfiability(parse_pattern(text))
+    elapsed = time.perf_counter() - start
+    assert isinstance(deep_verdict, verdict)
+    assert format_verdict_text(deep_verdict) == format_verdict_text(decide_satisfiability(parse_pattern(shallow)))
+    assert elapsed < 1.0, f"{elapsed:.3f} s"
+
+
+def test_a_batch_with_deep_filters_reports_every_entry():
+    ordinary = generate_corpus(20, seed=5)
+    deep = [_deep_filter(chain, depth) for chain in ("and", "not") for depth in (1000, 5000)]
+    queries = ordinary[:5] + [text for text, _ in deep] + ordinary[5:]
+    options = PipelineOptions(repeats=0, builtins_as_bound=True)
+    report = analyze_batch([entry_from_text(i + 1, q) for i, q in enumerate(queries)], options)
+    assert report.total == len(queries) == len(report.entries)
+    assert not any(
+        str(record.verdict.get("reason", "")).startswith("RecursionError")
+        for record in report.entries if record.verdict
+    )
+    assert [record.status for record in report.entries[5:9]] == ["ok"] * 4
+    expected = analyze_batch([entry_from_text(1, shallow) for _, shallow in deep], options).entries
+    assert [record.verdict for record in report.entries[5:9]] == [record.verdict for record in expected]

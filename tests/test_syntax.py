@@ -16,7 +16,9 @@ from sparqlsat import (
     Filter,
     Iri,
     Literal,
+    NegBound,
     NeqC,
+    NotExpr,
     Opaque,
     Opt,
     Select,
@@ -181,14 +183,37 @@ def test_compact_true_is_the_iri_it_spells():
 
 @pytest.mark.parametrize(
     "text",
-    ["(" * 1000 + "?x p ?y" + ")" * 1000, "(?x p ?y) FILTER " + "!" * 1000 + "bound(?y)"],
-    ids=["parentheses", "negations"],
+    ["(" * 1000 + "?x p ?y" + ")" * 1000, "(?x p ?y) FILTER " + "!(" * 1000 + "bound(?y)" + ")" * 1000],
+    ids=["parentheses", "negated-parentheses"],
 )
 def test_compact_nesting_past_the_recursion_limit_is_unsupported(text):
     # the surface grammar's deep inputs are run as corpus entries in test_report
     with pytest.raises(UnsupportedFeature, match="nesting deeper than the parser supports") as info:
         parse_pattern(text)
     assert 0 < info.value.position < len(text)
+
+
+@pytest.mark.parametrize(
+    "negations, expected",
+    [
+        ("!", NegBound(y)),
+        ("!!", NotExpr(NegBound(y))),
+        ("!!!", NotExpr(NotExpr(NegBound(y)))),
+        ("!(!", NotExpr(NegBound(y))),
+    ],
+)
+def test_negations_apply_from_the_inside_out(negations, expected):
+    closing = ")" * negations.count("(")
+    assert parse_pattern(f"(?x p ?y) FILTER {negations}bound(?y){closing}").condition == expected
+    assert parse_pattern(f"SELECT * WHERE {{ ?x <p> ?y FILTER({negations}bound(?y){closing}) }}").condition == expected
+
+
+def test_a_deep_negation_chain_parses_without_recursion():
+    condition = parse_pattern("(?x p ?y) FILTER " + "!" * 5000 + "bound(?y)").condition
+    depth = 0
+    while isinstance(condition, NotExpr):
+        condition, depth = condition.operand, depth + 1
+    assert (depth, condition) == (4999, NegBound(y))
 
 
 def test_surface_predicate_and_object_lists():

@@ -1,13 +1,16 @@
 """Core value types: terms, triples, graphs, mappings."""
 
 import copy
+import gc
 import pickle
 import sys
 import threading
+import weakref
 
 import pytest
 
 from sparqlsat import BlankNode, Iri, Literal, Mapping, RdfGraph, RdfTriple, TriplePattern, Variable
+from sparqlsat.terms import RING_SIZE
 
 
 def test_term_kinds_are_disjoint():
@@ -51,6 +54,38 @@ def test_concurrent_construction_yields_one_instance():
         sys.setswitchinterval(interval)
     for built in results[1:]:
         assert all(a is b for a, b in zip(results[0], built))
+
+
+# The keys below are used nowhere else, so no leftover instance can stand in
+# for the terms these tests build.
+
+def test_a_dropped_term_lives_until_the_ring_turns_over():
+    term = Literal("ring retention probe")
+    ref = weakref.ref(term)
+    del term
+    gc.collect()
+    assert ref() is not None and Literal("ring retention probe") is ref()  # a hit does not touch the ring
+    for i in range(RING_SIZE - 1):
+        Iri(f"ring retention filler {i}")
+    gc.collect()
+    assert ref() is not None
+    Iri(f"ring retention filler {RING_SIZE - 1}")
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_intern_tables_hold_at_most_the_ring_beyond_live_terms():
+    kinds = (Iri, Literal, BlankNode, Variable)
+    tables = [kind._interned for kind in kinds]
+    gc.collect()
+    before = sum(map(len, tables))
+    keys = [f"ring bound {i}" for i in range(10 * RING_SIZE)]
+    for i, key in enumerate(keys):
+        kinds[i % len(kinds)](key)
+    gc.collect()
+    survivors = [i for i, key in enumerate(keys) if key in tables[i % len(kinds)]]
+    assert survivors == list(range(9 * RING_SIZE, 10 * RING_SIZE))  # one ring for every class
+    assert sum(map(len, tables)) <= before + RING_SIZE
 
 
 def test_variable_name_must_be_nonempty():
