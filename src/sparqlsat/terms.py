@@ -17,7 +17,9 @@ the next query would build it again, though finding a live term costs a
 fraction of building one.  So one ring, shared by all term classes, holds
 the last `RING_SIZE` terms built.  It is written only when a term is built,
 so a lookup that finds its term costs nothing extra, and at most
-`RING_SIZE` terms are kept alive that nothing else references.
+`RING_SIZE` terms are kept alive that nothing else references.  The ring
+pays only where one process handles many queries, as `analyze` and library
+callers do; a single `check` builds each of its terms once either way.
 """
 
 from __future__ import annotations
