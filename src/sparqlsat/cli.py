@@ -22,7 +22,7 @@ from .dalab import (
     two_sat_wrapper,
 )
 from .errors import SparqlSatError, UnknownFormat
-from .report import PipelineOptions, analyze_batch, emit_report, format_verdict_text
+from .report import PipelineOptions, analyze_batch, check_options, emit_report, format_verdict_text
 from .satisfiability import Unknown, decide_satisfiability
 from .syntax import parse_pattern, serialize_pattern
 from .terms import Iri
@@ -88,15 +88,21 @@ def _read_relation(path: str):
 
 
 def _cmd_analyze(args) -> int:
-    buckets = tuple(int(b) for b in args.buckets.split(",") if b.strip())
+    try:
+        buckets = tuple(int(b) for b in args.buckets.split(",") if b.strip())
+    except ValueError:
+        print(f"error: --buckets takes comma-separated sizes, not {args.buckets!r}", file=sys.stderr)
+        return 2
     options = PipelineOptions(
         builtins_as_bound=args.builtins_as_bound,
         repeats=args.repeats,
         size_buckets=buckets,
     )
     try:
+        check_options(options)  # before reading the corpus
         entries = ingest_corpus(args.file, args.format)
-    except (OSError, UnknownFormat) as exc:
+        check_options(options, len(entries))
+    except (OSError, UnknownFormat, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = analyze_batch(entries, options)

@@ -38,7 +38,6 @@ def normalize_filters(
     pattern: Pattern,
     *,
     builtins_as_bound: bool = False,
-    dnf_cap: int = DEFAULT_DNF_CAP,
     facts: PatternFacts | None = None,
 ) -> Pattern:
     """Rewrite every composite filter into atomic FILTER chains under UNIONs.
@@ -59,7 +58,7 @@ def normalize_filters(
             continue
         sub = done[id(node.pattern)]
         branches = []
-        for conjunct in _to_dnf(node.condition, builtins_as_bound, dnf_cap):
+        for conjunct in _to_dnf(node.condition, builtins_as_bound):
             branch = sub
             for atom in conjunct:
                 branch = Filter(branch, atom)
@@ -89,7 +88,7 @@ def _negate_atom(atom: Constraint | Opaque) -> list[Constraint] | Opaque:
     return [_NEGATED[type(atom)](*(getattr(atom, field) for field in atom.__slots__))]
 
 
-def _to_dnf(condition: FilterCondition, builtins_as_bound: bool, cap: int) -> list[list[Constraint]]:
+def _to_dnf(condition: FilterCondition, builtins_as_bound: bool) -> list[list[Constraint]]:
     def lower_atom(atom: Constraint | Opaque) -> list[Constraint]:
         if isinstance(atom, Opaque):
             if not builtins_as_bound:
@@ -107,7 +106,7 @@ def _to_dnf(condition: FilterCondition, builtins_as_bound: bool, cap: int) -> li
         expr, negated = todo.pop()
         if negated is None:
             right = done.pop()
-            done.append(expr(done.pop(), right, cap))
+            done.append(expr(done.pop(), right))
         elif isinstance(expr, NotExpr):
             todo.append((expr.operand, not negated))
         elif isinstance(expr, (AndExpr, OrExpr)):
@@ -125,14 +124,14 @@ def _to_dnf(condition: FilterCondition, builtins_as_bound: bool, cap: int) -> li
     return [list(dict.fromkeys(c)) for c in done.pop()]  # first-seen order
 
 
-def _or(left: list[list[Constraint]], right: list[list[Constraint]], cap: int) -> list[list[Constraint]]:
-    if len(left) + len(right) > cap:
-        raise NormalizationBlowup(f"DNF exceeds {cap} disjuncts")
+def _or(left: list[list[Constraint]], right: list[list[Constraint]]) -> list[list[Constraint]]:
+    if len(left) + len(right) > DEFAULT_DNF_CAP:
+        raise NormalizationBlowup(f"DNF exceeds {DEFAULT_DNF_CAP} disjuncts")
     return left + right
 
 
-def _and(left: list[list[Constraint]], right: list[list[Constraint]], cap: int) -> list[list[Constraint]]:
-    if len(left) * len(right) > cap:
-        raise NormalizationBlowup(f"DNF exceeds {cap} disjuncts")
+def _and(left: list[list[Constraint]], right: list[list[Constraint]]) -> list[list[Constraint]]:
+    if len(left) * len(right) > DEFAULT_DNF_CAP:
+        raise NormalizationBlowup(f"DNF exceeds {DEFAULT_DNF_CAP} disjuncts")
     return [l + r for l in left for r in right]
 

@@ -304,28 +304,39 @@ def contains_node(pattern: Pattern, node_type) -> bool:
     return any(issubclass(kind, node_type) for kind in pattern_facts(pattern).node_types)
 
 
-def rename_condition(condition: FilterCondition, renaming: dict[Variable, Variable]) -> FilterCondition:
-    if isinstance(condition, Opaque):
-        return Opaque(condition.text, frozenset(renaming.get(v, v) for v in condition.mentions))
-    if isinstance(condition, NotExpr):
-        return NotExpr(rename_condition(condition.operand, renaming))
-    if isinstance(condition, (AndExpr, OrExpr)):
-        return type(condition)(rename_condition(condition.left, renaming), rename_condition(condition.right, renaming))
-    # an atom: rename its variables, keep its constant
-    return type(condition)(*(renaming.get(t, t) for t in (getattr(condition, f) for f in condition.__slots__)))
+def _rename_operands(node) -> tuple:
+    """A pattern node's children, with a FILTER's condition after its
+    pattern, and a composite condition's operands."""
+    kind = type(node)
+    if kind is Filter:
+        return (node.pattern, node.condition)
+    if kind is NotExpr:
+        return (node.operand,)
+    if kind is AndExpr or kind is OrExpr:
+        return (node.left, node.right)
+    return children(node)
 
 
 def rename_vars(pattern: Pattern, renaming: dict[Variable, Variable]) -> Pattern:
-    """Apply a variable renaming throughout a pattern."""
+    """Apply a variable renaming throughout a pattern and its filter
+    conditions, in one walk over both."""
     done: dict = {}
-    for node in post_order(pattern):
+    for node in post_order(pattern, _rename_operands):
         kind = type(node)
         if kind is TriplePattern:
             out = TriplePattern(*(renaming.get(t, t) for t in node.terms()))
         elif kind is Filter:
-            out = Filter(done[id(node.pattern)], rename_condition(node.condition, renaming))
+            out = Filter(done[id(node.pattern)], done[id(node.condition)])
         elif kind is Select:
             out = Select(frozenset(renaming.get(v, v) for v in node.scheme), done[id(node.pattern)])
+        elif kind is NotExpr:
+            out = NotExpr(done[id(node.operand)])
+        elif kind is AndExpr or kind is OrExpr:
+            out = kind(done[id(node.left)], done[id(node.right)])
+        elif kind is Opaque:
+            out = Opaque(node.text, frozenset(renaming.get(v, v) for v in node.mentions))
+        elif kind in CONSTRAINT_TYPES:  # rename its variables, keep its constant
+            out = kind(*(renaming.get(t, t) for t in (getattr(node, f) for f in node.__slots__)))
         else:
             out = rebuilt(node, done)
         done[id(node)] = out

@@ -1,12 +1,13 @@
 """Batch analysis driver, per-stage timing, and report emission.
 
-Timing follows the classic read-and-parse baseline methodology: each timing
-round parses every raw query as the baseline, then runs the decision
-pipeline on the entry with a sink for its stage spans, so the stages timed
-are the stages of the real run.  The report averages the rounds and shows
-cumulative totals with their percentage overhead relative to the baseline.
-With timing disabled no clock is read and the report is byte-stable across
-runs.
+One per-entry function, `_run_one`, runs the decision pipeline for the
+report's records, for every timing round and for the scaling run.  Timing
+follows the classic read-and-parse baseline methodology: with a sink for
+stage spans, it first parses the raw query again as the baseline, then runs
+the pipeline with the sink, so the stages timed are the stages of the real
+run.  The report averages the rounds and shows cumulative totals with their
+percentage overhead relative to the baseline.  With timing disabled no clock
+is read and the report is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
-from .corpus import CorpusEntry
+from .corpus import CorpusEntry, entry_from_text
 from .errors import SparqlSatError
 from .evaluator import format_graph
-from .patterns import Pattern
 from .satisfiability import Satisfiable, Unsatisfiable, run_pipeline
 from .syntax import parse_pattern
 from .terms import format_term
@@ -77,23 +77,31 @@ def verdict_to_json(verdict) -> dict:
     return {"status": "unknown", "reason": verdict.reason}
 
 
-def _guarded_run(pattern: Pattern, options: PipelineOptions, stage_ns: dict | None = None):
-    """`run_pipeline`'s result, or the exception it raised: one entry must
-    never abort a batch or a scaling pass."""
+def _run_one(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None):
+    """The pipeline's result for one entry, the exception it raised (one
+    entry must never abort a batch or a scaling pass), or None for an entry
+    that did not parse.  With a `stage_ns` dict, the baseline parse of the
+    raw text is timed into it first, then the pipeline adds its stage spans.
+    """
+    if stage_ns is not None:
+        start = time.perf_counter_ns()
+        try:
+            parse_pattern(entry.raw_text)
+        except SparqlSatError:
+            pass
+        stage_ns["parse"] += time.perf_counter_ns() - start
+    if entry.status != "ok":
+        return None
     try:
-        return run_pipeline(
-            pattern, builtins_as_bound=options.builtins_as_bound, stage_ns=stage_ns
-        )
+        return run_pipeline(entry.pattern, builtins_as_bound=options.builtins_as_bound, stage_ns=stage_ns)
     except Exception as exc:
         return exc
 
 
-def _analyze_one(
-    entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None
-) -> EntryRecord:
-    if entry.status != "ok":
+def _record(entry: CorpusEntry, result) -> EntryRecord:
+    """The report record of `_run_one`'s result for `entry`."""
+    if result is None:
         return EntryRecord(entry.entry_id, entry.status, error=entry.error)
-    result = _guarded_run(entry.pattern, options, stage_ns)
     if isinstance(result, Exception):
         reason = f"{type(result).__name__}: {result}"
         if not isinstance(result, (SparqlSatError, RecursionError)):
@@ -111,14 +119,41 @@ def _analyze_one(
     )
 
 
+def check_options(options: PipelineOptions, corpus_size: int | None = None) -> None:
+    """Raise ValueError for options no analysis can honour, checking the
+    size buckets against `corpus_size` when it is given."""
+    if options.repeats < 0:
+        raise ValueError(f"repeats must be 0 or more, not {options.repeats}")
+    if not options.size_buckets:
+        return
+    buckets = sorted(options.size_buckets)
+    if buckets[0] < 1 or buckets[0] == buckets[-1]:
+        raise ValueError(f"size buckets must be at least two distinct positive sizes: {buckets}")
+    if corpus_size is not None and buckets[-1] > corpus_size:
+        raise ValueError(f"size buckets {buckets} do not fit a corpus of {corpus_size}")
+
+
 def analyze_batch(entries: list, options: PipelineOptions | None = None) -> AnalysisReport:
-    """Run the decision pipeline over a corpus and assemble the report."""
+    """Run the decision pipeline over a corpus and assemble the report.
+
+    The first round builds the records; with timing on, each of the
+    `repeats` rounds adds every entry's baseline parse and stage spans, and
+    a record's `stage_ns` is their mean.
+    """
     options = options or PipelineOptions()
+    check_options(options, len(entries))
+    repeats = options.repeats
+    spans = [dict.fromkeys(STAGES, 0) for _ in entries] if repeats else [None] * len(entries)
+    records = [_record(entry, _run_one(entry, options, span)) for entry, span in zip(entries, spans)]
+    for _ in range(1, repeats):
+        for entry, span in zip(entries, spans):
+            _run_one(entry, options, span)
 
     stage_totals = None
     overheads = None
-    if options.repeats > 0:
-        records = _timed_rounds(entries, options)
+    if repeats:
+        for record, span in zip(records, spans):
+            record.stage_ns = {stage: span[stage] / repeats for stage in STAGES}
         stage_totals = {
             stage: sum(record.stage_ns[stage] for record in records) / 1e6  # ms
             for stage in STAGES
@@ -130,15 +165,10 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
                 "schemes": 100.0 * (stage_totals["wrong_literal"] + stage_totals["schemes"]) / baseline,
                 "well_designed": 100.0 * stage_totals["well_designed"] / baseline,
             }
-    else:
-        records = [_analyze_one(entry, options) for entry in entries]
 
     counts = {"satisfiable": 0, "unsatisfiable": 0, "unknown": 0, "syntax-error": 0, "unsupported": 0}
     for record in records:
-        if record.status != "ok":
-            counts[record.status] += 1
-        else:
-            counts[record.verdict["status"]] += 1
+        counts[record.verdict["status"] if record.status == "ok" else record.status] += 1
 
     scaling = None
     if options.size_buckets:
@@ -155,61 +185,22 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
     )
 
 
-def _timed_rounds(entries: list, options: PipelineOptions) -> list:
-    """The first round's records, with each stage's mean time over all rounds.
-
-    A round times `parse_pattern` on the raw text as the baseline, then runs
-    the pipeline on the entry with its stage spans as the sink; only the
-    first round builds the records.
-    """
-    spans = [dict.fromkeys(STAGES, 0) for _ in entries]
-    records = []
-    for round_index in range(options.repeats):
-        for entry, entry_spans in zip(entries, spans):
-            start = time.perf_counter_ns()
-            try:
-                parse_pattern(entry.raw_text)
-            except SparqlSatError:
-                pass
-            entry_spans["parse"] += time.perf_counter_ns() - start
-            if round_index == 0:
-                records.append(_analyze_one(entry, options, entry_spans))
-            elif entry.status == "ok":
-                _guarded_run(entry.pattern, options, entry_spans)
-    for record, entry_spans in zip(records, spans):
-        record.stage_ns = {stage: entry_spans[stage] / options.repeats for stage in STAGES}
-    return records
-
-
-def full_pipeline_pass(raw_texts: list, options: PipelineOptions) -> int:
-    """Parse and analyze every query once; returns how many analyzed OK."""
-    analyzed = 0
-    for raw in raw_texts:
-        try:
-            pattern = parse_pattern(raw)
-        except SparqlSatError:
-            continue
-        if not isinstance(_guarded_run(pattern, options), Exception):
-            analyzed += 1
-    return analyzed
-
-
 def measure_scaling(raw_texts: list, sizes, options: PipelineOptions | None = None) -> ScalingResult:
-    """Time the full parse-and-analyze pipeline over growing corpus prefixes."""
+    """Time parsing and analyzing growing corpus prefixes, one query at a
+    time, so no parsed entry or record outlives its query."""
     options = options or PipelineOptions()
     sizes = sorted(sizes)
-    if not sizes or sizes[-1] > len(raw_texts):
-        raise ValueError(f"size buckets {sizes} do not fit a corpus of {len(raw_texts)}")
+    check_options(replace(options, size_buckets=tuple(sizes)), len(raw_texts))
     totals = []
-    repeats = max(1, options.repeats)
     for size in sizes:
         elapsed = []
-        for _ in range(repeats):
+        for _ in range(max(1, options.repeats)):
             start = time.perf_counter()
-            full_pipeline_pass(raw_texts[:size], options)
+            for index in range(size):
+                _run_one(entry_from_text(index + 1, raw_texts[index]), options)
             elapsed.append((time.perf_counter() - start) * 1000.0)
         totals.append(statistics.fmean(elapsed))
-    return ScalingResult(list(sizes), totals, pearson(sizes, totals))
+    return ScalingResult(sizes, totals, pearson(sizes, totals))
 
 
 def pearson(xs, ys) -> float:
@@ -225,15 +216,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "counts": report.counts,
         "stage_totals_ms": report.stage_totals_ms,
         "overhead_pct": report.overhead_pct,
-        "scaling": None,
+        "scaling": asdict(report.scaling) if report.scaling else None,
         "entries": [],
     }
-    if report.scaling:
-        out["scaling"] = {
-            "sizes": report.scaling.sizes,
-            "total_ms": report.scaling.total_ms,
-            "pearson": report.scaling.pearson,
-        }
     for record in report.entries:
         entry = {
             "id": record.entry_id,

@@ -167,10 +167,6 @@ class RdfGraph:
     def of(cls, triples: Iterable[RdfTriple]) -> "RdfGraph":
         return cls(frozenset(triples))
 
-    @classmethod
-    def empty(cls) -> "RdfGraph":
-        return cls(frozenset())
-
     def __iter__(self) -> Iterator[RdfTriple]:
         return iter(self.triples)
 
@@ -292,5 +288,3 @@ class Mapping:
 
 #: A solution set is a finite set of mappings.
 SolutionSet = frozenset  # frozenset[Mapping]
-
-EMPTY_MAPPING = Mapping()

@@ -205,5 +205,4 @@ def test_dnf_cap_raises():
     for _ in range(7):
         condition = AndExpr(condition, OrExpr(Bound(x), Bound(y)))
     with pytest.raises(NormalizationBlowup):
-        normalize_filters(Filter(base, condition), dnf_cap=64)
-    normalize_filters(Filter(base, condition), dnf_cap=1 << 10)
+        normalize_filters(Filter(base, condition))

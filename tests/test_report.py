@@ -11,7 +11,6 @@ from sparqlsat.report import (
     PipelineOptions,
     analyze_batch,
     emit_report,
-    full_pipeline_pass,
     measure_scaling,
     pearson,
 )
@@ -176,23 +175,89 @@ def test_internal_error_on_one_entry_does_not_abort_the_batch(monkeypatch):
 
 
 def test_internal_error_on_one_query_does_not_abort_scaling(monkeypatch):
+    from collections import Counter
+
+    from sparqlsat import corpus
     from sparqlsat import report as report_module
 
-    real_run_pipeline = report_module.run_pipeline
+    real_parse, real_run_pipeline = corpus.parse_pattern, report_module.run_pipeline
     texts = generate_corpus(40, seed=14)
     doomed = parse_pattern(texts[7])
+    parsed, analyzed = Counter(), []
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return real_parse(text)
 
     def failing_on_one(pattern, **options):
+        analyzed.append(pattern)
         if pattern == doomed:
             raise AssertionError("target scheme lost in union branch")
         return real_run_pipeline(pattern, **options)
 
+    def no_baseline(text):
+        raise AssertionError("the scaling run is untimed per entry")
+
+    monkeypatch.setattr(corpus, "parse_pattern", counting_parse)
     monkeypatch.setattr(report_module, "run_pipeline", failing_on_one)
-    options = PipelineOptions(repeats=1, builtins_as_bound=True)
-    assert full_pipeline_pass(texts, options) == len(texts) - 1
-    result = measure_scaling(texts, (10, 20, 40), options)
+    monkeypatch.setattr(report_module, "parse_pattern", no_baseline)
+    options = PipelineOptions(repeats=2, builtins_as_bound=True)
+    result = measure_scaling(texts, (20, 10, 40), options)
     assert result.sizes == [10, 20, 40]
     assert len(result.total_ms) == 3
+    # each prefix text is parsed, and analyzed, once per repeat
+    assert parsed == Counter(text for size in (10, 20, 40) for _ in range(2) for text in texts[:size])
+    assert len(analyzed) == sum(parsed.values())
+    assert sum(pattern == doomed for pattern in analyzed) == 6 * texts.count(texts[7])
+
+
+def test_each_timing_round_runs_the_pipeline_and_the_baseline_once_per_entry(monkeypatch):
+    from collections import Counter
+
+    from sparqlsat import report as report_module
+
+    real_parse, real_run_pipeline = report_module.parse_pattern, report_module.run_pipeline
+    entries = entries_from(GOLDEN_QUERIES)
+    parsed, analyzed = Counter(), Counter()
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return real_parse(text)
+
+    def counting_run(pattern, **options):
+        analyzed[id(pattern)] += 1
+        return real_run_pipeline(pattern, **options)
+
+    monkeypatch.setattr(report_module, "parse_pattern", counting_parse)
+    monkeypatch.setattr(report_module, "run_pipeline", counting_run)
+    report = analyze_batch(entries, PipelineOptions(repeats=3))
+    ok = [entry for entry in entries if entry.status == "ok"]
+    assert len(ok) == 3
+    assert analyzed == Counter({id(entry.pattern): 3 for entry in ok})
+    assert parsed == Counter({entry.raw_text: 3 for entry in entries})
+    assert all(record.stage_ns["parse"] > 0 for record in report.entries)
+
+
+#: Options no analysis of a 20-query corpus can honour.
+BAD_OPTIONS = [
+    PipelineOptions(repeats=-2),
+    PipelineOptions(size_buckets=(10,)),
+    PipelineOptions(size_buckets=(5, 5)),
+    PipelineOptions(size_buckets=(0, 10)),
+    PipelineOptions(size_buckets=(5, 50)),
+]
+
+
+@pytest.mark.parametrize("options", BAD_OPTIONS)
+def test_bad_options_are_rejected_before_any_work(options, monkeypatch):
+    from sparqlsat import report as report_module
+
+    analyzed = []
+    monkeypatch.setattr(report_module, "run_pipeline", lambda pattern, **_: analyzed.append(pattern))
+    entries = entries_from(generate_corpus(20, seed=4))
+    with pytest.raises(ValueError):
+        analyze_batch(entries, options)
+    assert analyzed == []
 
 
 # Digests of the --repeats 0 JSON report at commit 0e56db8, the parent of the
@@ -210,6 +275,25 @@ def test_untimed_report_is_byte_identical_to_the_gate(builtins_as_bound):
     options = PipelineOptions(repeats=0, builtins_as_bound=builtins_as_bound)
     text = emit_report(analyze_batch(entries, options), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_DIGESTS[builtins_as_bound]
+
+
+# Digests of the output of `analyze --repeats 0 --mode table` on the same
+# corpus, written by `gen --count 2000 --seed 7`, at commit 495702f.
+TABLE_GATE_DIGESTS = {
+    False: "760114c4b178859e3e0b33ed212c5d32f95427d90ac37cbf70ac2331720807bf",
+    True: "90bdb4c9f7082ed7a1ffff1e23a2de2126843f5ba0916a631d6b5f28e7517609",
+}
+
+
+@pytest.mark.parametrize("builtins_as_bound", [False, True])
+def test_untimed_table_is_byte_identical_to_the_gate(builtins_as_bound, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    assert main(["gen", "--count", "2000", "--seed", "7", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    flags = ["--builtins-as-bound"] if builtins_as_bound else []
+    assert main(["analyze", str(corpus), "--repeats", "0", "--mode", "table", *flags]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_GATE_DIGESTS[builtins_as_bound]
 
 
 def test_verdict_records_serialize_witnesses():
@@ -301,6 +385,31 @@ def test_cli_analyze_and_gen(tmp_path, capsys):
 
 def test_cli_analyze_missing_file_exits_2(capsys):
     assert main(["analyze", "/nonexistent/corpus.txt"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--repeats", "-2"], "repeats must be 0 or more"),
+        (["--buckets", "10"], "at least two distinct positive sizes"),
+        (["--buckets", "5,5"], "at least two distinct positive sizes"),
+        (["--buckets", "0,10"], "at least two distinct positive sizes"),
+        (["--buckets", "x,10"], "comma-separated sizes"),
+        (["--buckets", "5,50"], "do not fit a corpus of 20"),
+    ],
+)
+def test_cli_analyze_rejects_bad_options_in_one_line(args, message, tmp_path, capsys, monkeypatch):
+    from sparqlsat import report as report_module
+
+    analyzed = []
+    monkeypatch.setattr(report_module, "run_pipeline", lambda pattern, **_: analyzed.append(pattern))
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), generate_corpus(20, seed=4))
+    assert main(["analyze", str(corpus), "--repeats", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and analyzed == []
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_cli_analyze_has_no_parallel_flag(tmp_path, capsys):

@@ -568,3 +568,27 @@ def test_a_batch_with_deep_filters_reports_every_entry():
     assert [record.status for record in report.entries[5:9]] == ["ok"] * 4
     expected = analyze_batch([entry_from_text(1, shallow) for _, shallow in deep], options).entries
     assert [record.verdict for record in report.entries[5:9]] == [record.verdict for record in expected]
+
+
+@pytest.mark.parametrize("operator", ["&&", "||"])
+def test_a_deep_filter_under_a_projection_decides_like_select_star(operator, tmp_path, capsys):
+    # SELECT elimination renames the projected-out ?o inside the condition
+    # in the same explicit-stack walk as the pattern
+    from sparqlsat.cli import main
+
+    assert sys.getrecursionlimit() == 1000
+    condition = f" {operator} ".join(["bound(?o)"] * 4999 + ["!bound(?o)"])
+    texts = [f"SELECT {projection} WHERE {{ ?s <p> ?o FILTER({condition}) }}" for projection in ("?s", "*")]
+    projected, star = (run_pipeline(parse_pattern(text)).verdict for text in texts)
+    assert type(projected) is type(star) is (Unsatisfiable if operator == "&&" else Unknown)
+    assert format_verdict_text(projected) == format_verdict_text(star)
+    outputs = []
+    for text in texts:
+        query = tmp_path / "query.rq"
+        query.write_text(text)
+        assert main(["check", str(query)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == format_verdict_text(star) + "\n"
+    report = analyze_batch([entry_from_text(i + 1, text) for i, text in enumerate(texts)], PipelineOptions(repeats=0))
+    assert report.entries[0].verdict == report.entries[1].verdict
+    assert report.entries[0].verdict["status"] == ("unsatisfiable" if operator == "&&" else "unknown")
