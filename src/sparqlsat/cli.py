@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .corpus import FORMATS, generate_corpus, ingest_corpus, write_corpus
 from .dalab import (
@@ -21,9 +22,9 @@ from .dalab import (
     parse_dimacs,
     two_sat_wrapper,
 )
-from .errors import SparqlSatError, UnknownFormat
+from .errors import BoundTooLarge, InvalidConstants, SparqlSatError, UnknownFormat
 from .report import PipelineOptions, analyze_batch, check_options, emit_report, format_verdict_text
-from .satisfiability import Unknown, decide_satisfiability
+from .satisfiability import decide_satisfiability
 from .syntax import parse_pattern, serialize_pattern
 from .terms import Iri
 
@@ -75,15 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_relation(path: str):
+def _relation(text: str):
     pairs = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            first, second = stripped.split()
-            pairs.add((Iri(first), Iri(second)))
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"line {number} of the relation holds {len(fields)} names, not 2")
+        pairs.add((Iri(fields[0]), Iri(fields[1])))
     return frozenset(pairs)
 
 
@@ -112,9 +113,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -123,25 +123,27 @@ def _cmd_check(args) -> int:
     except SparqlSatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError as exc:  # the reason `analyze` records for the entry
-        verdict = Unknown(f"RecursionError: {exc}")
     print(format_verdict_text(verdict))
     return 0
 
 
 def _cmd_dalab(args) -> int:
+    try:
+        _run_dalab(args)
+    except (OSError, SparqlSatError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # an unreadable file or an option value out of range; else malformed content, as for `check`
+        return 2 if isinstance(exc, (OSError, UnicodeDecodeError, BoundTooLarge, InvalidConstants)) else 1
+    return 0
+
+
+def _run_dalab(args) -> None:
     if args.dalab_command == "eval":
         expr = parse_da(args.expr)
-        try:
-            relation = _read_relation(args.relation)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = da_eval(expr, relation)
+        result = da_eval(expr, _relation(Path(args.relation).read_text(encoding="utf-8")))
         for x, y in sorted((x.name, y.name) for x, y in result):
             print(x, y)
-        return 0
-    if args.dalab_command == "compile":
+    elif args.dalab_command == "compile":
         expr = parse_da(args.expr)
         if args.variant == "negbound":
             pattern = emulate_negbound(expr)
@@ -155,8 +157,7 @@ def _cmd_dalab(args) -> int:
             elif args.variant == "eqc":
                 pattern = ab_sat_wrapper(expr, Iri(args.const_a), Iri(args.const_b))
         print(serialize_pattern(pattern))
-        return 0
-    if args.dalab_command == "search":
+    elif args.dalab_command == "search":
         expr = parse_da(args.expr)
         relation = bounded_sat_search(expr, args.max_adom)
         if relation is None:
@@ -164,24 +165,17 @@ def _cmd_dalab(args) -> int:
         else:
             for x, y in sorted((x.name, y.name) for x, y in relation):
                 print(x, y)
-        return 0
-    # cnf
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            cnf = parse_dimacs(handle.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    instance = cnf_to_choice_cover(cnf)
-    cover = choice_cover_solve(instance)
-    brute = cnf_satisfiable(cnf)
-    pattern = choice_cover_to_pattern(instance)
-    verdict = decide_satisfiability(pattern)
-    print(f"clauses: {len(cnf)}")
-    print(f"brute-force satisfiable: {brute}")
-    print(f"choice cover solvable:   {cover}")
-    print(f"pattern verdict:         {format_verdict_text(verdict).splitlines()[0]}")
-    return 0
+    else:  # cnf
+        cnf = parse_dimacs(Path(args.file).read_text(encoding="utf-8"))
+        instance = cnf_to_choice_cover(cnf)
+        cover = choice_cover_solve(instance)
+        brute = cnf_satisfiable(cnf)
+        pattern = choice_cover_to_pattern(instance)
+        verdict = decide_satisfiability(pattern)
+        print(f"clauses: {len(cnf)}")
+        print(f"brute-force satisfiable: {brute}")
+        print(f"choice cover solvable:   {cover}")
+        print(f"pattern verdict:         {format_verdict_text(verdict).splitlines()[0]}")
 
 
 def _cmd_gen(args) -> int:

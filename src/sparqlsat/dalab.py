@@ -110,33 +110,32 @@ def result_pairs(solutions: SolutionSet) -> BinaryRelation:
 
 # --- expression surface syntax (for the CLI) ------------------------------------
 
-_DA_TOKEN_RE = re.compile(r"\s*(R|[().|\-])")
+_DA_TOKEN_RE = re.compile(r"R|[().|\-]|(\S)")  # the group catches a character no token starts with
 _DA_PREC = {"|": 10, "-": 20, ".": 30}
 
 
 def parse_da(text: str) -> DAExpr:
-    """Parse `R`, `|` (union), `-` (difference), `.` (composition), parens."""
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        match = _DA_TOKEN_RE.match(text, pos)
-        if match is None:
-            raise QuerySyntaxError(f"cannot read {text[pos:].strip()[0]!r}", pos)
-        tokens.append(match.group(1))
-        pos = match.end()
-    tokens.append("$")
+    """Parse `R`, `|` (union), `-` (difference), `.` (composition), parens;
+    an error names the token that does not fit, or the end of input."""
+    tokens = []  # (token, offset), then ("", end) for the end of input
+    for match in _DA_TOKEN_RE.finditer(text):
+        if match.group(1):
+            raise QuerySyntaxError(f"cannot read {match.group()!r}", match.start())
+        tokens.append((match.group(), match.start()))
+    tokens.append(("", len(text)))
     index = 0
 
     def peek() -> str:
-        return tokens[index]
+        return tokens[index][0]
 
     def advance() -> str:
         nonlocal index
-        token = tokens[index]
         index += 1
-        return token
+        return tokens[index - 1][0]
+
+    def fail(message: str, at: int):
+        token, offset = tokens[at]
+        raise QuerySyntaxError(message.format(repr(token) if token else "end of input"), offset)
 
     def primary() -> DAExpr:
         token = advance()
@@ -145,9 +144,9 @@ def parse_da(text: str) -> DAExpr:
         if token == "(":
             inner = expr(0)
             if advance() != ")":
-                raise QuerySyntaxError("expected ')'", pos)
+                fail("expected ')', found {}", index - 1)
             return inner
-        raise QuerySyntaxError(f"unexpected {token!r} in relation expression", pos)
+        fail("unexpected {} in relation expression", index - 1)
 
     def expr(min_prec: int) -> DAExpr:
         left = primary()
@@ -159,8 +158,8 @@ def parse_da(text: str) -> DAExpr:
         return left
 
     result = expr(0)
-    if peek() != "$":
-        raise QuerySyntaxError(f"trailing {peek()!r}", pos)
+    if peek():
+        fail("trailing {}", index)
     return result
 
 

@@ -142,9 +142,15 @@ def condition_vars(condition: FilterCondition) -> Scheme:
         return frozenset((condition.left, condition.right))
     if isinstance(condition, Opaque):
         return condition.mentions
-    if isinstance(condition, NotExpr):
-        return condition_vars(condition.operand)
-    return condition_vars(condition.left) | condition_vars(condition.right)
+    found = set()
+    for node in post_order(condition, _rename_operands):  # a composite condition's nodes
+        if isinstance(node, (Bound, NegBound, EqC, NeqC)):
+            found.add(node.var)
+        elif isinstance(node, (Eq, Neq)):
+            found.update((node.left, node.right))
+        elif isinstance(node, Opaque):
+            found.update(node.mentions)
+    return frozenset(found)
 
 
 # --- the pattern AST ---------------------------------------------------------

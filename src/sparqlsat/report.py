@@ -104,7 +104,7 @@ def _record(entry: CorpusEntry, result) -> EntryRecord:
         return EntryRecord(entry.entry_id, entry.status, error=entry.error)
     if isinstance(result, Exception):
         reason = f"{type(result).__name__}: {result}"
-        if not isinstance(result, (SparqlSatError, RecursionError)):
+        if not isinstance(result, SparqlSatError):
             reason = f"internal-error: {reason}"
         return EntryRecord(entry.entry_id, "ok", verdict={"status": "unknown", "reason": reason})
     profile = result.profile

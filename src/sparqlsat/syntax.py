@@ -15,11 +15,16 @@ needs: PREFIX declarations, SELECT with projection or '*', brace groups with
 '.'-joined triple blocks, OPTIONAL, UNION, FILTER (including EXISTS), blank
 nodes (replaced by fresh variables), and 'a' for rdf:type.  Anything else
 raises UnsupportedFeature.
+
+Nothing here recurses: a group, SELECT body, EXISTS argument or condition
+in parentheses saves what encloses it on its reader's own stack, so any
+depth parses at the default recursion limit, and the writer keeps a stack.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .errors import QuerySyntaxError, UnsupportedFeature
 from .patterns import (
@@ -79,8 +84,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 _COMPACT_RESERVED = frozenset(("UNION", "AND", "OPT", "FILTER", "SELECT", "EXISTS", "bound"))
-_PATTERN_PREC = {"OPT": 10, "UNION": 20, "AND": 30}
-_PATTERN_NODE = {"OPT": Opt, "UNION": Union, "AND": And}
+#: Binary operators as (precedence, node class), all left-associative.
+_PATTERN_OPS = {"OPT": (10, Opt), "UNION": (20, Union), "AND": (30, And)}
+_CONDITION_OPS = {"||": (1, OrExpr), "&&": (2, AndExpr)}
 _TERM_KINDS = frozenset(("var", "iriref", "string", "number", "blank", "name"))
 _CMP_OPS = frozenset(("=", "!=", "<", ">", "<=", ">="))
 _SURFACE_UNSUPPORTED = frozenset(
@@ -140,12 +146,11 @@ class _Parser:
             self.pos += 1
         return token
 
-    def expect_op(self, op: str) -> _Token:
+    def expect_op(self, op: str) -> None:
         token = self.tokens[self.pos]
-        if token[1] == op:
-            self.pos += 1
-            return token
-        raise QuerySyntaxError(f"found {token[1]!r}", token[2], expected=repr(op))
+        if token[1] != op:
+            raise QuerySyntaxError(f"found {token[1]!r}", token[2], expected=repr(op))
+        self.pos += 1
 
     def at(self, value: str) -> bool:
         return self.tokens[self.pos][1] == value
@@ -154,6 +159,20 @@ class _Parser:
         """The name at the cursor upper-cased, to compare with keywords; else ''."""
         kind, value, _, _ = self.tokens[self.pos]
         return value.upper() if kind == "name" else ""
+
+    def operator(self, table: dict, operands: list, operators: list) -> bool:
+        """Apply the pending operators that bind at least as tightly as the
+        `table` operator at the cursor, then push it; with none, apply all."""
+        op = table.get(self.tokens[self.pos][1])
+        prec = 0 if op is None else op[0]
+        while operators and operators[-1][0] >= prec:
+            right = operands.pop()
+            operands[-1] = operators.pop()[1](operands[-1], right)
+        if op is None:
+            return False
+        self.pos += 1
+        operators.append(op)
+        return True
 
     # -- terms ----------------------------------------------------------------
 
@@ -218,37 +237,32 @@ class _Parser:
     # -- filter conditions -------------------------------------------------------
 
     def condition(self) -> FilterCondition:
-        left = self._cond_and()
-        while self.at("||"):
-            self.advance()
-            left = OrExpr(left, self._cond_and())
-        return left
-
-    def _cond_and(self) -> FilterCondition:
-        left = self._cond_not()
-        while self.at("&&"):
-            self.advance()
-            left = AndExpr(left, self._cond_not())
-        return left
-
-    def _cond_not(self) -> FilterCondition:
-        depth = 0
-        while self.at("!"):
-            self.advance()
-            depth += 1
-        operand = self._cond_atom()
-        for _ in range(depth):  # the innermost `!` applies first
-            operand = NegBound(operand.var) if isinstance(operand, Bound) else NotExpr(operand)
-        return operand
+        """The condition at the cursor; a `(` pushes a marker with its `!`s."""
+        operands, operators = [], []
+        while True:
+            negations = 0
+            while self.at("!"):
+                self.advance()
+                negations += 1
+            if self.at("("):
+                self.advance()
+                operators.append((-1, negations))
+                continue
+            operand = self._cond_atom()
+            while True:
+                for _ in range(negations):  # the innermost `!` applies first
+                    operand = NegBound(operand.var) if isinstance(operand, Bound) else NotExpr(operand)
+                operands.append(operand)
+                if self.operator(_CONDITION_OPS, operands, operators):
+                    break
+                if not operators:
+                    return operands[0]
+                self.expect_op(")")
+                operand, negations = operands.pop(), operators.pop()[1]
 
     def _cond_atom(self) -> FilterCondition:
         token = self.peek()
         kind, value, start, _ = token
-        if value == "(":
-            self.advance()
-            inner = self.condition()
-            self.expect_op(")")
-            return inner
         bound_name = self.word() == "BOUND" if self.surface else value == "bound"
         if bound_name and self.peek(1)[1] == "(":
             self.advance()
@@ -365,44 +379,55 @@ class _Parser:
 
 class _CompactParser(_Parser):
     def parse(self) -> Pattern:
-        pattern = self.pattern_expr(0)
-        kind, value, start, _ = self.peek()
-        if kind != "eof":
-            raise QuerySyntaxError(f"trailing {value!r}", start)
-        return pattern
-
-    def pattern_expr(self, min_prec: int) -> Pattern:
-        left = self.unit()
+        """A `(`, SELECT or EXISTS pushes a marker with what to apply at its `)`."""
+        operands, operators = [], []
+        pattern = None  # the unit just read, until an operator or a `)` follows it
         while True:
-            value = self.peek()[1]
-            if value not in _PATTERN_PREC:
-                return left
-            prec = _PATTERN_PREC[value]
-            if prec < min_prec:
-                return left
-            self.advance()
-            right = self.pattern_expr(prec + 1)
-            left = _PATTERN_NODE[value](left, right)
-
-    def unit(self) -> Pattern:
-        _, value, start, _ = self.peek()
-        if value == "(":
-            pattern = self._triple_or_group()
-        elif value == "SELECT":
-            pattern = self._select()
-        else:
-            raise QuerySyntaxError(f"found {value!r}", start, expected="'(' or SELECT")
-        while self.at("FILTER"):
-            self.advance()
-            if self.at("EXISTS"):
+            if pattern is None:
+                open_token = self.advance()
+                if open_token[1] == "SELECT":
+                    self.expect_op("{")
+                    scheme = self.variables()
+                    self.expect_op("}")
+                    self.expect_op("(")
+                    finish = partial(Select, frozenset(scheme))
+                elif open_token[1] != "(":
+                    raise QuerySyntaxError(f"found {open_token[1]!r}", open_token[2], expected="'(' or SELECT")
+                elif self._looks_like_triple():
+                    terms = (self.term(), self.term(), self.term())
+                    self.expect_op(")")
+                    try:
+                        pattern = TriplePattern(*terms)
+                    except ValueError as exc:
+                        raise QuerySyntaxError(str(exc), open_token[2]) from exc
+                    continue
+                else:
+                    finish = None
+            elif self.at("FILTER"):
+                self.advance()
+                if not self.at("EXISTS"):
+                    pattern = Filter(pattern, self.condition())
+                    continue
                 self.advance()
                 self.expect_op("(")
-                subquery = self.pattern_expr(0)
-                self.expect_op(")")
-                pattern = exists_rewrite(pattern, subquery)
+                finish = partial(exists_rewrite, pattern)
             else:
-                pattern = Filter(pattern, self.condition())
-        return pattern
+                operands.append(pattern)
+                pattern = None
+                if self.operator(_PATTERN_OPS, operands, operators):
+                    continue
+                if not operators:
+                    kind, value, start, _ = self.peek()
+                    if kind != "eof":
+                        raise QuerySyntaxError(f"trailing {value!r}", start)
+                    return operands[0]
+                self.expect_op(")")
+                pattern, finish = operands.pop(), operators.pop()[1]
+                if finish is not None:
+                    pattern = finish(pattern)
+                continue
+            operators.append((-1, finish))
+            pattern = None
 
     def _looks_like_triple(self) -> bool:
         for ahead in range(3):
@@ -410,31 +435,6 @@ class _CompactParser(_Parser):
             if kind not in _TERM_KINDS or value in _COMPACT_RESERVED:
                 return False
         return self.peek(3)[1] == ")"
-
-    def _triple_or_group(self) -> Pattern:
-        open_token = self.expect_op("(")
-        if self._looks_like_triple():
-            subject = self.term()
-            predicate = self.term()
-            obj = self.term()
-            self.expect_op(")")
-            try:
-                return TriplePattern(subject, predicate, obj)
-            except ValueError as exc:
-                raise QuerySyntaxError(str(exc), open_token[2]) from exc
-        pattern = self.pattern_expr(0)
-        self.expect_op(")")
-        return pattern
-
-    def _select(self) -> Pattern:
-        self.advance()
-        self.expect_op("{")
-        scheme = self.variables()
-        self.expect_op("}")
-        self.expect_op("(")
-        body = self.pattern_expr(0)
-        self.expect_op(")")
-        return Select(frozenset(scheme), body)
 
 
 class _SurfaceParser(_Parser):
@@ -486,40 +486,64 @@ class _SurfaceParser(_Parser):
             raise QuerySyntaxError(f"trailing {value!r}", start)
         return Select(scheme, body) if scheme is not None else body
 
-    def group(self) -> Pattern:
-        elements: list[tuple[str, Pattern]] = []
-        filters: list[tuple[str, object]] = []
+    def _braced_group(self) -> Pattern:
+        """A nested group saves its role ("opt", "exists", or "and" with the
+        left side of its UNION) and the enclosing group's state."""
+        self.expect_op("{")
+        stack, elements, filters, leading_optional = [], [], [], -1
         while True:
             kind, value, start, _ = self.peek()
-            if kind == "eof" or value == "}":
-                break
             word = self.word()
-            if word == "OPTIONAL":
+            if kind == "eof" or value == "}":
+                pattern = self._group_pattern(elements, filters, leading_optional)
+                self.expect_op("}")
+                if not stack:
+                    return pattern
+                elements, filters, leading_optional, role, left = stack.pop()
+                if role == "exists":
+                    filters.append((exists_rewrite, pattern))
+                    continue
+                if left is not None:
+                    pattern = Union(left, pattern)
+                if role == "opt" or self.word() != "UNION":
+                    elements.append((role, pattern))
+                    continue
+                self.advance()
+                left = pattern
+            elif word == "OPTIONAL":
                 if not elements:
                     leading_optional = start  # nothing precedes this OPTIONAL
                 self.advance()
-                elements.append(("opt", self._braced_group()))
+                role, left = "opt", None
             elif word == "FILTER":
                 self.advance()
                 word = self.word()
                 if word == "EXISTS":
                     self.advance()
-                    filters.append(("exists", self._braced_group()))
+                    role, left = "exists", None
                 elif word == "NOT":
                     raise UnsupportedFeature("NOT EXISTS", self.peek()[2])
                 else:
-                    filters.append(("cond", self.condition()))
+                    filters.append((Filter, self.condition()))
+                    continue
             elif word in _SURFACE_UNSUPPORTED:
                 raise UnsupportedFeature(word, start)
             elif value == "{":
-                elements.append(("and", self._braced_union()))
+                role, left = "and", None
             elif value == ".":
                 self.advance()
+                continue
             elif kind in _TERM_KINDS or value == "[":
                 self._triple_block(elements)
+                continue
             else:
                 raise QuerySyntaxError(f"found {value!r} in a group", start)
+            stack.append((elements, filters, leading_optional, role, left))
+            self.expect_op("{")
+            elements, filters, leading_optional = [], [], -1
 
+    def _group_pattern(self, elements: list, filters: list, leading_optional: int) -> Pattern:
+        """Fold a group's elements left to right, then apply its filters."""
         pattern: Pattern | None = None
         for kind, sub in elements:
             if kind == "and":
@@ -530,24 +554,8 @@ class _SurfaceParser(_Parser):
                 pattern = Opt(pattern, sub)
         if pattern is None:
             raise QuerySyntaxError("empty group pattern", self.peek()[2])
-        for kind, payload in filters:
-            if kind == "cond":
-                pattern = Filter(pattern, payload)
-            else:
-                pattern = exists_rewrite(pattern, payload)
-        return pattern
-
-    def _braced_group(self) -> Pattern:
-        self.expect_op("{")
-        pattern = self.group()
-        self.expect_op("}")
-        return pattern
-
-    def _braced_union(self) -> Pattern:
-        pattern = self._braced_group()
-        while self.word() == "UNION":
-            self.advance()
-            pattern = Union(pattern, self._braced_group())
+        for make, payload in filters:  # `Filter` with a condition, `exists_rewrite` with a subquery
+            pattern = make(pattern, payload)
         return pattern
 
     def _triple_block(self, elements: list):
@@ -612,16 +620,10 @@ def parse_pattern(text: str) -> Pattern:
     pattern AST.
 
     Blank nodes in triple positions are replaced by fresh variables; FILTER
-    EXISTS is rewritten to a projected conjunction at parse time.  Nesting
-    past the interpreter's recursion limit raises UnsupportedFeature at the
-    token the parser stopped at.
+    EXISTS is rewritten to a projected conjunction at parse time.
     """
     tokens = _tokenize(text)
-    parser = _detect_dialect(tokens)(text, tokens)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise UnsupportedFeature("nesting deeper than the parser supports", parser.peek()[2]) from None
+    return _detect_dialect(tokens)(text, tokens).parse()
 
 
 def _detect_dialect(tokens: list[_Token]) -> type[_Parser]:
@@ -667,6 +669,7 @@ def _term_compact(term: Term) -> str:
 
 
 def serialize_condition(condition: FilterCondition) -> str:
+    """An atom's or opaque condition's text; `serialize_pattern` writes the rest."""
     if isinstance(condition, Bound):
         return f"bound(?{condition.var.name})"
     if isinstance(condition, NegBound):
@@ -681,23 +684,17 @@ def serialize_condition(condition: FilterCondition) -> str:
         return f"?{condition.var.name} != {_term_compact(condition.constant)}"
     if isinstance(condition, Opaque):
         return condition.text
-    if isinstance(condition, NotExpr):
-        return f"!({serialize_condition(condition.operand)})"
-    if isinstance(condition, AndExpr):
-        return f"({serialize_condition(condition.left)} && {serialize_condition(condition.right)})"
-    if isinstance(condition, OrExpr):
-        return f"({serialize_condition(condition.left)} || {serialize_condition(condition.right)})"
-    raise ValueError(f"cannot serialize condition: {condition!r}")
+    raise ValueError(f"cannot serialize {condition!r}")
 
 
-_OPERATOR_WORDS = {Union: " UNION ", And: " AND ", Opt: " OPT "}
+_OPERATOR_WORDS = {Union: " UNION ", And: " AND ", Opt: " OPT ", AndExpr: " && ", OrExpr: " || "}
 
 
 def serialize_pattern(pattern: Pattern) -> str:
     """Render the compact form; parsing it back yields a structurally equal AST.
 
     The pieces are written left to right off an explicit stack of pending
-    pieces and nodes, so depth costs no frames and the text is built once.
+    pieces, nodes and conditions, so depth costs no frames.
     """
 
     def wrapped(node: Pattern) -> tuple:  # an operand's pieces, reversed for the stack
@@ -714,11 +711,15 @@ def serialize_pattern(pattern: Pattern) -> str:
         elif isinstance(node, (Union, And, Opt)):
             todo += (*wrapped(node.right), _OPERATOR_WORDS[type(node)], *wrapped(node.left))
         elif isinstance(node, Filter):
-            todo += (f" FILTER {serialize_condition(node.condition)}", *wrapped(node.pattern))
+            todo += (node.condition, " FILTER ", *wrapped(node.pattern))
         elif isinstance(node, Select):
             names = ", ".join(f"?{v.name}" for v in sorted(node.scheme, key=lambda v: v.name))
             out.append(f"SELECT {{{names}}} (")
             todo += (")", node.pattern)
+        elif isinstance(node, (AndExpr, OrExpr)):
+            todo += (")", node.right, _OPERATOR_WORDS[type(node)], node.left, "(")
+        elif isinstance(node, NotExpr):
+            todo += (")", node.operand, "!(")
         else:
-            raise ValueError(f"cannot serialize pattern: {node!r}")
+            out.append(serialize_condition(node))
     return "".join(out)

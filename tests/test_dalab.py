@@ -42,7 +42,7 @@ from sparqlsat.dalab import (
     RESULT_X,
     RESULT_Y,
 )
-from sparqlsat.errors import BoundTooLarge, EmptyChoiceSet, InvalidConstants
+from sparqlsat.errors import BoundTooLarge, EmptyChoiceSet, InvalidConstants, QuerySyntaxError
 
 a, b, c, d = Iri("a"), Iri("b"), Iri("c"), Iri("d")
 CHAIN_RELATION = frozenset([(a, b), (b, c), (a, c), (c, d)])
@@ -68,6 +68,24 @@ def test_da_parse_and_render_roundtrip():
     for text in ("R", "(R . R) - R", "R | (R - (R . R))", "((R . R) - R) . R - (R . R) . R"):
         expr = parse_da(text)
         assert parse_da(da_text(expr)) == expr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("R ..", "unexpected '.' in relation expression at offset 3"),
+        ("R R", "trailing 'R' at offset 2"),
+        ("(R", "expected ')', found end of input at offset 2"),
+        ("(R R)", "expected ')', found 'R' at offset 3"),
+        ("R -", "unexpected end of input in relation expression at offset 3"),
+        ("", "unexpected end of input in relation expression at offset 0"),
+        ("R .  x", "cannot read 'x' at offset 5"),
+    ],
+)
+def test_da_syntax_errors_name_the_offending_token(text, message):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_da(text)
+    assert str(info.value) == message
 
 
 def test_graph_of_relation():

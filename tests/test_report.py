@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
+from deep_nests import decided_nests
 from sparqlsat.cli import main
 from sparqlsat.corpus import entry_from_text, generate_corpus, ingest_corpus, write_corpus
 from sparqlsat.report import (
     PipelineOptions,
     analyze_batch,
     emit_report,
+    format_verdict_text,
     measure_scaling,
     pearson,
 )
+from sparqlsat.satisfiability import decide_satisfiability
 from sparqlsat.syntax import parse_pattern
 
 
@@ -430,48 +434,40 @@ def test_cli_check_prints_witness(tmp_path, capsys):
     assert "witness graph:" in out
 
 
-#: Inputs nested past the parser's recursion limit: a group, negated
-#: parentheses and parentheses in a FILTER.
-DEEP_QUERIES = [
-    "SELECT * WHERE " + "{ " * 1000 + "?x <p> ?y" + " }" * 1000,
-    "SELECT * WHERE { ?x <p> ?y FILTER(" + "!(" * 400 + "bound(?y)" + ")" * 400 + ") }",
-    "SELECT * WHERE { ?x <p> ?y FILTER" + "(" * 400 + "bound(?y)" + ")" * 400 + " }",
-]
+@pytest.mark.parametrize("name", list(decided_nests()))
+def test_cli_check_decides_a_deep_nest(name, tmp_path, capsys):
+    assert sys.getrecursionlimit() == 1000
+    text = decided_nests()[name]
+    query = tmp_path / "query.rq"
+    query.write_text(text)
+    assert main(["check", str(query)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == format_verdict_text(decide_satisfiability(parse_pattern(text))) + "\n"
+    assert captured.out.startswith("satisfiable") and captured.err == ""
 
 
-def test_deep_entries_are_unsupported_and_do_not_abort_the_batch(tmp_path):
+def test_deep_entries_are_decided_and_leave_the_batch_unchanged(tmp_path):
+    deep = list(decided_nests().values())
     ordinary = GOLDEN_QUERIES + generate_corpus(20, seed=5)
-    queries = ordinary[:3] + DEEP_QUERIES[:1] + ordinary[3:10] + DEEP_QUERIES[1:] + ordinary[10:]
+    queries = ordinary[:3] + deep[:5] + ordinary[3:10] + deep[5:] + ordinary[10:]
     path = tmp_path / "corpus.txt"
     write_corpus(str(path), queries, "delim")
     options = PipelineOptions(repeats=0, builtins_as_bound=True)
     report = analyze_batch(ingest_corpus(str(path)), options)
     assert report.total == len(queries) == len(report.entries)
-    deep = [record for record, text in zip(report.entries, queries) if text in DEEP_QUERIES]
-    assert [record.status for record in deep] == ["unsupported"] * 3
-    assert all("nesting deeper than the parser supports" in record.error for record in deep)
+    deep_records = [record for record, text in zip(report.entries, queries) if text in deep]
+    assert [(record.status, record.verdict["status"]) for record in deep_records] == [("ok", "satisfiable")] * len(deep)
     expected = analyze_batch(entries_from(ordinary), options).entries
-    kept = [record for record, text in zip(report.entries, queries) if text not in DEEP_QUERIES]
+    kept = [record for record, text in zip(report.entries, queries) if text not in deep]
     assert [(r.status, r.verdict, r.error) for r in kept] == [(r.status, r.verdict, r.error) for r in expected]
 
 
-def test_cli_check_answers_a_recursion_error_in_one_line(tmp_path, capsys, monkeypatch):
-    from sparqlsat import satisfiability
-
-    def exhausted(pattern, **options):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    # a stage of the pipeline that runs out of stack, on any input
-    monkeypatch.setattr(satisfiability, "normalize_filters", exhausted)
-    text = "SELECT ?s WHERE { ?s <p> ?o FILTER(bound(?o)) }"
+def test_cli_check_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     query = tmp_path / "query.rq"
-    query.write_text(text)
-    assert main(["check", str(query)]) == 0
+    query.write_bytes('SELECT * WHERE { ?x <p> "café" }'.encode("latin-1"))
+    assert main(["check", str(query)]) == 2
     captured = capsys.readouterr()
-    assert captured.out.startswith("unknown (RecursionError: maximum recursion depth exceeded")
-    assert captured.out.count("\n") == 1 and captured.err == ""
-    (record,) = analyze_batch(entries_from([text]), PipelineOptions(repeats=0)).entries
-    assert record.verdict["reason"].startswith("RecursionError: maximum recursion depth exceeded")
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_dalab_round(tmp_path, capsys):
@@ -493,6 +489,34 @@ def test_cli_dalab_round(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "brute-force satisfiable: False" in out
     assert "unsatisfiable" in out
+
+
+@pytest.mark.parametrize(
+    "args, content, code",
+    [
+        pytest.param(["eval", "--expr", "R", "--relation", "{file}"], "a b c\n", 1, id="eval-three-fields"),
+        pytest.param(["eval", "--expr", "R", "--relation", "{file}"], "café b\n".encode("latin-1"), 2, id="eval-not-utf8"),
+        pytest.param(["eval", "--expr", "R", "--relation", "{file}"], None, 2, id="eval-missing-file"),
+        pytest.param(["eval", "--expr", "R ..", "--relation", "{file}"], "a b\n", 1, id="eval-malformed-expr"),
+        pytest.param(["compile", "--expr", "R R"], None, 1, id="compile-malformed-expr"),
+        pytest.param(["compile", "--expr", "R", "--variant", "eqc", "--const-a", "a", "--const-b", "a"], None, 2,
+                     id="compile-equal-constants"),
+        pytest.param(["search", "--expr", "(R"], None, 1, id="search-malformed-expr"),
+        pytest.param(["search", "--expr", "R", "--max-adom", "9"], None, 2, id="search-bound-too-large"),
+        pytest.param(["cnf", "{file}"], "p cnf 1 1\n1 x 0\n", 1, id="cnf-malformed-clause"),
+        pytest.param(["cnf", "{file}"], "c caf\xe9\np cnf 1 1\n1 0\n".encode("latin-1"), 2, id="cnf-not-utf8"),
+    ],
+)
+def test_cli_dalab_reports_bad_input_in_one_line(args, content, code, tmp_path, capsys):
+    # an unreadable file or an option value out of range exits 2, malformed content 1
+    path = tmp_path / "input.txt"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    assert main(["dalab"] + [arg.format(file=path) for arg in args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_traced_names_resolve():

@@ -2,12 +2,14 @@
 
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deep_nests import DEPTH, deep_nests
 from randgen import random_pattern
 from sparqlsat import (
     And,
@@ -181,16 +183,13 @@ def test_compact_true_is_the_iri_it_spells():
     assert pattern == Filter(tp(x, Iri("p"), Iri("true")), EqC(y, Iri("true")))
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["(" * 1000 + "?x p ?y" + ")" * 1000, "(?x p ?y) FILTER " + "!(" * 1000 + "bound(?y)" + ")" * 1000],
-    ids=["parentheses", "negated-parentheses"],
-)
-def test_compact_nesting_past_the_recursion_limit_is_unsupported(text):
-    # the surface grammar's deep inputs are run as corpus entries in test_report
-    with pytest.raises(UnsupportedFeature, match="nesting deeper than the parser supports") as info:
-        parse_pattern(text)
-    assert 0 < info.value.position < len(text)
+@pytest.mark.parametrize("name", list(deep_nests(DEPTH)))
+def test_deep_nesting_parses_and_round_trips(name):
+    # the parsers keep their own stacks; texts are compared, not ASTs,
+    # because dataclass equality recurses
+    assert sys.getrecursionlimit() == 1000
+    once = serialize_pattern(parse_pattern(deep_nests(DEPTH)[name]))
+    assert serialize_pattern(parse_pattern(once)) == once
 
 
 @pytest.mark.parametrize(
