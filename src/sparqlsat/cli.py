@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import FORMATS, generate_corpus, ingest_corpus, write_corpus
+from .corpus import FORMATS, generate_corpus, ingest_text, write_corpus
 from .dalab import (
     ab_sat_wrapper,
     bounded_sat_search,
@@ -76,6 +76,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`.  A file that is not UTF-8
+    raises an OSError, as an unreadable file does, naming the file, the
+    line and the value of the first byte that does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # its offset counts from the start of `data`
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise OSError(f"{path}: not UTF-8 (line {line}, byte 0x{data[exc.start]:02X})") from None
+        raise
+
+
 def _relation(text: str):
     pairs = set()
     for number, line in enumerate(text.splitlines(), 1):
@@ -101,7 +117,7 @@ def _cmd_analyze(args) -> int:
     )
     try:
         check_options(options)  # before reading the corpus
-        entries = ingest_corpus(args.file, args.format)
+        entries = ingest_text(_read_text(args.file), args.format)
         check_options(options, len(entries))
     except (OSError, UnknownFormat, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -113,8 +129,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:
+        text = _read_text(args.file)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -133,14 +149,14 @@ def _cmd_dalab(args) -> int:
     except (OSError, SparqlSatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # an unreadable file or an option value out of range; else malformed content, as for `check`
-        return 2 if isinstance(exc, (OSError, UnicodeDecodeError, BoundTooLarge, InvalidConstants)) else 1
+        return 2 if isinstance(exc, (OSError, BoundTooLarge, InvalidConstants)) else 1
     return 0
 
 
 def _run_dalab(args) -> None:
     if args.dalab_command == "eval":
         expr = parse_da(args.expr)
-        result = da_eval(expr, _relation(Path(args.relation).read_text(encoding="utf-8")))
+        result = da_eval(expr, _relation(_read_text(args.relation)))
         for x, y in sorted((x.name, y.name) for x, y in result):
             print(x, y)
     elif args.dalab_command == "compile":
@@ -166,7 +182,7 @@ def _run_dalab(args) -> None:
             for x, y in sorted((x.name, y.name) for x, y in relation):
                 print(x, y)
     else:  # cnf
-        cnf = parse_dimacs(Path(args.file).read_text(encoding="utf-8"))
+        cnf = parse_dimacs(_read_text(args.file))
         instance = cnf_to_choice_cover(cnf)
         cover = choice_cover_solve(instance)
         brute = cnf_satisfiable(cnf)

@@ -68,6 +68,11 @@ def ingest_corpus(path: str, fmt: str = "delim") -> list[CorpusEntry]:
         raise UnknownFormat(f"unknown corpus format: {fmt!r}")
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+    return ingest_text(text, fmt)
+
+
+def ingest_text(text: str, fmt: str = "delim") -> list[CorpusEntry]:
+    """Parse the text of a corpus file, as `ingest_corpus` does."""
     return [entry_from_text(i + 1, raw) for i, raw in enumerate(split_corpus(text, fmt))]
 
 

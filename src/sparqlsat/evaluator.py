@@ -58,7 +58,7 @@ from .terms import (
     RdfTriple,
     SolutionSet,
     Variable,
-    format_term,
+    graph_lines,
 )
 
 #: How `_pair_plan` makes a merged row when one domain holds the other.
@@ -489,8 +489,4 @@ def parse_graph(text: str) -> RdfGraph:
 
 def format_graph(graph: RdfGraph) -> str:
     """Serialize a graph in the fixture format, deterministically ordered."""
-    lines = sorted(
-        f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)} ."
-        for t in graph
-    )
-    return "\n".join(lines)
+    return "\n".join(graph_lines(graph))

@@ -26,6 +26,12 @@ RESERVED_VAR_PREFIX = "_g"
 _RESERVED_RE = re.compile(r"_g(\d+)$")
 
 
+#: The term classes a triple pattern takes by exact type, checked first;
+#: anything else goes through the checks that name what is wrong.
+_PATTERN_TERMS = frozenset((Iri, Literal, Variable))
+_PATTERN_PREDICATES = frozenset((Iri, Variable))
+
+
 @dataclass(frozen=True, slots=True)
 class TriplePattern:
     """A triple pattern; blank nodes are excluded (pre-replaced by variables)."""
@@ -35,6 +41,10 @@ class TriplePattern:
     object: Term
 
     def __post_init__(self):
+        if type(self.subject) in _PATTERN_TERMS and type(self.object) in _PATTERN_TERMS and (
+            type(self.predicate) in _PATTERN_PREDICATES
+        ):
+            return
         for position, term in (("subject", self.subject), ("predicate", self.predicate), ("object", self.object)):
             if not isinstance(term, (Iri, Literal, Variable)):
                 raise ValueError(f"triple pattern {position} must be an IRI, literal, or variable: {term!r}")
@@ -195,9 +205,10 @@ Position = tuple
 
 
 def children(pattern: Pattern) -> tuple[Pattern, ...]:
-    if isinstance(pattern, BINARY_TYPES):
+    kind = type(pattern)
+    if kind is And or kind is Opt or kind is Union:
         return (pattern.left, pattern.right)
-    if isinstance(pattern, (Filter, Select)):
+    if kind is Filter or kind is Select:
         return (pattern.pattern,)
     return ()
 

@@ -19,10 +19,9 @@ from dataclasses import asdict, dataclass, replace
 
 from .corpus import CorpusEntry, entry_from_text
 from .errors import SparqlSatError
-from .evaluator import format_graph
 from .satisfiability import Satisfiable, Unsatisfiable, run_pipeline
 from .syntax import parse_pattern
-from .terms import format_term
+from .terms import format_term, graph_lines
 
 SCHEMA_VERSION = 1
 STAGES = ("parse", "wrong_literal", "schemes", "well_designed")
@@ -65,13 +64,19 @@ class AnalysisReport:
     scaling: ScalingResult | None = None
 
 
+def _witness_texts(verdict: Satisfiable) -> tuple[list[str], list[tuple[str, str]]]:
+    """A SAT verdict's sorted witness lines and its sample as (variable,
+    value) texts, formatting each distinct term once: a sample's values
+    are terms of its witness."""
+    texts: dict = {}
+    lines = graph_lines(verdict.witness, texts)
+    return lines, [(str(v), texts.get(t) or format_term(t)) for v, t in verdict.sample.items()]
+
+
 def verdict_to_json(verdict) -> dict:
     if isinstance(verdict, Satisfiable):
-        return {
-            "status": "satisfiable",
-            "witness": sorted(str(t) for t in verdict.witness),
-            "sample": {str(v): format_term(t) for v, t in verdict.sample.items()},
-        }
+        lines, sample = _witness_texts(verdict)
+        return {"status": "satisfiable", "witness": lines, "sample": dict(sample)}
     if isinstance(verdict, Unsatisfiable):
         return {"status": "unsatisfiable", "reason": verdict.reason.value}
     return {"status": "unknown", "reason": verdict.reason}
@@ -279,9 +284,10 @@ def _emit_table(report: AnalysisReport) -> str:
 def format_verdict_text(verdict) -> str:
     """Human-oriented single verdict for the `check` command."""
     if isinstance(verdict, Satisfiable):
-        graph_text = format_graph(verdict.witness)
-        sample = ", ".join(f"{v} -> {format_term(t)}" for v, t in verdict.sample.items())
-        return f"satisfiable\nsample solution: {{{sample}}}\nwitness graph:\n{graph_text}"
+        lines, sample = _witness_texts(verdict)
+        graph_text = "\n".join(lines)
+        sample_text = ", ".join(f"{v} -> {t}" for v, t in sample)
+        return f"satisfiable\nsample solution: {{{sample_text}}}\nwitness graph:\n{graph_text}"
     if isinstance(verdict, Unsatisfiable):
         return f"unsatisfiable ({verdict.reason.value})"
     return f"unknown ({verdict.reason})"

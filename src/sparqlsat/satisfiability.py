@@ -146,12 +146,14 @@ Verdict = Satisfiable | Unsatisfiable | Unknown
 # --- witness graphs for the decidable fragments --------------------------------
 
 def _instantiate(facts: PatternFacts, model: Mapping) -> RdfGraph:
+    """The triple patterns with every variable replaced by its model value;
+    a constant is not in the model and stands for itself."""
+    image = dict(model.items()).get
     triples = []
     for tp in facts.triples:
+        subject, predicate, obj = tp.subject, tp.predicate, tp.object
         try:
-            triples.append(
-                RdfTriple(model.apply(tp.subject), model.apply(tp.predicate), model.apply(tp.object))
-            )
+            triples.append(RdfTriple(image(subject, subject), image(predicate, predicate), image(obj, obj)))
         except ValueError as exc:
             raise PreconditionViolated(f"triple pattern instantiates outside RDF: {exc}") from exc
     return RdfGraph.of(triples)
@@ -224,7 +226,14 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
                 raise AssertionError("target scheme lost in union branch")
             work.append((branch, target))
         elif kind is And or (kind is Opt and table[id(node.right)]):
-            work += _decompose(node, target, table)
+            left, right = table[id(node.left)], table[id(node.right)]
+            if len(left) == 1 == len(right):  # nothing to order
+                (s1,), (s2,) = left, right
+                if s1 | s2 != target:
+                    raise AssertionError("target scheme not decomposable over a join")
+                work += ((node.left, s1), (node.right, s2))
+            else:
+                work += _decompose(node, target, table)
         elif kind is Opt:  # the optional arm has no solutions
             work.append((node.left, target))
         elif kind is Filter:
@@ -236,16 +245,10 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
 
 def _decompose(node: Pattern, target: Scheme, table: dict) -> tuple:
     """The first maximal schemes of the two sides whose union is `target`."""
-    left, right = table[id(node.left)], table[id(node.right)]
-    if len(left) == 1 == len(right):  # nothing to order
-        (s1,), (s2,) = left, right
-        if s1 | s2 == target:
-            return (node.left, s1), (node.right, s2)
-        raise AssertionError("target scheme not decomposable over a join")
-    for s1 in sorted(left, key=scheme_sort_key):
+    for s1 in sorted(table[id(node.left)], key=scheme_sort_key):
         if not s1 <= target:
             continue
-        for s2 in sorted(right, key=scheme_sort_key):
+        for s2 in sorted(table[id(node.right)], key=scheme_sort_key):
             if s1 | s2 == target:
                 return (node.left, s1), (node.right, s2)
     raise AssertionError("target scheme not decomposable over a join")

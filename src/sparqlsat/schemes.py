@@ -33,8 +33,12 @@ One fold along a post-order, `_families`, computes all three kinds of
 family, one object per distinct family: a filter-free BGP's triples share {∅}.
 A join of two one-scheme sides is {s1 ∪ s2} without forming products, and
 so is an optional join's in the maximal table, where its left scheme lies
-below that union; `_maximal` runs only at a node with more than one
-candidate, so a BGP's table is one set union per AND.
+below that union.  When one of the two schemes contains the other, that
+union is the larger scheme, so the node reuses that side's family object
+and allocates nothing: the triples of a BGP whose variables no filter
+mentions all have {∅}, and so does every AND above them.  `_maximal` runs
+only at a node with more than one candidate, so a BGP's table costs at
+most one set union per AND.
 """
 
 from __future__ import annotations
@@ -103,8 +107,10 @@ def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> di
     for node in order:
         kind = type(node)
         if kind is TriplePattern:
-            scheme = frozenset(t for t in (node.subject, node.predicate, node.object) if type(t) is Variable)
-            out = frozenset((scheme if keep is None else scheme & keep,))
+            terms = (node.subject, node.predicate, node.object)
+            # `keep` holds variables only, so its members among the terms are the pruned scheme
+            scheme = frozenset(t for t in terms if type(t) is Variable) if keep is None else keep.intersection(terms)
+            out = frozenset((scheme,))
         elif kind is Filter:
             condition = node.condition
             if not is_atomic(condition):
@@ -118,7 +124,12 @@ def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> di
                 out = left | right
             elif len(left) == 1 == len(right) and (kind is And or maximal):
                 (s1,), (s2,) = left, right  # an OPT's s1 lies below s1 | s2
-                out = frozenset((s1 | s2,))
+                if s2 <= s1:
+                    out = left
+                elif s1 <= s2:
+                    out = right
+                else:
+                    out = frozenset((s1 | s2,))
             else:
                 out = _products(left, right, cap)
                 if kind is Opt:  # the left solutions that no arm solution extends

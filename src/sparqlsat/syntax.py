@@ -53,19 +53,25 @@ from .terms import Iri, Literal, Term, Variable
 
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
-#: Whitespace and comments match unnamed, so they yield no token.  A pname's
-#: local part, and a `^^` datatype pname, never end in a dot: that dot ends
-#: the triple.
+#: Each match is one token: the whitespace and comments before it, then
+#: the token in its named group, whose name is the token's kind.  At the
+#: end of the text the `eof` group matches empty, so the greedy skip never
+#: gives a comment back for a later alternative to read.  A pname's local
+#: part, and a `^^` datatype pname, never end in a dot: that dot ends the
+#: triple.
 _TOKEN_RE = re.compile(
     r"""
-      \s+ | \#[^\n]*
-    | (?P<iriref><[^<>\s]*>)
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      (?P<iriref><[^<>\s]*>)
     | (?P<string>"(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?)
     | (?P<blank>_:[A-Za-z0-9_]+)
     | (?P<var>[?$][A-Za-z0-9_]+)
     | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<name>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?|[A-Za-z_][A-Za-z0-9_-]*)
     | (?P<op>&&|\|\||!=|<=|>=|\S)
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
@@ -77,9 +83,10 @@ _Token = tuple[str, str, int, int]
 def _tokenize(text: str) -> list[_Token]:
     """Every token of `text` in one scan, then exactly one `eof` marker."""
     tokens = [
-        (kind, m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)
-    ]
-    tokens.append(("eof", "", len(text), len(text)))
+        (kind, m[kind], m.start(kind), m.end()) for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)
+    ]  # every match has a group: the condition only names it
+    if len(tokens) > 1 and tokens[-2][0] == "eof":  # text that ends in whitespace or a comment matches
+        tokens.pop()  # `eof` once past them and once more, empty, at the end
     return tokens
 
 

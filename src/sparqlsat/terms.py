@@ -28,7 +28,7 @@ import itertools
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator, Union
 
 _INTERN_LOCK = threading.Lock()
 
@@ -137,6 +137,12 @@ def format_term(term: Term) -> str:
     return str(term)
 
 
+#: The term classes an RDF triple takes by exact type, checked first;
+#: anything else goes through the checks that name what is wrong.
+_GRAPH_SUBJECTS = frozenset((Iri, BlankNode))
+_GRAPH_OBJECTS = frozenset((Iri, Literal, BlankNode))
+
+
 @dataclass(frozen=True, slots=True)
 class RdfTriple:
     """A triple of an RDF graph: (IRI or blank) x IRI x any term but a variable."""
@@ -146,6 +152,10 @@ class RdfTriple:
     object: Term
 
     def __post_init__(self):
+        if type(self.predicate) is Iri and type(self.subject) in _GRAPH_SUBJECTS and (
+            type(self.object) in _GRAPH_OBJECTS
+        ):
+            return
         if not isinstance(self.subject, (Iri, BlankNode)):
             raise ValueError(f"triple subject must be an IRI or blank node: {self.subject}")
         if not isinstance(self.predicate, Iri):
@@ -154,7 +164,20 @@ class RdfTriple:
             raise ValueError(f"triple object must not be a variable: {self.object}")
 
     def __str__(self) -> str:
-        return f"{format_term(self.subject)} {format_term(self.predicate)} {format_term(self.object)} ."
+        return graph_lines((self,))[0]
+
+
+def graph_lines(triples: Collection[RdfTriple], texts: dict | None = None) -> list[str]:
+    """The triples in the graph fixture syntax, one `<s> <p> <o> .` line
+    each, sorted.  Each distinct term is formatted once, into `texts`, a
+    dict from terms to their `format_term` text that a caller may pass to
+    read and extend."""
+    texts = {} if texts is None else texts
+    for triple in triples:
+        for term in (triple.subject, triple.predicate, triple.object):
+            if term not in texts:
+                texts[term] = format_term(term)
+    return sorted([f"{texts[t.subject]} {texts[t.predicate]} {texts[t.object]} ." for t in triples])
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from deep_nests import decided_nests
+from wide_shapes import LADDER, basic_graph_pattern
 from sparqlsat.cli import main
 from sparqlsat.corpus import entry_from_text, generate_corpus, ingest_corpus, write_corpus
 from sparqlsat.report import (
@@ -16,6 +17,7 @@ from sparqlsat.report import (
     format_verdict_text,
     measure_scaling,
     pearson,
+    verdict_to_json,
 )
 from sparqlsat.satisfiability import decide_satisfiability
 from sparqlsat.syntax import parse_pattern
@@ -300,6 +302,48 @@ def test_untimed_table_is_byte_identical_to_the_gate(builtins_as_bound, tmp_path
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_GATE_DIGESTS[builtins_as_bound]
 
 
+# Digest of what `check --builtins-as-bound` prints for the 18 wide shapes
+# and the 2,000 seed-777 corpus queries, each verdict text followed by a
+# NUL byte, at commit dfdaa2c: faster witness printing must print the same.
+CHECK_DIGEST = "6b7da1ebd3395178c3014d8b734a9a509866cabc840fbf2dc0741801d422c302"
+
+
+def test_check_output_is_byte_identical_to_the_gate():
+    digest = hashlib.sha256()
+    for text in [text for _, text in LADDER] + generate_corpus(2000, seed=777):
+        verdict = decide_satisfiability(parse_pattern(text), builtins_as_bound=True)
+        digest.update(format_verdict_text(verdict).encode() + b"\0")
+    assert digest.hexdigest() == CHECK_DIGEST
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        basic_graph_pattern(300),  # the constant model: one IRI for every variable
+        "SELECT * WHERE { ?x <p> ?y . ?y <q> ?z . ?z <r> \"v\" FILTER (?x != ?y && ?y != ?z) }",  # injective
+    ],
+    ids=["constant-model", "injective-model"],
+)
+def test_printing_a_witness_formats_each_distinct_term_once(query, monkeypatch):
+    from sparqlsat import report as report_module
+    from sparqlsat import terms
+
+    verdict = decide_satisfiability(parse_pattern(query), builtins_as_bound=True)
+    distinct = {term for triple in verdict.witness for term in (triple.subject, triple.predicate, triple.object)}
+    formatted, format_term = [], terms.format_term
+
+    def counting_format_term(term):
+        formatted.append(term)
+        return format_term(term)
+
+    monkeypatch.setattr(terms, "format_term", counting_format_term)
+    monkeypatch.setattr(report_module, "format_term", counting_format_term)
+    for render in (format_verdict_text, verdict_to_json):
+        formatted.clear()
+        render(verdict)
+        assert sorted(map(repr, formatted)) == sorted(map(repr, distinct))
+
+
 def test_verdict_records_serialize_witnesses():
     report = analyze_batch(entries_from(GOLDEN_QUERIES[:1]), PipelineOptions(repeats=0))
     verdict = report.entries[0].verdict
@@ -314,10 +358,14 @@ def test_report_is_stable_across_hash_seeds(tmp_path):
     import subprocess
     import sys
 
+    import sparqlsat
     from sparqlsat.corpus import write_corpus
 
     corpus = tmp_path / "corpus.txt"
     write_corpus(str(corpus), generate_corpus(40, seed=8), "delim")
+    # the child imports the package this test imported, however pytest found it
+    package_root = os.path.dirname(os.path.dirname(sparqlsat.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     script = (
         "import sys\n"
         "from sparqlsat.corpus import ingest_corpus\n"
@@ -328,7 +376,7 @@ def test_report_is_stable_across_hash_seeds(tmp_path):
     )
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         result = subprocess.run(
             [sys.executable, "-c", script, str(corpus)],
             capture_output=True,
@@ -462,12 +510,20 @@ def test_deep_entries_are_decided_and_leave_the_batch_unchanged(tmp_path):
     assert [(r.status, r.verdict, r.error) for r in kept] == [(r.status, r.verdict, r.error) for r in expected]
 
 
-def test_cli_check_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+def _assert_not_utf8_reported(command, tmp_path, capsys):
     query = tmp_path / "query.rq"
-    query.write_bytes('SELECT * WHERE { ?x <p> "café" }'.encode("latin-1"))
-    assert main(["check", str(query)]) == 2
+    query.write_bytes('SELECT * WHERE {\n  ?x <p> "café" }'.encode("latin-1"))
+    assert main([command, str(query)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and captured.err == f"error: {query}: not UTF-8 (line 2, byte 0xE9)\n"
+
+
+def test_cli_check_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    _assert_not_utf8_reported("check", tmp_path, capsys)
+
+
+def test_cli_analyze_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    _assert_not_utf8_reported("analyze", tmp_path, capsys)
 
 
 def test_cli_dalab_round(tmp_path, capsys):
@@ -495,7 +551,7 @@ def test_cli_dalab_round(tmp_path, capsys):
     "args, content, code",
     [
         pytest.param(["eval", "--expr", "R", "--relation", "{file}"], "a b c\n", 1, id="eval-three-fields"),
-        pytest.param(["eval", "--expr", "R", "--relation", "{file}"], "café b\n".encode("latin-1"), 2, id="eval-not-utf8"),
+        pytest.param(["eval", "--expr", "R", "--relation", "{file}"], "a b\ncafé b\n".encode("latin-1"), 2, id="eval-not-utf8"),
         pytest.param(["eval", "--expr", "R", "--relation", "{file}"], None, 2, id="eval-missing-file"),
         pytest.param(["eval", "--expr", "R ..", "--relation", "{file}"], "a b\n", 1, id="eval-malformed-expr"),
         pytest.param(["compile", "--expr", "R R"], None, 1, id="compile-malformed-expr"),
@@ -504,7 +560,7 @@ def test_cli_dalab_round(tmp_path, capsys):
         pytest.param(["search", "--expr", "(R"], None, 1, id="search-malformed-expr"),
         pytest.param(["search", "--expr", "R", "--max-adom", "9"], None, 2, id="search-bound-too-large"),
         pytest.param(["cnf", "{file}"], "p cnf 1 1\n1 x 0\n", 1, id="cnf-malformed-clause"),
-        pytest.param(["cnf", "{file}"], "c caf\xe9\np cnf 1 1\n1 0\n".encode("latin-1"), 2, id="cnf-not-utf8"),
+        pytest.param(["cnf", "{file}"], "c a formula\nc caf\xe9\np cnf 1 1\n1 0\n".encode("latin-1"), 2, id="cnf-not-utf8"),
     ],
 )
 def test_cli_dalab_reports_bad_input_in_one_line(args, content, code, tmp_path, capsys):
@@ -517,6 +573,8 @@ def test_cli_dalab_reports_bad_input_in_one_line(args, content, code, tmp_path, 
     assert main(["dalab"] + [arg.format(file=path) for arg in args]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if isinstance(content, bytes):  # the file, the line and the byte that is not UTF-8
+        assert captured.err == f"error: {path}: not UTF-8 (line 2, byte 0xE9)\n"
 
 
 def test_traced_names_resolve():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import random_pattern
+from wide_shapes import basic_graph_pattern
 from sparqlsat import (
     Bound,
     Eq,
@@ -150,3 +151,25 @@ def test_deep_optional_nest_prunes_to_two_filter_variables():
     assert pruned
     assert len(pruned) <= 4
     assert elapsed < 0.05
+
+
+def test_a_filter_free_bgp_shares_one_family_and_joins_build_none(monkeypatch):
+    # every triple of a BGP without filters has the family {∅}; each AND
+    # reuses a side's family instead of building {s1 ∪ s2}
+    from sparqlsat import schemes
+
+    pattern = parse_pattern(basic_graph_pattern(300))
+    built = []
+
+    def counting_frozenset(*args):
+        built.append(args)
+        return frozenset(*args)
+
+    monkeypatch.setattr(schemes, "frozenset", counting_frozenset, raising=False)
+    fv, table = scheme_table(pattern)
+    monkeypatch.undo()
+    assert fv == frozenset()
+    assert len(table) == 300 + 299
+    assert len({id(f) for f in table.values()}) == 1
+    assert table[id(pattern)] == family(set())
+    assert len(built) == 300  # the triples' families; no AND builds one

@@ -119,6 +119,35 @@ def test_triple_pattern_invariants():
         TriplePattern(BlankNode("b"), Iri("p"), Variable("y"))
 
 
+_a, _lit, _var, _blank = Iri("a"), Literal("l"), Variable("v"), BlankNode("b")
+
+
+# Both classes accept a triple by the exact types of its terms first; each
+# bad position must still be named as it was before that check existed.
+@pytest.mark.parametrize(
+    "make, terms, message",
+    [
+        (TriplePattern, (_blank, _a, _var), "triple pattern subject must be an IRI, literal, or variable: BlankNode('b')"),
+        (TriplePattern, (_var, _blank, _var), "triple pattern predicate must be an IRI, literal, or variable: BlankNode('b')"),
+        (TriplePattern, (_var, _a, _blank), "triple pattern object must be an IRI, literal, or variable: BlankNode('b')"),
+        (TriplePattern, (_var, _lit, _var), "triple pattern predicate must not be a literal"),
+        (TriplePattern, ("x", _a, _var), "triple pattern subject must be an IRI, literal, or variable: 'x'"),
+        (TriplePattern, (_var, _a, None), "triple pattern object must be an IRI, literal, or variable: None"),
+        (RdfTriple, (_lit, _a, _a), 'triple subject must be an IRI or blank node: "l"'),
+        (RdfTriple, (_var, _a, _a), "triple subject must be an IRI or blank node: ?v"),
+        (RdfTriple, ("x", _a, _a), "triple subject must be an IRI or blank node: x"),
+        (RdfTriple, (_a, _lit, _a), 'triple predicate must be an IRI: "l"'),
+        (RdfTriple, (_a, _blank, _a), "triple predicate must be an IRI: _:b"),
+        (RdfTriple, (_a, _var, _a), "triple predicate must be an IRI: ?v"),
+        (RdfTriple, (_a, _a, _var), "triple object must not be a variable: ?v"),
+    ],
+)
+def test_a_bad_triple_position_is_named(make, terms, message):
+    with pytest.raises(ValueError) as raised:
+        make(*terms)
+    assert str(raised.value) == message
+
+
 def test_mapping_application_and_identity_on_constants():
     m = Mapping({Variable("x"): Iri("a")})
     assert m.apply(Variable("x")) == Iri("a")
