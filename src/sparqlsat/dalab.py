@@ -37,6 +37,7 @@ from .patterns import (
     Pattern,
     TriplePattern,
     Union,
+    post_order,
     rename_vars,
 )
 from .terms import Iri, RdfGraph, RdfTriple, SolutionSet, Variable
@@ -77,20 +78,29 @@ class DComp:
 DAExpr = Rel | DUnion | DDiff | DComp
 
 
+def _da_operands(expr: DAExpr) -> tuple:
+    return () if type(expr) is Rel else (expr.left, expr.right)
+
+
 def da_eval(expr: DAExpr, relation: BinaryRelation) -> BinaryRelation:
-    """Evaluate an expression on a finite binary relation."""
-    if isinstance(expr, Rel):
-        return frozenset(relation)
-    left = da_eval(expr.left, relation)
-    right = da_eval(expr.right, relation)
-    if isinstance(expr, DUnion):
-        return left | right
-    if isinstance(expr, DDiff):
-        return left - right
-    by_first: dict = {}
-    for y, z in right:
-        by_first.setdefault(y, []).append(z)
-    return frozenset((x, z) for x, y in left for z in by_first.get(y, ()))
+    """Evaluate an expression on a finite binary relation, one fold over
+    its distinct subexpressions."""
+    values: dict = {}
+    for node in post_order(expr, _da_operands):
+        kind = type(node)
+        if kind is Rel:
+            value = frozenset(relation)
+        elif kind is DUnion:
+            value = values[id(node.left)] | values[id(node.right)]
+        elif kind is DDiff:
+            value = values[id(node.left)] - values[id(node.right)]
+        else:
+            by_first: dict = {}
+            for y, z in values[id(node.right)]:
+                by_first.setdefault(y, []).append(z)
+            value = frozenset((x, z) for x, y in values[id(node.left)] for z in by_first.get(y, ()))
+        values[id(node)] = value
+    return values[id(expr)]
 
 
 def adom(relation: BinaryRelation) -> frozenset:
@@ -111,67 +121,70 @@ def result_pairs(solutions: SolutionSet) -> BinaryRelation:
 # --- expression surface syntax (for the CLI) ------------------------------------
 
 _DA_TOKEN_RE = re.compile(r"R|[().|\-]|(\S)")  # the group catches a character no token starts with
-_DA_PREC = {"|": 10, "-": 20, ".": 30}
+_DA_OPS = {"|": (10, DUnion), "-": (20, DDiff), ".": (30, DComp)}
+_DA_SYMBOLS = {kind: symbol for symbol, (_, kind) in _DA_OPS.items()}
 
 
 def parse_da(text: str) -> DAExpr:
-    """Parse `R`, `|` (union), `-` (difference), `.` (composition), parens;
-    an error names the token that does not fit, or the end of input."""
+    """Parse `R`, `|` (union), `-` (difference), `.` (composition), parens,
+    on an operator stack where a `(` pushes a marker; an error names the
+    token that does not fit, or the end of input."""
     tokens = []  # (token, offset), then ("", end) for the end of input
     for match in _DA_TOKEN_RE.finditer(text):
         if match.group(1):
             raise QuerySyntaxError(f"cannot read {match.group()!r}", match.start())
         tokens.append((match.group(), match.start()))
     tokens.append(("", len(text)))
-    index = 0
-
-    def peek() -> str:
-        return tokens[index][0]
-
-    def advance() -> str:
-        nonlocal index
-        index += 1
-        return tokens[index - 1][0]
 
     def fail(message: str, at: int):
         token, offset = tokens[at]
         raise QuerySyntaxError(message.format(repr(token) if token else "end of input"), offset)
 
-    def primary() -> DAExpr:
-        token = advance()
-        if token == "R":
-            return Rel()
+    operands, operators = [], []  # operators: (precedence, node class), or (-1, None) for a `(`
+    index = 0
+    while True:
+        token = tokens[index][0]
+        index += 1
         if token == "(":
-            inner = expr(0)
-            if advance() != ")":
-                fail("expected ')', found {}", index - 1)
-            return inner
-        fail("unexpected {} in relation expression", index - 1)
-
-    def expr(min_prec: int) -> DAExpr:
-        left = primary()
-        while peek() in _DA_PREC and _DA_PREC[peek()] >= min_prec:
-            op = advance()
-            right = expr(_DA_PREC[op] + 1)
-            node = {"|": DUnion, "-": DDiff, ".": DComp}[op]
-            left = node(left, right)
-        return left
-
-    result = expr(0)
-    if peek():
-        fail("trailing {}", index)
-    return result
+            operators.append((-1, None))
+            continue
+        if token != "R":
+            fail("unexpected {} in relation expression", index - 1)
+        operands.append(Rel())
+        while True:  # after an operand: apply what binds at least as tightly as the next token
+            token = tokens[index][0]
+            op = _DA_OPS.get(token)
+            prec = 0 if op is None else op[0]
+            while operators and operators[-1][0] >= prec:
+                right = operands.pop()
+                operands[-1] = operators.pop()[1](operands[-1], right)
+            if op is not None:
+                operators.append(op)
+                index += 1
+                break
+            if not operators:
+                if token:
+                    fail("trailing {}", index)
+                return operands[0]
+            if token != ")":
+                fail("expected ')', found {}", index)
+            operators.pop()
+            index += 1
 
 
 def da_text(expr: DAExpr) -> str:
-    if isinstance(expr, Rel):
-        return "R"
-    op = {DUnion: "|", DDiff: "-", DComp: "."}[type(expr)]
-
-    def wrap(e: DAExpr) -> str:
-        return "R" if isinstance(e, Rel) else f"({da_text(e)})"
-
-    return f"{wrap(expr.left)} {op} {wrap(expr.right)}"
+    """The expression with every operand but `R` in parentheses, written
+    left to right off an explicit stack of pending pieces and expressions."""
+    pieces: list = []
+    todo: list = ["R" if type(expr) is Rel else expr]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        left, right = (("R",) if type(side) is Rel else ("(", side, ")") for side in (item.left, item.right))
+        todo += reversed((*left, f" {_DA_SYMBOLS[type(item)]} ", *right))
+    return "".join(pieces)
 
 
 # --- the three difference-emulating compilers ------------------------------------
@@ -185,21 +198,33 @@ def _adom_gadget(var: Variable, aux_in: Variable, aux_out: Variable, predicate: 
 
 
 def _compile(expr: DAExpr, fresh: FreshVars, predicate: Iri, diff) -> Pattern:
-    if isinstance(expr, Rel):
-        return TriplePattern(RESULT_X, predicate, RESULT_Y)
-    if isinstance(expr, DUnion):
-        return Union(_compile(expr.left, fresh, predicate, diff), _compile(expr.right, fresh, predicate, diff))
-    if isinstance(expr, DComp):
-        left = _compile(expr.left, fresh, predicate, diff)
-        right = _compile(expr.right, fresh, predicate, diff)
-        middle = fresh.take()
-        return And(
-            rename_vars(left, {RESULT_Y: middle}),
-            rename_vars(right, {RESULT_X: middle}),
-        )
-    left = _compile(expr.left, fresh, predicate, diff)
-    right = _compile(expr.right, fresh, predicate, diff)
-    return diff(left, right, fresh, predicate)
+    """One fold over the expression tree, each occurrence of a shared
+    subexpression compiled on its own.  Every node is built over ?x and ?y;
+    a composition takes its middle variable after both sides and records it
+    for ?y on its left side and for ?x on its right, and one scoped renaming
+    at the end applies them all."""
+    renamings: dict = {}
+    results: list = []
+    todo = [(expr, False)]
+    while todo:
+        node, ready = todo.pop()
+        kind = type(node)
+        if kind is Rel:
+            results.append(TriplePattern(RESULT_X, predicate, RESULT_Y))
+        elif not ready:  # its sides first, the left one before the right one
+            todo += ((node, True), (node.right, False), (node.left, False))
+        else:
+            right = results.pop()
+            left = results.pop()
+            if kind is DUnion:
+                results.append(Union(left, right))
+            elif kind is DComp:
+                middle = fresh.take()
+                renamings[id(left)], renamings[id(right)] = {RESULT_Y: middle}, {RESULT_X: middle}
+                results.append(And(left, right))
+            else:
+                results.append(diff(left, right, fresh, predicate))
+    return rename_vars(results[0], renamings)
 
 
 def emulate_negbound(expr: DAExpr, predicate: Iri = DEFAULT_RELATION_PREDICATE) -> Pattern:

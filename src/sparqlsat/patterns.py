@@ -12,12 +12,15 @@ recurses; `rebuilt` rebuilds a node only when a child changed.
 `pattern_facts` collects what a pattern contains (variables, constants,
 filter variables and conditions, triples, node classes, the post-order)
 into one `PatternFacts` record in that walk; the helpers here read it.
+`rename_vars` walks down and back up on its own stack, carrying the
+renaming in force, so one call applies renamings scoped to many subtrees.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from operator import is_
 
 from .terms import Constant, Iri, Literal, Scheme, Term, Variable, is_constant
 
@@ -334,30 +337,106 @@ def _rename_operands(node) -> tuple:
     return children(node)
 
 
-def rename_vars(pattern: Pattern, renaming: dict[Variable, Variable]) -> Pattern:
-    """Apply a variable renaming throughout a pattern and its filter
-    conditions, in one walk over both."""
-    done: dict = {}
-    for node in post_order(pattern, _rename_operands):
+def rename_vars(pattern: Pattern, renamings: dict) -> Pattern:
+    """Rename variables by scope: `renamings` maps a node's id to a renaming
+    of the variables at and below that node, SELECT schemes and FILTER
+    conditions included.  Where several renamings apply, the innermost one
+    wins for the variables it names.  One walk, down and back up; a node in
+    which nothing is renamed is returned itself, and a node reached below
+    two parents is renamed in each parent's scope.
+    """
+    if not renamings:
+        return pattern
+    scope: dict = {}  # the renaming in force where the walk is
+    results: list = []
+    todo: list = [pattern]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:  # every child of the node is renamed, the last on top
+            node, replaced = node
+        else:
+            own = renamings.get(id(node))
+            replaced = None
+            if own:  # in force below the node, undone after it
+                replaced = {var: scope.get(var) for var in own}
+                scope.update(own)
+            kind = type(node)
+            if kind is not TriplePattern:
+                todo.append((node, replaced))
+                todo += (node.pattern,) if kind is Filter or kind is Select else (node.right, node.left)
+                continue
         kind = type(node)
         if kind is TriplePattern:
-            out = TriplePattern(*(renaming.get(t, t) for t in node.terms()))
+            s, p, o = node.subject, node.predicate, node.object
+            if scope and (s in scope or p in scope or o in scope):
+                node = TriplePattern(scope.get(s, s), scope.get(p, p), scope.get(o, o))
+            results.append(node)
         elif kind is Filter:
-            out = Filter(done[id(node.pattern)], done[id(node.condition)])
+            condition = _renamed_condition(node.condition, scope) if scope else node.condition
+            if results[-1] is not node.pattern or condition is not node.condition:
+                node = Filter(results[-1], condition)
+            results[-1] = node
         elif kind is Select:
-            out = Select(frozenset(renaming.get(v, v) for v in node.scheme), done[id(node.pattern)])
-        elif kind is NotExpr:
-            out = NotExpr(done[id(node.operand)])
-        elif kind is AndExpr or kind is OrExpr:
-            out = kind(done[id(node.left)], done[id(node.right)])
-        elif kind is Opaque:
-            out = Opaque(node.text, frozenset(renaming.get(v, v) for v in node.mentions))
-        elif kind in CONSTRAINT_TYPES:  # rename its variables, keep its constant
-            out = kind(*(renaming.get(t, t) for t in (getattr(node, f) for f in node.__slots__)))
+            scheme = frozenset(scope.get(v, v) for v in node.scheme)
+            if results[-1] is not node.pattern or scheme != node.scheme:
+                node = Select(scheme, results[-1])
+            results[-1] = node
         else:
-            out = rebuilt(node, done)
+            right = results.pop()
+            if results[-1] is not node.left or right is not node.right:
+                node = kind(results[-1], right)
+            results[-1] = node
+        if replaced:
+            for var, old in replaced.items():
+                if old is None:
+                    del scope[var]
+                else:
+                    scope[var] = old
+    return results[0]
+
+
+def _renamed_condition(condition: FilterCondition, scope: dict) -> FilterCondition:
+    """A filter condition with `scope` applied; itself if nothing in it is renamed."""
+    done: dict = {}
+    for node in post_order(condition, _rename_operands):
+        kind = type(node)
+        if kind is Opaque:
+            mentions = frozenset(scope.get(v, v) for v in node.mentions)
+            out = node if mentions == node.mentions else Opaque(node.text, mentions)
+        elif kind is NotExpr or kind is AndExpr or kind is OrExpr:
+            operands = _rename_operands(node)
+            renamed = [done[id(operand)] for operand in operands]
+            out = node if all(map(is_, renamed, operands)) else kind(*renamed)
+        else:  # an atomic constraint: rename its variables, keep its constant
+            fields = [getattr(node, name) for name in node.__slots__]
+            renamed = [scope.get(t, t) for t in fields]
+            out = node if renamed == fields else kind(*renamed)
         done[id(node)] = out
-    return done[id(pattern)]
+    return done[id(condition)]
+
+
+def bindable_vars(pattern: Pattern) -> Scheme:
+    """The variables that a solution of `pattern` can bind: a triple's, both
+    sides' for AND, OPT and UNION, a FILTER's pattern's, and a SELECT's
+    scheme that its body can bind.  A variable that occurs only in a filter
+    condition, or only below a SELECT that projects it out, is not one."""
+    found: set = set()
+    todo = [(pattern, found)]
+    selects = []  # (scheme, what its body binds, where the bound part goes), in pre-order
+    while todo:
+        node, into = todo.pop()
+        kind = type(node)
+        if kind is TriplePattern:
+            into.update(t for t in (node.subject, node.predicate, node.object) if type(t) is Variable)
+        elif kind is Select:
+            body: set = set()
+            selects.append((node.scheme, body, into))
+            todo.append((node.pattern, body))
+        else:
+            todo += [(child, into) for child in children(node)]
+    for scheme, body, into in reversed(selects):  # inner SELECTs first
+        into.update(scheme.intersection(body))
+    return frozenset(found)
 
 
 def is_reserved_name(name: str) -> bool:

@@ -1,8 +1,17 @@
-"""Satisfiability- or equivalence-preserving pattern transformations."""
+"""Satisfiability- or equivalence-preserving pattern transformations.
+
+SELECT elimination renames fresh what each SELECT captures: the variables
+of its body that no inner SELECT captured and that its scheme lacks.  A
+`FILTER EXISTS` becomes a SELECT over the join of its two sides, projected
+onto what a solution of the left side can bind (`bindable_vars`), so a
+variable seen only in a filter condition or in an earlier EXISTS body
+stays unbound outside it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 
 from .errors import NotUnionFree, PreconditionViolated
 from .patterns import (
@@ -15,11 +24,12 @@ from .patterns import (
     Select,
     TriplePattern,
     Union,
+    bindable_vars,
+    condition_vars,
     pattern_facts,
     post_order,
     rebuilt,
     rename_vars,
-    vars_of,
 )
 from .terms import Literal, Scheme, Variable
 
@@ -67,42 +77,72 @@ def select_eliminate(pattern: Pattern) -> Pattern:
 
 
 def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None) -> tuple[Pattern, Scheme]:
-    """As select_eliminate, also reporting the set of fresh variables used;
-    a SELECT-free pattern is returned itself, and a SELECT that projects no
-    variable out is its body.  With a SELECT, a subtree that two parents
-    share raises PreconditionViolated (the parser builds trees).
+    """As select_eliminate, also reporting the fresh variables of the result;
+    a SELECT-free pattern is returned itself, and a SELECT that captures no
+    variable is its body.  With a SELECT, a subtree that two parents share
+    raises PreconditionViolated (the parser builds trees).
+
+    A SELECT *captures* the variables of its body that no inner SELECT
+    captured and that its scheme lacks.  One fold over the post-order finds
+    them and splices the SELECTs out; the captured variables are named fresh
+    in post-order of their SELECTs, by name within one, and one scoped
+    `rename_vars` renames them below their SELECT.  So a fresh name is never
+    renamed again.
     """
     facts = facts or pattern_facts(pattern)
     if Select not in facts.node_types:
         return pattern, frozenset()
     if facts.shares:  # each SELECT occurrence needs fresh names of its own
         raise PreconditionViolated("select_eliminate requires a pattern that shares no subtree")
-    fresh = FreshVars(variables=facts.variables)
-    introduced: set[Variable] = set()
-    done: dict = {}
-    selects = 0
-    for node in facts.order:
-        if type(node) is not Select:
-            done[id(node)] = rebuilt(node, done)
-            continue
-        body = done[id(node.pattern)]
+    captures = []  # (a SELECT's body in the result, the variables it captures), in post-order
+    if type(pattern) is Select and countOf(map(type, facts.order), Select) == 1:
         # a root SELECT over a SELECT-free body: the pattern's variables are
-        # the body's and the scheme's, so the body is not walked
-        variables = facts.variables if node is pattern and not selects else vars_of(body)
-        selects += 1
-        projected_out = sorted(variables - node.scheme, key=lambda v: v.name)
-        if not projected_out:  # the projection keeps every variable
-            done[id(node)] = body
-            continue
-        renaming = {v: fresh.take() for v in projected_out}
-        introduced.update(renaming.values())
-        done[id(node)] = rename_vars(body, renaming)
-    return done[id(pattern)], frozenset(introduced)
+        # the body's and the scheme's, so no variable set is folded
+        result = pattern.pattern
+        captures.append((result, facts.variables - pattern.scheme))
+    else:
+        free: dict = {}  # id(node) -> the variables at and below it that no SELECT captured
+        done: dict = {}
+        for node in facts.order:
+            kind = type(node)
+            if kind is TriplePattern:
+                below = {t for t in (node.subject, node.predicate, node.object) if type(t) is Variable}
+                done[id(node)] = node
+            elif kind is Select:
+                below = free.pop(id(node.pattern))
+                captured = below - node.scheme
+                below -= captured
+                done[id(node)] = done[id(node.pattern)]
+                captures.append((done[id(node)], captured))
+            elif kind is Filter:
+                below = free.pop(id(node.pattern))
+                below.update(condition_vars(node.condition))
+                done[id(node)] = rebuilt(node, done)
+            else:  # merge the smaller side's set into the larger's
+                below, other = free.pop(id(node.left)), free.pop(id(node.right))
+                if len(below) < len(other):
+                    below, other = other, below
+                below |= other
+                done[id(node)] = rebuilt(node, done)
+            free[id(node)] = below
+        result = done[id(pattern)]
+    fresh = FreshVars(variables=facts.variables)
+    renamings: dict = {}
+    for body, captured in captures:  # SELECTs directly nested capture disjoint sets
+        if captured:
+            renamings.setdefault(id(body), {}).update(
+                (v, fresh.take()) for v in sorted(captured, key=lambda v: v.name)
+            )
+    introduced = frozenset(v for renaming in renamings.values() for v in renaming.values())
+    return rename_vars(result, renamings), introduced
 
 
-def exists_rewrite(pattern: Pattern, subquery: Pattern) -> Pattern:
-    """Rewrite `pattern FILTER EXISTS(subquery)` as a projected conjunction."""
-    return Select(vars_of(pattern), And(pattern, subquery))
+def exists_rewrite(pattern: Pattern, subquery: Pattern, scheme: Scheme | None = None) -> Pattern:
+    """Rewrite `pattern FILTER EXISTS(subquery)` as a conjunction projected
+    onto the variables that a solution of `pattern` can bind: `scheme` if
+    given, else `bindable_vars(pattern)`.  Those are the same for every
+    EXISTS filter of one group, so a parser computes them once."""
+    return Select(bindable_vars(pattern) if scheme is None else scheme, And(pattern, subquery))
 
 
 @dataclass(frozen=True, slots=True)

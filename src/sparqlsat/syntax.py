@@ -46,6 +46,7 @@ from .patterns import (
     Select,
     TriplePattern,
     Union,
+    bindable_vars,
     is_reserved_name,
 )
 from .rewrites import exists_rewrite
@@ -389,6 +390,7 @@ class _CompactParser(_Parser):
         """A `(`, SELECT or EXISTS pushes a marker with what to apply at its `)`."""
         operands, operators = [], []
         pattern = None  # the unit just read, until an operator or a `)` follows it
+        scheme = None  # what `pattern`'s solutions bind, once an EXISTS filter needed it
         while True:
             if pattern is None:
                 open_token = self.advance()
@@ -404,7 +406,7 @@ class _CompactParser(_Parser):
                     terms = (self.term(), self.term(), self.term())
                     self.expect_op(")")
                     try:
-                        pattern = TriplePattern(*terms)
+                        pattern, scheme = TriplePattern(*terms), None
                     except ValueError as exc:
                         raise QuerySyntaxError(str(exc), open_token[2]) from exc
                     continue
@@ -417,7 +419,8 @@ class _CompactParser(_Parser):
                     continue
                 self.advance()
                 self.expect_op("(")
-                finish = partial(exists_rewrite, pattern)
+                scheme = bindable_vars(pattern) if scheme is None else scheme
+                finish = partial(exists_rewrite, pattern, scheme=scheme)
             else:
                 operands.append(pattern)
                 pattern = None
@@ -432,6 +435,8 @@ class _CompactParser(_Parser):
                 pattern, finish = operands.pop(), operators.pop()[1]
                 if finish is not None:
                     pattern = finish(pattern)
+                # an EXISTS binds what its left side binds, the scheme it was given
+                scheme = finish.keywords.get("scheme") if finish is not None else None
                 continue
             operators.append((-1, finish))
             pattern = None
@@ -561,8 +566,13 @@ class _SurfaceParser(_Parser):
                 pattern = Opt(pattern, sub)
         if pattern is None:
             raise QuerySyntaxError("empty group pattern", self.peek()[2])
+        scheme = None  # what the group's solutions bind: one set for all its EXISTS filters
         for make, payload in filters:  # `Filter` with a condition, `exists_rewrite` with a subquery
-            pattern = make(pattern, payload)
+            if make is Filter:
+                pattern = Filter(pattern, payload)
+            else:
+                scheme = bindable_vars(pattern) if scheme is None else scheme
+                pattern = exists_rewrite(pattern, payload, scheme)
         return pattern
 
     def _triple_block(self, elements: list):

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import time
 
 import pytest
 
@@ -42,6 +44,8 @@ from sparqlsat.dalab import (
     RESULT_X,
     RESULT_Y,
 )
+from sparqlsat.cli import main
+from sparqlsat.patterns import pattern_facts
 from sparqlsat.errors import BoundTooLarge, EmptyChoiceSet, InvalidConstants, QuerySyntaxError
 
 a, b, c, d = Iri("a"), Iri("b"), Iri("c"), Iri("d")
@@ -191,6 +195,68 @@ def test_difference_emulation_on_small_relations():
                 assert result_pairs(evaluate(eqneq, graph)) == expected
             if {Iri("d1"), Iri("d2")} <= adom(relation):
                 assert result_pairs(evaluate(eqc, graph)) == expected
+
+
+def test_a_shared_subexpression_compiles_as_two_occurrences():
+    r = Rel()
+    pairs = ((DComp(r, r), DComp(Rel(), Rel())), (DDiff(DComp(r, r), r), DDiff(DComp(Rel(), Rel()), Rel())))
+    for shared, tree in pairs:
+        assert da_text(shared) == da_text(tree)
+        assert da_eval(shared, CHAIN_RELATION) == da_eval(tree, CHAIN_RELATION)
+        assert emulate_negbound(shared) == emulate_negbound(tree)
+        assert emulate_eqneq(shared) == emulate_eqneq(tree)
+        assert emulate_eqc(shared, a, b) == emulate_eqc(tree, a, b)
+
+
+def test_rename_vars_runs_at_most_once_per_compile(monkeypatch):
+    from sparqlsat import dalab
+
+    calls = []
+    real = dalab.rename_vars
+    monkeypatch.setattr(dalab, "rename_vars", lambda p, renamings: calls.append(p) or real(p, renamings))
+    for text in ("R", "R - R", "((R . R) - R) . (R - (R . R))", " . ".join(["R"] * 50)):
+        expr = parse_da(text)
+        for compile_ in (emulate_negbound, emulate_eqneq, lambda e: emulate_eqc(e, a, b)):
+            calls.clear()
+            compile_(expr)
+            assert len(calls) <= 1
+
+
+CHAIN = " . ".join(["R"] * 2000)
+
+
+def test_a_long_chain_compiles_in_linear_time():
+    assert sys.getrecursionlimit() == 1000
+    expr = parse_da(CHAIN)
+    for compile_ in (emulate_negbound, emulate_eqneq, lambda e: emulate_eqc(e, a, b)):
+        start = time.perf_counter()
+        compiled = compile_(expr)
+        assert time.perf_counter() - start < 0.5
+        triples = pattern_facts(compiled).triples
+        # ?x r ?_g1, ?_g1 r ?_g2, ..., ?_g1999 r ?y, left to right
+        names = ["x"] + [f"_g{i}" for i in range(1, 2000)] + ["y"]
+        assert [(t.subject.name, t.object.name) for t in triples] == list(zip(names, names[1:]))
+
+
+def test_deep_expressions_parse_evaluate_and_print():
+    assert parse_da("(" * 2000 + "R" + ")" * 2000) == Rel()
+    expr = parse_da(CHAIN)
+    assert da_eval(expr, CHAIN_RELATION) == frozenset()
+    assert da_eval(expr, frozenset([(a, a)])) == frozenset([(a, a)])
+    text = da_text(expr)  # texts are compared, not expressions, because dataclass equality recurses
+    assert text.count("R") == 2000 and da_text(parse_da(text)) == text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["compile", "--expr", "(" * 2000 + "R" + ")" * 2000], ["eval", "--expr", CHAIN, "--relation", "{file}"]],
+    ids=["compile-deep-parentheses", "eval-long-chain"],
+)
+def test_cli_reads_deep_expressions(args, tmp_path, capsys):
+    relation = tmp_path / "rel.txt"
+    relation.write_text("a a\nb c\n")
+    assert main(["dalab"] + [arg.format(file=relation) for arg in args]) == 0
+    assert capsys.readouterr().out in ("(?x r ?y)\n", "a a\n")
 
 
 # --- bounded search -------------------------------------------------------------------

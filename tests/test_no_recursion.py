@@ -11,11 +11,6 @@ from pathlib import Path
 
 import sparqlsat
 
-#: The relation-algebra helpers of the reduction lab recurse over an
-#: expression, which is as deep as a command-line argument nests.
-ALLOWED = {"dalab": {"_compile", "da_eval", "da_text", "expr", "primary", "wrap"}}
-
-
 def call_graph(source: str) -> dict[str, set[str]]:
     """Each function name of `source` to the names its body applies."""
     graph: dict[str, set[str]] = {}
@@ -54,7 +49,7 @@ def test_no_module_function_recurses():
     package = Path(sparqlsat.__file__).parent
     recursive = {}
     for path in sorted(package.glob("*.py")):
-        names = on_cycles(call_graph(path.read_text())) - ALLOWED.get(path.stem, set())
+        names = on_cycles(call_graph(path.read_text()))
         if names:
             recursive[path.stem] = sorted(names)
     assert recursive == {}

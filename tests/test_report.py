@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from deep_nests import decided_nests
+from deep_nests import DEPTH, deep_nests
 from wide_shapes import LADDER, basic_graph_pattern
 from sparqlsat.cli import main
 from sparqlsat.corpus import entry_from_text, generate_corpus, ingest_corpus, write_corpus
@@ -316,6 +316,32 @@ def test_check_output_is_byte_identical_to_the_gate():
     assert digest.hexdigest() == CHECK_DIGEST
 
 
+# Digest of what `dalab compile` prints for the four expressions of the
+# benchmark's verify workload and three more nested ones, under each variant,
+# without and with --wrapper, each output followed by a NUL byte, at commit
+# 7c3636e: a rewrite of the compilers must print the same patterns.
+DALAB_COMPILE_EXPRESSIONS = (
+    "(R . R) - R",
+    "R - (R . R)",
+    "((R . R) - R) . R",
+    "R . (R - (R . R))",
+    "((R . R) - R) . (R - (R . R))",
+    "(R . (R | R)) - ((R - R) . R)",
+    "((R - (R . R)) . R) | (R . ((R . R) - R))",
+)
+DALAB_COMPILE_DIGEST = "33b581214f5998c6980da25782cfdcc50856b26b2595d32d7cc841fdbd9aa67e"
+
+
+def test_dalab_compile_output_is_byte_identical_to_the_gate(capsys):
+    digest = hashlib.sha256()
+    for expr in DALAB_COMPILE_EXPRESSIONS:
+        for variant in ("negbound", "eqneq", "eqc"):
+            for wrapper in ([], ["--wrapper"]):
+                assert main(["dalab", "compile", "--expr", expr, "--variant", variant, *wrapper]) == 0
+                digest.update(capsys.readouterr().out.encode() + b"\0")
+    assert digest.hexdigest() == DALAB_COMPILE_DIGEST
+
+
 @pytest.mark.parametrize(
     "query",
     [
@@ -482,10 +508,10 @@ def test_cli_check_prints_witness(tmp_path, capsys):
     assert "witness graph:" in out
 
 
-@pytest.mark.parametrize("name", list(decided_nests()))
+@pytest.mark.parametrize("name", list(deep_nests(DEPTH)))
 def test_cli_check_decides_a_deep_nest(name, tmp_path, capsys):
     assert sys.getrecursionlimit() == 1000
-    text = decided_nests()[name]
+    text = deep_nests(DEPTH)[name]
     query = tmp_path / "query.rq"
     query.write_text(text)
     assert main(["check", str(query)]) == 0
@@ -495,7 +521,7 @@ def test_cli_check_decides_a_deep_nest(name, tmp_path, capsys):
 
 
 def test_deep_entries_are_decided_and_leave_the_batch_unchanged(tmp_path):
-    deep = list(decided_nests().values())
+    deep = list(deep_nests(DEPTH).values())
     ordinary = GOLDEN_QUERIES + generate_corpus(20, seed=5)
     queries = ordinary[:3] + deep[:5] + ordinary[3:10] + deep[5:] + ordinary[10:]
     path = tmp_path / "corpus.txt"

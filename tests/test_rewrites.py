@@ -1,12 +1,17 @@
 """Pattern transformations: literal cleanup, projection removal, splitting."""
 
+import gc
+import itertools
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import VAR_POOL, random_graph, random_pattern, random_shared_pattern
+from select_reference import select_eliminate_reference
 from sparqlsat import (
     And,
     Filter,
@@ -14,21 +19,28 @@ from sparqlsat import (
     Literal,
     NeqC,
     Opt,
+    RdfGraph,
+    RdfTriple,
+    Satisfiable,
     Select,
     TriplePattern,
     Union,
+    Unsatisfiable,
     Variable,
     af_reduce,
     candidate_schemes,
+    decide_satisfiability,
     evaluate,
     exists_rewrite,
     parse_pattern,
+    run_pipeline,
     select_eliminate,
+    serialize_pattern,
     union_free_split,
     wrong_literal_reduce,
 )
 from sparqlsat.errors import NotUnionFree, PreconditionViolated
-from sparqlsat.patterns import contains_node, pattern_facts, vars_of
+from sparqlsat.patterns import bindable_vars, contains_node, is_reserved_name, pattern_facts, vars_of
 from sparqlsat.rewrites import select_eliminate_info
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -206,6 +218,108 @@ def test_select_elimination_hat_projection_law(seed):
         assert bool(direct) == bool(evaluate(eliminated, graph))  # equisatisfiable
 
 
+def _has_nested_select(pattern) -> bool:
+    return any(
+        contains_node(node.pattern, Select) for node in pattern_facts(pattern).order if type(node) is Select
+    )
+
+
+def _fresh_names(pattern):
+    return frozenset(v for v in vars_of(pattern) if is_reserved_name(v.name))
+
+
+def _numbered_apart(text: str) -> str:
+    """The text with its fresh names numbered by first occurrence."""
+    names: dict = {}
+    return re.sub(r"\?_g\d+", lambda m: names.setdefault(m.group(), f"?_g{len(names) + 1}"), text)
+
+
+def test_select_elimination_matches_the_reference():
+    # identical where no SELECT lies inside another; otherwise the reference
+    # renames fresh names again at every enclosing SELECT, so the two agree
+    # up to a one-to-one renaming of the fresh names
+    rng = random.Random(47)
+    nested = 0
+    for _ in range(4000):
+        pattern = random_pattern(rng, depth=rng.randint(1, 5), select_rate=0.5)
+        eliminated, introduced = select_eliminate_info(pattern)
+        expected, _ = select_eliminate_reference(pattern)
+        assert introduced == _fresh_names(eliminated)
+        if _has_nested_select(pattern):
+            nested += 1
+            assert _numbered_apart(serialize_pattern(eliminated)) == _numbered_apart(serialize_pattern(expected))
+        else:
+            assert eliminated == expected
+    assert nested > 100
+
+
+def test_a_fresh_name_is_not_renamed_by_an_enclosing_select():
+    w = Variable("w")
+    inner = Select(frozenset((x,)), TriplePattern(x, Iri("q"), w))
+    pattern = Select(frozenset(), And(TriplePattern(x, Iri("p"), y), inner))
+    eliminated, introduced = select_eliminate_info(pattern)
+    # the inner SELECT names ?w first; the outer one captures ?x and ?y, not ?_g1
+    g3 = Variable("_g3")
+    assert eliminated == And(TriplePattern(g2, Iri("p"), g3), TriplePattern(g2, Iri("q"), g1))
+    assert introduced == frozenset((g1, g2, g3))
+
+
+def test_rename_vars_runs_at_most_once_per_elimination(monkeypatch):
+    from sparqlsat import rewrites
+
+    calls = []
+    real = rewrites.rename_vars
+    monkeypatch.setattr(rewrites, "rename_vars", lambda p, renamings: calls.append(p) or real(p, renamings))
+    rng = random.Random(53)
+    for _ in range(300):
+        calls.clear()
+        select_eliminate_info(random_pattern(rng, depth=rng.randint(1, 5), select_rate=0.5))
+        assert len(calls) <= 1
+
+
+def _exists_nest(depth: int, fresh: bool) -> str:
+    level = (lambda i: f"(?x p ?v{i})") if fresh else (lambda i: "(?x p ?y)")
+    return "".join(f"{level(i)} FILTER EXISTS (" for i in range(depth)) + "(?x p ?y)" + ")" * depth
+
+
+def test_pipeline_collects_facts_as_often_at_any_nest_depth(monkeypatch):
+    import sparqlsat
+
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return pattern_facts(pattern)
+
+    for module in list(vars(sparqlsat).values()):  # every module that calls it by name
+        if hasattr(module, "pattern_facts"):
+            monkeypatch.setattr(module, "pattern_facts", counting)
+    counts = {}
+    for depth in (10, 2000):
+        pattern = parse_pattern(_exists_nest(depth, fresh=True))
+        calls.clear()
+        run_pipeline(pattern)
+        counts[depth] = len(calls)
+    assert counts[10] == counts[2000] > 0
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["shared-variables", "a-variable-per-level"])
+def test_an_exists_nest_decides_in_linear_time(fresh):
+    # the two depths alternate, so that both meet the same load and the same
+    # term table, and each run starts after a collection
+    nests = [parse_pattern(_exists_nest(depth, fresh)) for depth in (1000, 5000)]
+    best = [float("inf")] * 2
+    for _ in range(5):
+        for index, pattern in enumerate(nests):
+            gc.collect()
+            start = time.perf_counter()
+            assert isinstance(run_pipeline(pattern).verdict, Satisfiable)
+            best[index] = min(best[index], time.perf_counter() - start)
+    small, large = best
+    assert large < 1.0
+    assert large < 7 * small
+
+
 # --- EXISTS rewrite ---------------------------------------------------------------
 
 def test_exists_rewrite_shape():
@@ -239,6 +353,51 @@ def test_exists_rewrite_with_unsatisfiable_subquery_is_empty():
     for _ in range(25):
         graph = random_graph(rng, rewritten)
         assert evaluate(rewritten, graph) == frozenset()
+
+
+THREE_FILTERS = ("FILTER EXISTS { ?x <q> ?w }", "FILTER EXISTS { ?x <r> ?w }", "FILTER (?w != <c>)")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_an_exists_filter_does_not_bind_an_earlier_ones_variables(order):
+    # ?w is never bound in the group's solutions, so `?w != <c>` fails on all of them
+    query = "SELECT * WHERE { ?x <p> ?y " + " ".join(THREE_FILTERS[i] for i in order) + " }"
+    verdict = decide_satisfiability(parse_pattern(query))
+    assert isinstance(verdict, Unsatisfiable)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_an_exists_body_variable_stays_unbound_outside(order):
+    query = (
+        "SELECT * WHERE { { ?x <p> ?y " + " ".join(THREE_FILTERS[i] for i in order) + " } FILTER (!bound(?w)) }"
+    )
+    pattern = parse_pattern(query)
+    graph = RdfGraph.of(
+        RdfTriple(Iri("a"), Iri(p), Iri(o)) for p, o in (("p", "b"), ("q", "c"), ("r", "c"))
+    )
+    assert evaluate(pattern, graph)
+    assert not isinstance(decide_satisfiability(pattern), Unsatisfiable)
+
+
+def test_exists_projects_onto_what_its_left_side_binds():
+    # not onto variables of filter conditions or of an earlier EXISTS body
+    pattern = parse_pattern(
+        "SELECT * WHERE { ?x <p> ?y FILTER (?z = <c>) FILTER EXISTS { ?x <q> ?w } FILTER EXISTS { ?y <q> ?v } }"
+    )
+    assert type(pattern) is Select and pattern.scheme == frozenset((x, y))
+    assert pattern.pattern.left.scheme is pattern.scheme  # one set for the group
+    assert bindable_vars(parse_pattern("SELECT {?x ?q} ((?x p ?y) OPT (?y q ?z)) FILTER bound(?w)")) == {x}
+
+
+def test_sibling_exists_filters_parse_and_decide_in_linear_time():
+    for text in (
+        "SELECT * WHERE { ?x <p> ?y " + " ".join(f"FILTER EXISTS {{ ?x <q{i}> ?w{i} }}" for i in range(2000)) + " }",
+        "(?x p ?y) " + " ".join(f"FILTER EXISTS ((?x q{i} ?w{i}))" for i in range(2000)),
+    ):
+        start = time.perf_counter()
+        verdict = decide_satisfiability(parse_pattern(text))
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(verdict, Satisfiable)
 
 
 # --- union splitting ------------------------------------------------------------------
