@@ -8,25 +8,6 @@ by a reference set-semantics evaluator.
 """
 
 from .constraints import Failure, SortReq, consistent, solve_constraints
-from .dalab import (
-    ChoiceCoverInstance,
-    DComp,
-    DDiff,
-    DUnion,
-    Rel,
-    bounded_sat_search,
-    choice_cover_solve,
-    choice_cover_to_pattern,
-    cnf_to_choice_cover,
-    da_eval,
-    emulate_eqc,
-    emulate_eqneq,
-    emulate_negbound,
-    graph_of_relation,
-    parse_da,
-    parse_dimacs,
-    result_pairs,
-)
 from .evaluator import compatible, evaluate, format_graph, join, parse_graph, satisfies, set_minus
 from .normalize import normalize_filters
 from .patterns import (
@@ -88,3 +69,23 @@ from .terms import (
 from .welldesigned import extract_constraints, is_well_designed, outside_vars
 
 __version__ = "0.1.0"
+
+#: The reduction lab's names, loaded with `dalab` on first use: deciding a
+#: query never needs them.
+_DALAB_NAMES = frozenset((
+    "ChoiceCoverInstance", "DComp", "DDiff", "DUnion", "Rel", "bounded_sat_search", "choice_cover_solve",
+    "choice_cover_to_pattern", "cnf_to_choice_cover", "da_eval", "emulate_eqc", "emulate_eqneq",
+    "emulate_negbound", "graph_of_relation", "parse_da", "parse_dimacs", "result_pairs",
+))
+
+
+def __getattr__(name: str):
+    if name in _DALAB_NAMES:
+        from . import dalab
+
+        return getattr(dalab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(globals().keys() | _DALAB_NAMES)

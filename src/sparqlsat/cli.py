@@ -3,25 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .corpus import FORMATS, generate_corpus, ingest_text, write_corpus
-from .dalab import (
-    ab_sat_wrapper,
-    bounded_sat_search,
-    choice_cover_solve,
-    choice_cover_to_pattern,
-    cnf_satisfiable,
-    cnf_to_choice_cover,
-    da_eval,
-    emulate_eqc,
-    emulate_eqneq,
-    emulate_negbound,
-    parse_da,
-    parse_dimacs,
-    two_sat_wrapper,
-)
 from .errors import BoundTooLarge, InvalidConstants, SparqlSatError, UnknownFormat
 from .report import PipelineOptions, analyze_batch, check_options, emit_report, format_verdict_text
 from .satisfiability import decide_satisfiability
@@ -144,6 +130,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dalab(args) -> int:
+    if args.dalab_command == "search" and args.max_adom < 1:
+        print(f"error: --max-adom must be 1 or more, not {args.max_adom}", file=sys.stderr)
+        return 2
     try:
         _run_dalab(args)
     except (OSError, SparqlSatError, ValueError) as exc:
@@ -154,39 +143,41 @@ def _cmd_dalab(args) -> int:
 
 
 def _run_dalab(args) -> None:
+    from . import dalab  # only this command needs the reduction lab
+
     if args.dalab_command == "eval":
-        expr = parse_da(args.expr)
-        result = da_eval(expr, _relation(_read_text(args.relation)))
+        expr = dalab.parse_da(args.expr)
+        result = dalab.da_eval(expr, _relation(_read_text(args.relation)))
         for x, y in sorted((x.name, y.name) for x, y in result):
             print(x, y)
     elif args.dalab_command == "compile":
-        expr = parse_da(args.expr)
+        expr = dalab.parse_da(args.expr)
         if args.variant == "negbound":
-            pattern = emulate_negbound(expr)
+            pattern = dalab.emulate_negbound(expr)
         elif args.variant == "eqneq":
-            pattern = emulate_eqneq(expr)
+            pattern = dalab.emulate_eqneq(expr)
         else:
-            pattern = emulate_eqc(expr, Iri(args.const_a), Iri(args.const_b))
+            pattern = dalab.emulate_eqc(expr, Iri(args.const_a), Iri(args.const_b))
         if args.wrapper:
             if args.variant == "eqneq":
-                pattern = two_sat_wrapper(expr)
+                pattern = dalab.two_sat_wrapper(expr)
             elif args.variant == "eqc":
-                pattern = ab_sat_wrapper(expr, Iri(args.const_a), Iri(args.const_b))
+                pattern = dalab.ab_sat_wrapper(expr, Iri(args.const_a), Iri(args.const_b))
         print(serialize_pattern(pattern))
     elif args.dalab_command == "search":
-        expr = parse_da(args.expr)
-        relation = bounded_sat_search(expr, args.max_adom)
+        expr = dalab.parse_da(args.expr)
+        relation = dalab.bounded_sat_search(expr, args.max_adom)
         if relation is None:
             print(f"no model with active domain of size <= {args.max_adom}")
         else:
             for x, y in sorted((x.name, y.name) for x, y in relation):
                 print(x, y)
     else:  # cnf
-        cnf = parse_dimacs(_read_text(args.file))
-        instance = cnf_to_choice_cover(cnf)
-        cover = choice_cover_solve(instance)
-        brute = cnf_satisfiable(cnf)
-        pattern = choice_cover_to_pattern(instance)
+        cnf = dalab.parse_dimacs(_read_text(args.file))
+        instance = dalab.cnf_to_choice_cover(cnf)
+        cover = dalab.choice_cover_solve(instance)
+        brute = dalab.cnf_satisfiable(cnf)
+        pattern = dalab.choice_cover_to_pattern(instance)
         verdict = decide_satisfiability(pattern)
         print(f"clauses: {len(cnf)}")
         print(f"brute-force satisfiable: {brute}")
@@ -195,6 +186,12 @@ def _run_dalab(args) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 0:
+        print(f"error: --count must be 0 or more, not {args.count}", file=sys.stderr)
+        return 2
+    if not 0.0 <= args.error_rate <= 1.0:  # NaN fails this too
+        print(f"error: --error-rate must lie between 0 and 1, not {args.error_rate}", file=sys.stderr)
+        return 2
     queries = generate_corpus(args.count, args.seed, args.error_rate)
     try:
         write_corpus(args.out, queries, args.format)
@@ -205,15 +202,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+_COMMANDS = {"analyze": _cmd_analyze, "check": _cmd_check, "dalab": _cmd_dalab, "gen": _cmd_gen}
+
+
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "dalab":
-        return _cmd_dalab(args)
-    return _cmd_gen(args)
+    try:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # the reader went away (as `| head` does); the Python docs' recipe
+        # for SIGPIPE: point stdout at devnull so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -4,23 +4,28 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 
 from .errors import QuerySyntaxError, UnknownFormat, UnsupportedFeature
 from .patterns import Pattern
+from .record import Record, _setattr
 from .syntax import parse_pattern
 
 FORMATS = ("delim", "lines")
 DELIMITER = "####"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    entry_id: int
-    raw_text: str
-    status: str  # "ok" | "syntax-error" | "unsupported"
-    pattern: Pattern | None
-    error: str | None = None
+class CorpusEntry(Record):
+    #: `status` is "ok", "syntax-error" or "unsupported"; `pattern` is the
+    #: parsed pattern of an "ok" entry, else None, and `error` the message
+    #: of one that is not
+    __slots__ = ("entry_id", "raw_text", "status", "pattern", "error")
+
+    def __init__(self, entry_id: int, raw_text: str, status: str, pattern: Pattern | None, error: str | None = None):
+        _setattr(self, "entry_id", entry_id)
+        _setattr(self, "raw_text", raw_text)
+        _setattr(self, "status", status)
+        _setattr(self, "pattern", pattern)
+        _setattr(self, "error", error)
 
 
 def _split_delim(text: str) -> list[str]:

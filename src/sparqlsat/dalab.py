@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BoundTooLarge, EmptyChoiceSet, InvalidConstants, PreconditionViolated, QuerySyntaxError
@@ -40,6 +39,7 @@ from .patterns import (
     post_order,
     rename_vars,
 )
+from .record import Record, _setattr
 from .terms import Iri, RdfGraph, RdfTriple, SolutionSet, Variable
 
 #: A finite binary relation over IRIs.
@@ -52,27 +52,22 @@ RESULT_Y = Variable("y")
 
 # --- the algebra ----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Rel:
+class Rel(Record):
     """The single relation symbol."""
 
-
-@dataclass(frozen=True, slots=True)
-class DUnion:
-    left: "DAExpr"
-    right: "DAExpr"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DDiff:
-    left: "DAExpr"
-    right: "DAExpr"
+class DUnion(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class DComp:
-    left: "DAExpr"
-    right: "DAExpr"
+class DDiff(Record):
+    __slots__ = ("left", "right")
+
+
+class DComp(Record):
+    __slots__ = ("left", "right")
 
 
 DAExpr = Rel | DUnion | DDiff | DComp
@@ -349,22 +344,23 @@ def bounded_sat_search(expr: DAExpr, max_adom: int) -> BinaryRelation | None:
 
 # --- choice cover and the CNF pipeline ---------------------------------------------
 
-@dataclass(frozen=True)
-class ChoiceCoverInstance:
+class ChoiceCoverInstance(Record):
     """Pick one subset from each group so the picks cover the ground set.
 
-    The groups form an indexed family (a tuple), not a set: two groups with
-    equal contents still demand independent picks.
+    The `ground` set is a frozenset of variables, and the `groups` a tuple
+    of frozensets of its subsets: an indexed family, not a set, so two
+    groups with equal contents still demand independent picks.
     """
 
-    ground: frozenset  # frozenset[Variable]
-    groups: tuple  # tuple[frozenset[frozenset[Variable]], ...]
+    __slots__ = ("ground", "groups")
 
-    def __post_init__(self):
-        for group in self.groups:
+    def __init__(self, ground: frozenset, groups: tuple):
+        for group in groups:
             for subset in group:
-                if not subset <= self.ground:
+                if not subset <= ground:
                     raise ValueError(f"group member {set(subset)!r} is not a subset of the ground set")
+        _setattr(self, "ground", ground)
+        _setattr(self, "groups", groups)
 
 
 def choice_cover_solve(instance: ChoiceCoverInstance) -> bool:

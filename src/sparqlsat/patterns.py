@@ -19,9 +19,9 @@ renaming in force, so one call applies renamings scoped to many subtrees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from operator import is_
 
+from .record import Record, _setattr
 from .terms import Constant, Iri, Literal, Scheme, Term, Variable, is_constant
 
 #: Variables with this prefix are reserved for generated fresh names.
@@ -35,24 +35,23 @@ _PATTERN_TERMS = frozenset((Iri, Literal, Variable))
 _PATTERN_PREDICATES = frozenset((Iri, Variable))
 
 
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
+class TriplePattern(Record):
     """A triple pattern; blank nodes are excluded (pre-replaced by variables)."""
 
-    subject: Term
-    predicate: Term
-    object: Term
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if type(self.subject) in _PATTERN_TERMS and type(self.object) in _PATTERN_TERMS and (
-            type(self.predicate) in _PATTERN_PREDICATES
+    def __init__(self, subject: Term, predicate: Term, object: Term):
+        if type(subject) not in _PATTERN_TERMS or type(object) not in _PATTERN_TERMS or (
+            type(predicate) not in _PATTERN_PREDICATES
         ):
-            return
-        for position, term in (("subject", self.subject), ("predicate", self.predicate), ("object", self.object)):
-            if not isinstance(term, (Iri, Literal, Variable)):
-                raise ValueError(f"triple pattern {position} must be an IRI, literal, or variable: {term!r}")
-        if isinstance(self.predicate, Literal):
-            raise ValueError("triple pattern predicate must not be a literal")
+            for position, term in (("subject", subject), ("predicate", predicate), ("object", object)):
+                if not isinstance(term, (Iri, Literal, Variable)):
+                    raise ValueError(f"triple pattern {position} must be an IRI, literal, or variable: {term!r}")
+            if isinstance(predicate, Literal):
+                raise ValueError("triple pattern predicate must not be a literal")
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "object", object)
 
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
@@ -61,52 +60,58 @@ class TriplePattern:
         return frozenset(t for t in self.terms() if isinstance(t, Variable))
 
 
+# --- constructors shared by the node classes below ----------------------------
+
+def _init_var(self, var: Variable):
+    _setattr(self, "var", var)
+
+
+def _init_pair(self, left, right):
+    _setattr(self, "left", left)
+    _setattr(self, "right", right)
+
+
+def _init_var_constant(self, var: Variable, constant: Constant):
+    if not is_constant(constant):
+        raise ValueError(f"constraint constant must be an IRI or literal: {constant!r}")
+    _setattr(self, "var", var)
+    _setattr(self, "constant", constant)
+
+
 # --- atomic constraints (the six forms) -------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Bound:
-    var: Variable
+class Bound(Record):
+    __slots__ = ("var",)
+    __init__ = _init_var
 
 
-@dataclass(frozen=True, slots=True)
-class NegBound:
-    var: Variable
+class NegBound(Record):
+    __slots__ = ("var",)
+    __init__ = _init_var
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    left: Variable
-    right: Variable
+class Eq(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_pair
 
 
-@dataclass(frozen=True, slots=True)
-class Neq:
-    left: Variable
-    right: Variable
+class Neq(Record):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if self.left == self.right:
+    def __init__(self, left: Variable, right: Variable):
+        if left == right:
             raise ValueError("nonequality requires two distinct variables")
+        _init_pair(self, left, right)
 
 
-@dataclass(frozen=True, slots=True)
-class EqC:
-    var: Variable
-    constant: Constant
-
-    def __post_init__(self):
-        if not is_constant(self.constant):
-            raise ValueError(f"constraint constant must be an IRI or literal: {self.constant!r}")
+class EqC(Record):
+    __slots__ = ("var", "constant")
+    __init__ = _init_var_constant
 
 
-@dataclass(frozen=True, slots=True)
-class NeqC:
-    var: Variable
-    constant: Constant
-
-    def __post_init__(self):
-        if not is_constant(self.constant):
-            raise ValueError(f"constraint constant must be an IRI or literal: {self.constant!r}")
+class NeqC(Record):
+    __slots__ = ("var", "constant")
+    __init__ = _init_var_constant
 
 
 Constraint = Bound | NegBound | Eq | Neq | EqC | NeqC
@@ -115,29 +120,28 @@ CONSTRAINT_TYPES = (Bound, NegBound, Eq, Neq, EqC, NeqC)
 
 # --- composite filter conditions (pre-normalization surface forms) ----------
 
-@dataclass(frozen=True, slots=True)
-class Opaque:
+class Opaque(Record):
     """A builtin call we do not interpret, with the variables it mentions."""
 
-    text: str
-    mentions: Scheme
+    __slots__ = ("text", "mentions")
+
+    def __init__(self, text: str, mentions: Scheme):
+        _setattr(self, "text", text)
+        _setattr(self, "mentions", mentions)
 
 
-@dataclass(frozen=True, slots=True)
-class NotExpr:
-    operand: "FilterCondition"
+class NotExpr(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True, slots=True)
-class AndExpr:
-    left: "FilterCondition"
-    right: "FilterCondition"
+class AndExpr(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_pair
 
 
-@dataclass(frozen=True, slots=True)
-class OrExpr:
-    left: "FilterCondition"
-    right: "FilterCondition"
+class OrExpr(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_pair
 
 
 FilterCondition = Constraint | Opaque | NotExpr | AndExpr | OrExpr
@@ -168,36 +172,37 @@ def condition_vars(condition: FilterCondition) -> Scheme:
 
 # --- the pattern AST ---------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Union:
-    left: "Pattern"
-    right: "Pattern"
+class Union(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_pair
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Pattern"
-    right: "Pattern"
+class And(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_pair
 
 
-@dataclass(frozen=True, slots=True)
-class Opt:
-    left: "Pattern"
-    right: "Pattern"
+class Opt(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_pair
 
 
-@dataclass(frozen=True, slots=True)
-class Filter:
-    pattern: "Pattern"
-    condition: FilterCondition
+class Filter(Record):
+    __slots__ = ("pattern", "condition")
+
+    def __init__(self, pattern: "Pattern", condition: FilterCondition):
+        _setattr(self, "pattern", pattern)
+        _setattr(self, "condition", condition)
 
 
-@dataclass(frozen=True, slots=True)
-class Select:
+class Select(Record):
     """Projection extension node; core analyses require its prior elimination."""
 
-    scheme: Scheme
-    pattern: "Pattern"
+    __slots__ = ("scheme", "pattern")
+
+    def __init__(self, scheme: Scheme, pattern: "Pattern"):
+        _setattr(self, "scheme", scheme)
+        _setattr(self, "pattern", pattern)
 
 
 Pattern = TriplePattern | Union | And | Opt | Filter | Select
@@ -250,14 +255,16 @@ def rebuilt(node: Pattern, done: dict) -> Pattern:
     if kind in BINARY_TYPES:
         left, right = done[id(node.left)], done[id(node.right)]
         return node if left is node.left and right is node.right else kind(left, right)
-    if kind is Filter or kind is Select:
+    if kind is Filter:
         sub = done[id(node.pattern)]
-        return node if sub is node.pattern else replace(node, pattern=sub)
+        return node if sub is node.pattern else Filter(sub, node.condition)
+    if kind is Select:
+        sub = done[id(node.pattern)]
+        return node if sub is node.pattern else Select(node.scheme, sub)
     return node
 
 
-@dataclass(frozen=True, slots=True)
-class PatternFacts:
+class PatternFacts(Record):
     """What a pattern contains, collected by `pattern_facts` in one walk.
 
     Each distinct node counts once.  `triples` and `conditions` keep
@@ -267,14 +274,20 @@ class PatternFacts:
     and `shares` tells whether a node is reached below two parents.
     """
 
-    variables: Scheme
-    constants: frozenset
-    filter_variables: Scheme
-    conditions: tuple
-    triples: tuple
-    node_types: frozenset
-    order: tuple
-    shares: bool
+    __slots__ = (
+        "variables", "constants", "filter_variables", "conditions", "triples", "node_types", "order", "shares",
+    )
+
+    def __init__(self, variables: Scheme, constants: frozenset, filter_variables: Scheme, conditions: tuple,
+                 triples: tuple, node_types: frozenset, order: tuple, shares: bool):
+        _setattr(self, "variables", variables)
+        _setattr(self, "constants", constants)
+        _setattr(self, "filter_variables", filter_variables)
+        _setattr(self, "conditions", conditions)
+        _setattr(self, "triples", triples)
+        _setattr(self, "node_types", node_types)
+        _setattr(self, "order", order)
+        _setattr(self, "shares", shares)
 
 
 def pattern_facts(pattern: Pattern) -> PatternFacts:

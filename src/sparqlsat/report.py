@@ -13,12 +13,11 @@ is read and the report is byte-stable across runs.
 from __future__ import annotations
 
 import json
-import statistics
 import time
-from dataclasses import asdict, dataclass, replace
 
 from .corpus import CorpusEntry, entry_from_text
 from .errors import SparqlSatError
+from .record import Record, _setattr
 from .satisfiability import Satisfiable, Unsatisfiable, run_pipeline
 from .syntax import parse_pattern
 from .terms import format_term, graph_lines
@@ -27,41 +26,40 @@ SCHEMA_VERSION = 1
 STAGES = ("parse", "wrong_literal", "schemes", "well_designed")
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    builtins_as_bound: bool = False
-    repeats: int = 5
-    size_buckets: tuple = ()
+class PipelineOptions(Record):
+    __slots__ = ("builtins_as_bound", "repeats", "size_buckets")
+
+    def __init__(self, builtins_as_bound: bool = False, repeats: int = 5, size_buckets: tuple = ()):
+        _setattr(self, "builtins_as_bound", builtins_as_bound)
+        _setattr(self, "repeats", repeats)
+        _setattr(self, "size_buckets", size_buckets)
 
 
-@dataclass
-class EntryRecord:
-    entry_id: int
-    status: str
-    verdict: dict | None = None
-    kinds: list | None = None
-    route: str | None = None
-    well_designed: bool | None = None
-    wrong_literal_modified: bool | None = None
-    stage_ns: dict | None = None
-    error: str | None = None
+class EntryRecord(Record, mutable=True):
+    __slots__ = (
+        "entry_id", "status", "verdict", "kinds", "route", "well_designed", "wrong_literal_modified", "stage_ns",
+        "error",
+    )
+
+    def __init__(self, entry_id: int, status: str, verdict: dict | None = None, kinds: list | None = None,
+                 route: str | None = None, well_designed: bool | None = None,
+                 wrong_literal_modified: bool | None = None, stage_ns: dict | None = None, error: str | None = None):
+        self.entry_id, self.status, self.verdict, self.kinds, self.route = entry_id, status, verdict, kinds, route
+        self.well_designed, self.wrong_literal_modified = well_designed, wrong_literal_modified
+        self.stage_ns, self.error = stage_ns, error
 
 
-@dataclass
-class ScalingResult:
-    sizes: list
-    total_ms: list
-    pearson: float
+class ScalingResult(Record, mutable=True):
+    __slots__ = ("sizes", "total_ms", "pearson")
 
 
-@dataclass
-class AnalysisReport:
-    total: int
-    counts: dict
-    entries: list
-    stage_totals_ms: dict | None = None
-    overhead_pct: dict | None = None
-    scaling: ScalingResult | None = None
+class AnalysisReport(Record, mutable=True):
+    __slots__ = ("total", "counts", "entries", "stage_totals_ms", "overhead_pct", "scaling")
+
+    def __init__(self, total: int, counts: dict, entries: list, stage_totals_ms: dict | None = None,
+                 overhead_pct: dict | None = None, scaling: ScalingResult | None = None):
+        self.total, self.counts, self.entries = total, counts, entries
+        self.stage_totals_ms, self.overhead_pct, self.scaling = stage_totals_ms, overhead_pct, scaling
 
 
 def _witness_texts(verdict: Satisfiable) -> tuple[list[str], list[tuple[str, str]]]:
@@ -195,7 +193,9 @@ def measure_scaling(raw_texts: list, sizes, options: PipelineOptions | None = No
     time, so no parsed entry or record outlives its query."""
     options = options or PipelineOptions()
     sizes = sorted(sizes)
-    check_options(replace(options, size_buckets=tuple(sizes)), len(raw_texts))
+    check_options(PipelineOptions(options.builtins_as_bound, options.repeats, tuple(sizes)), len(raw_texts))
+    import statistics  # only timing needs it, so `check` never loads it
+
     totals = []
     for size in sizes:
         elapsed = []
@@ -209,19 +209,24 @@ def measure_scaling(raw_texts: list, sizes, options: PipelineOptions | None = No
 
 
 def pearson(xs, ys) -> float:
+    import statistics
+
     return statistics.correlation(list(map(float, xs)), list(map(float, ys)))
 
 
 # --- emission -----------------------------------------------------------------------
 
 def report_to_dict(report: AnalysisReport) -> dict:
+    scaling = report.scaling
+    if scaling is not None:
+        scaling = {"sizes": list(scaling.sizes), "total_ms": list(scaling.total_ms), "pearson": scaling.pearson}
     out = {
         "schema": SCHEMA_VERSION,
         "total": report.total,
         "counts": report.counts,
         "stage_totals_ms": report.stage_totals_ms,
         "overhead_pct": report.overhead_pct,
-        "scaling": asdict(report.scaling) if report.scaling else None,
+        "scaling": scaling,
         "entries": [],
     }
     for record in report.entries:

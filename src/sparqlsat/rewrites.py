@@ -10,7 +10,6 @@ stays unbound outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import countOf
 
 from .errors import NotUnionFree, PreconditionViolated
@@ -31,6 +30,7 @@ from .patterns import (
     rebuilt,
     rename_vars,
 )
+from .record import Record, _setattr
 from .terms import Literal, Scheme, Variable
 
 
@@ -145,13 +145,15 @@ def exists_rewrite(pattern: Pattern, subquery: Pattern, scheme: Scheme | None = 
     return Select(bindable_vars(pattern) if scheme is None else scheme, And(pattern, subquery))
 
 
-@dataclass(frozen=True, slots=True)
-class UnionMember:
-    pattern: Pattern
-    union_free: bool
-    #: an OPT or a FILTER lies in the member; without either the member is
-    #: well-designed as soon as it is union- and SELECT-free
-    opt_or_filter: bool
+class UnionMember(Record):
+    #: `opt_or_filter`: an OPT or a FILTER lies in the member; without either
+    #: the member is well-designed as soon as it is union- and SELECT-free
+    __slots__ = ("pattern", "union_free", "opt_or_filter")
+
+    def __init__(self, pattern: Pattern, union_free: bool, opt_or_filter: bool):
+        _setattr(self, "pattern", pattern)
+        _setattr(self, "union_free", union_free)
+        _setattr(self, "opt_or_filter", opt_or_filter)
 
 
 #: The node classes `union_free_split` records below each node, as bits.

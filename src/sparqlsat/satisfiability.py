@@ -13,7 +13,7 @@ Everything else is answered Unknown, never guessed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter_ns
 
 from .constraints import Failure, fresh_iris, solve_constraints
@@ -43,6 +43,7 @@ from .patterns import (
     is_atomic,
     pattern_facts,
 )
+from .record import Record, _setattr
 from .rewrites import af_reduce, select_eliminate_info, union_free_split, wrong_literal_reduce
 from .schemes import candidate_schemes, scheme_sort_key, scheme_table
 from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, Variable, format_term
@@ -84,10 +85,12 @@ class Route(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class FragmentProfile:
-    kinds: frozenset
-    route: Route
+class FragmentProfile(Record):
+    __slots__ = ("kinds", "route")
+
+    def __init__(self, kinds: frozenset, route: Route):
+        _setattr(self, "kinds", kinds)
+        _setattr(self, "route", route)
 
 
 def classify_fragment(pattern: Pattern, *, facts: PatternFacts | None = None) -> FragmentProfile:
@@ -122,22 +125,23 @@ class UnsatReason(enum.Enum):
     SORT_CONFLICT = "sort-conflict"
 
 
-@dataclass(frozen=True, slots=True)
-class Satisfiable:
-    """SAT verdict: the evaluator returns the sample on the witness graph."""
+class Satisfiable(Record):
+    """SAT verdict: the evaluator returns the `sample` mapping on the
+    `witness` graph."""
 
-    witness: RdfGraph
-    sample: Mapping
+    __slots__ = ("witness", "sample")
 
-
-@dataclass(frozen=True, slots=True)
-class Unsatisfiable:
-    reason: UnsatReason
+    def __init__(self, witness: RdfGraph, sample: Mapping):
+        _setattr(self, "witness", witness)
+        _setattr(self, "sample", sample)
 
 
-@dataclass(frozen=True, slots=True)
-class Unknown:
-    reason: str
+class Unsatisfiable(Record):
+    __slots__ = ("reason",)  # an UnsatReason
+
+
+class Unknown(Record):
+    __slots__ = ("reason",)  # a text
 
 
 Verdict = Satisfiable | Unsatisfiable | Unknown
@@ -170,16 +174,18 @@ def _witness(pattern: Pattern, fragment: frozenset, name: str, model_of) -> tupl
     return _instantiate(facts, model), model
 
 
+#: A variable's name, read from its slot: the order of a mapping's items.
+_name = attrgetter("_key")
+
+
 def _constant_model(facts: PatternFacts) -> Mapping:
     constant = next(fresh_iris(facts.constants))
-    return Mapping({v: constant for v in facts.variables})
+    return Mapping._trusted(tuple([(v, constant) for v in sorted(facts.variables, key=_name)]))
 
 
 def _injective_model(facts: PatternFacts) -> Mapping:
     pool = fresh_iris(facts.constants)
-    return Mapping(
-        (v, next(pool)) for v in sorted(facts.variables, key=lambda v: v.name)
-    )
+    return Mapping._trusted(tuple([(v, next(pool)) for v in sorted(facts.variables, key=_name)]))
 
 
 def constant_witness(pattern: Pattern) -> tuple[RdfGraph, Mapping]:
@@ -256,15 +262,21 @@ def _decompose(node: Pattern, target: Scheme, table: dict) -> tuple:
 
 # --- the decision pipeline ------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class PipelineResult:
-    """Everything the batch analyzer wants to report about one pattern."""
+class PipelineResult(Record):
+    """Everything the batch analyzer wants to report about one pattern: the
+    verdict, the FragmentProfile (None before classification), whether the
+    pattern is well-designed (None if not known), whether the wrong-literal
+    reduction modified it, and the blocking feature's text or None."""
 
-    verdict: Verdict
-    profile: FragmentProfile | None
-    well_designed: bool | None
-    wrong_literal_modified: bool
-    blocking: str | None
+    __slots__ = ("verdict", "profile", "well_designed", "wrong_literal_modified", "blocking")
+
+    def __init__(self, verdict: Verdict, profile: FragmentProfile | None, well_designed: bool | None,
+                 wrong_literal_modified: bool, blocking: str | None):
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "profile", profile)
+        _setattr(self, "well_designed", well_designed)
+        _setattr(self, "wrong_literal_modified", wrong_literal_modified)
+        _setattr(self, "blocking", blocking)
 
 
 def decide_satisfiability(pattern: Pattern, *, builtins_as_bound: bool = False) -> Verdict:

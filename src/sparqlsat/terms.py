@@ -27,8 +27,9 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Union
+
+from .record import Record, _setattr
 
 _INTERN_LOCK = threading.Lock()
 
@@ -143,25 +144,33 @@ _GRAPH_SUBJECTS = frozenset((Iri, BlankNode))
 _GRAPH_OBJECTS = frozenset((Iri, Literal, BlankNode))
 
 
-@dataclass(frozen=True, slots=True)
-class RdfTriple:
+class RdfTriple(Record):
     """A triple of an RDF graph: (IRI or blank) x IRI x any term but a variable."""
 
-    subject: Term
-    predicate: Term
-    object: Term
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if type(self.predicate) is Iri and type(self.subject) in _GRAPH_SUBJECTS and (
-            type(self.object) in _GRAPH_OBJECTS
+    def __init__(self, subject: Term, predicate: Term, object: Term):
+        if type(predicate) is not Iri or type(subject) not in _GRAPH_SUBJECTS or (
+            type(object) not in _GRAPH_OBJECTS
         ):
-            return
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise ValueError(f"triple subject must be an IRI or blank node: {self.subject}")
-        if not isinstance(self.predicate, Iri):
-            raise ValueError(f"triple predicate must be an IRI: {self.predicate}")
-        if isinstance(self.object, Variable):
-            raise ValueError(f"triple object must not be a variable: {self.object}")
+            if not isinstance(subject, (Iri, BlankNode)):
+                raise ValueError(f"triple subject must be an IRI or blank node: {subject}")
+            if not isinstance(predicate, Iri):
+                raise ValueError(f"triple predicate must be an IRI: {predicate}")
+            if isinstance(object, Variable):
+                raise ValueError(f"triple object must not be a variable: {object}")
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "object", object)
+
+    # written out, as faster than the base's: every graph hashes its triples
+    def __eq__(self, other):
+        if type(other) is RdfTriple:
+            return (self.subject, self.predicate, self.object) == (other.subject, other.predicate, other.object)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subject, self.predicate, self.object))
 
     def __str__(self) -> str:
         return graph_lines((self,))[0]
@@ -180,11 +189,13 @@ def graph_lines(triples: Collection[RdfTriple], texts: dict | None = None) -> li
     return sorted([f"{texts[t.subject]} {texts[t.predicate]} {texts[t.object]} ." for t in triples])
 
 
-@dataclass(frozen=True, slots=True)
-class RdfGraph:
+class RdfGraph(Record):
     """A finite set of RDF triples (set semantics, no duplicates)."""
 
-    triples: frozenset[RdfTriple]
+    __slots__ = ("triples",)
+
+    def __init__(self, triples: frozenset[RdfTriple]):
+        _setattr(self, "triples", triples)
 
     @classmethod
     def of(cls, triples: Iterable[RdfTriple]) -> "RdfGraph":

@@ -7,7 +7,6 @@ in which every subtree is a contiguous range.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .constraints import SortMap, SortReq
 from .errors import InvalidPosition, NotAFPattern, NotNormalized, NotUnionFree, PreconditionViolated
@@ -30,16 +29,16 @@ from .patterns import (
     is_atomic,
     pattern_facts,
 )
+from .record import Record
 from .terms import Scheme, Variable
 
 
-@dataclass(frozen=True, slots=True)
-class WdViolation:
-    """One reason a pattern fails the well-designedness conditions."""
+class WdViolation(Record):
+    """One reason a pattern fails the well-designedness conditions: its
+    `kind` ("filter-unsafe" or "optional-escape"), the `position` and the
+    `variable`."""
 
-    kind: str  # "filter-unsafe" | "optional-escape"
-    position: Position
-    variable: Variable
+    __slots__ = ("kind", "position", "variable")
 
     def describe(self) -> str:
         if self.kind == "filter-unsafe":

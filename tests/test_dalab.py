@@ -243,7 +243,7 @@ def test_deep_expressions_parse_evaluate_and_print():
     expr = parse_da(CHAIN)
     assert da_eval(expr, CHAIN_RELATION) == frozenset()
     assert da_eval(expr, frozenset([(a, a)])) == frozenset([(a, a)])
-    text = da_text(expr)  # texts are compared, not expressions, because dataclass equality recurses
+    text = da_text(expr)  # texts are compared, not expressions, because node equality recurses
     assert text.count("R") == 2000 and da_text(parse_da(text)) == text
 
 

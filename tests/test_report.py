@@ -490,6 +490,48 @@ def test_cli_analyze_rejects_bad_options_in_one_line(args, message, tmp_path, ca
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--count", "-3"], "--count must be 0 or more, not -3"),
+        (["--count", "2", "--error-rate", "1.5"], "--error-rate must lie between 0 and 1, not 1.5"),
+        (["--count", "2", "--error-rate", "-0.1"], "--error-rate must lie between 0 and 1, not -0.1"),
+        (["--count", "2", "--error-rate", "nan"], "--error-rate must lie between 0 and 1, not nan"),
+    ],
+)
+def test_cli_gen_rejects_bad_options_in_one_line(args, message, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    assert main(["gen", "--out", str(corpus), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not corpus.exists()
+
+
+def test_cli_exits_1_without_a_traceback_when_stdout_closes(tmp_path):
+    # as `analyze ... | head -1` does: the reader takes one line and leaves
+    # while the report, larger than a pipe's buffer, is still being written
+    import os
+    import subprocess
+    import sys
+
+    import sparqlsat
+
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), generate_corpus(400, seed=4))
+    package_root = os.path.dirname(os.path.dirname(sparqlsat.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sparqlsat.cli", "analyze", str(corpus), "--repeats", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def test_cli_analyze_has_no_parallel_flag(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("SELECT * WHERE { ?x <p> ?y }\n")
@@ -585,6 +627,8 @@ def test_cli_dalab_round(tmp_path, capsys):
                      id="compile-equal-constants"),
         pytest.param(["search", "--expr", "(R"], None, 1, id="search-malformed-expr"),
         pytest.param(["search", "--expr", "R", "--max-adom", "9"], None, 2, id="search-bound-too-large"),
+        pytest.param(["search", "--expr", "R", "--max-adom", "0"], None, 2, id="search-bound-zero"),
+        pytest.param(["search", "--expr", "R", "--max-adom", "-1"], None, 2, id="search-bound-negative"),
         pytest.param(["cnf", "{file}"], "p cnf 1 1\n1 x 0\n", 1, id="cnf-malformed-clause"),
         pytest.param(["cnf", "{file}"], "c a formula\nc caf\xe9\np cnf 1 1\n1 0\n".encode("latin-1"), 2, id="cnf-not-utf8"),
     ],

@@ -186,7 +186,7 @@ def test_compact_true_is_the_iri_it_spells():
 @pytest.mark.parametrize("name", list(deep_nests(DEPTH)))
 def test_deep_nesting_parses_and_round_trips(name):
     # the parsers keep their own stacks; texts are compared, not ASTs,
-    # because dataclass equality recurses
+    # because node equality recurses
     assert sys.getrecursionlimit() == 1000
     once = serialize_pattern(parse_pattern(deep_nests(DEPTH)[name]))
     assert serialize_pattern(parse_pattern(once)) == once
