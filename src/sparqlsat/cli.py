@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
-from .corpus import FORMATS, generate_corpus, ingest_text, write_corpus
+from .corpus import FORMATS, generate_corpus, read_corpus, read_text, write_corpus
 from .errors import BoundTooLarge, InvalidConstants, SparqlSatError, UnknownFormat
-from .report import PipelineOptions, analyze_batch, check_options, emit_report, format_verdict_text
+from .report import PipelineOptions, check_options, format_verdict_text
 from .satisfiability import decide_satisfiability
 from .syntax import parse_pattern, serialize_pattern
 from .terms import Iri
@@ -62,22 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of the file at `path`.  A file that is not UTF-8
-    raises an OSError, as an unreadable file does, naming the file, the
-    line and the value of the first byte that does not decode."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # its offset counts from the start of `data`
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise OSError(f"{path}: not UTF-8 (line {line}, byte 0x{data[exc.start]:02X})") from None
-        raise
-
-
 def _relation(text: str):
     pairs = set()
     for number, line in enumerate(text.splitlines(), 1):
@@ -103,19 +86,20 @@ def _cmd_analyze(args) -> int:
     )
     try:
         check_options(options)  # before reading the corpus
-        entries = ingest_text(_read_text(args.file), args.format)
-        check_options(options, len(entries))
+        total = sum(1 for _ in read_corpus(args.file, args.format))  # split, not parsed
+        check_options(options, total)
     except (OSError, UnknownFormat, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = analyze_batch(entries, options)
-    print(emit_report(report, args.mode))
+    from .stream import stream_report  # `check` never loads it
+
+    stream_report(lambda: read_corpus(args.file, args.format), total, options, sys.stdout, args.mode)
     return 0
 
 
 def _cmd_check(args) -> int:
     try:
-        text = _read_text(args.file)
+        text = read_text(args.file)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -147,7 +131,7 @@ def _run_dalab(args) -> None:
 
     if args.dalab_command == "eval":
         expr = dalab.parse_da(args.expr)
-        result = dalab.da_eval(expr, _relation(_read_text(args.relation)))
+        result = dalab.da_eval(expr, _relation(read_text(args.relation)))
         for x, y in sorted((x.name, y.name) for x, y in result):
             print(x, y)
     elif args.dalab_command == "compile":
@@ -173,7 +157,7 @@ def _run_dalab(args) -> None:
             for x, y in sorted((x.name, y.name) for x, y in relation):
                 print(x, y)
     else:  # cnf
-        cnf = dalab.parse_dimacs(_read_text(args.file))
+        cnf = dalab.parse_dimacs(read_text(args.file))
         instance = dalab.cnf_to_choice_cover(cnf)
         cover = dalab.choice_cover_solve(instance)
         brute = dalab.cnf_satisfiable(cnf)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from typing import Iterable, Iterator
 
 from .errors import QuerySyntaxError, UnknownFormat, UnsupportedFeature
 from .patterns import Pattern
@@ -28,17 +30,22 @@ class CorpusEntry(Record):
         _setattr(self, "error", error)
 
 
-def _split_delim(text: str) -> list[str]:
-    chunks: list[str] = []
+def _entry_texts(lines: Iterable[str], fmt: str) -> Iterator[str]:
+    """The raw entry texts of a corpus in format `fmt`, given its lines."""
+    if fmt == "lines":
+        for line in lines:
+            if line.strip():
+                yield _unescape_line(line)
+        return
     current: list[str] = []
-    for line in text.splitlines():
+    for line in itertools.chain(lines, (DELIMITER,)):
         if line.strip() == DELIMITER:
-            chunks.append("\n".join(current))
+            chunk = "\n".join(current)
+            if chunk.strip():
+                yield chunk
             current = []
         else:
             current.append(line)
-    chunks.append("\n".join(current))
-    return [c for c in chunks if c.strip()]
 
 
 def _unescape_line(line: str) -> str:
@@ -49,12 +56,14 @@ def _escape_line(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise UnknownFormat(f"unknown corpus format: {fmt!r}")
+
+
 def split_corpus(text: str, fmt: str) -> list[str]:
-    if fmt == "delim":
-        return _split_delim(text)
-    if fmt == "lines":
-        return [_unescape_line(line) for line in text.splitlines() if line.strip()]
-    raise UnknownFormat(f"unknown corpus format: {fmt!r}")
+    _check_format(fmt)
+    return list(_entry_texts(text.splitlines(), fmt))
 
 
 def entry_from_text(entry_id: int, raw: str) -> CorpusEntry:
@@ -69,16 +78,57 @@ def entry_from_text(entry_id: int, raw: str) -> CorpusEntry:
 
 def ingest_corpus(path: str, fmt: str = "delim") -> list[CorpusEntry]:
     """Read and parse a corpus file; bad entries are recorded, never fatal."""
-    if fmt not in FORMATS:
-        raise UnknownFormat(f"unknown corpus format: {fmt!r}")
-    with open(path, "r", encoding="utf-8") as handle:
+    _check_format(fmt)
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
-    return ingest_text(text, fmt)
-
-
-def ingest_text(text: str, fmt: str = "delim") -> list[CorpusEntry]:
-    """Parse the text of a corpus file, as `ingest_corpus` does."""
     return [entry_from_text(i + 1, raw) for i, raw in enumerate(split_corpus(text, fmt))]
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path`, without a leading byte-order
+    mark.  A file that is not UTF-8 raises an OSError, as an unreadable
+    file does, naming the file, the line and the value of the first byte
+    that does not decode."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def read_corpus(path: str, fmt: str = "delim") -> Iterator[str]:
+    """The raw entry texts of the corpus file at `path`, read and split one
+    at a time, as `ingest_corpus` splits them.  Reading fails as
+    `read_text` does."""
+    _check_format(fmt)
+    return _entry_texts(_file_lines(path), fmt)
+
+
+def _file_lines(path: str) -> Iterator[str]:
+    """The lines of the UTF-8 file at `path`, split as `str.splitlines`
+    splits its whole text, read a block at a time."""
+    with open(path, encoding="utf-8-sig") as handle:
+        tail = ""
+        try:
+            while block := handle.read(1 << 16):
+                lines = (tail + block).splitlines(True)
+                tail = lines.pop()  # it may go on in the next block
+                for line in lines:
+                    yield line[:-1]  # universal newlines end every line with one character
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        yield from tail.splitlines()
+
+
+def _not_utf8(path: str) -> OSError:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # its offset counts from the start of `data`
+        line = data.count(b"\n", 0, exc.start) + 1
+        return OSError(f"{path}: not UTF-8 (line {line}, byte 0x{data[exc.start]:02X})")
+    return OSError(f"{path}: not UTF-8")  # the file changed while it was read
 
 
 def write_corpus(path: str, queries: list[str], fmt: str = "delim"):

@@ -1,19 +1,25 @@
 """Batch analysis driver, per-stage timing, and report emission.
 
-One per-entry function, `_run_one`, runs the decision pipeline for the
+One per-entry function, `_decide`, runs the decision pipeline for the
 report's records, for every timing round and for the scaling run.  Timing
 follows the classic read-and-parse baseline methodology: with a sink for
-stage spans, it first parses the raw query again as the baseline, then runs
-the pipeline with the sink, so the stages timed are the stages of the real
-run.  The report averages the rounds and shows cumulative totals with their
-percentage overhead relative to the baseline.  With timing disabled no clock
-is read and the report is byte-stable across runs.
+stage spans, a parse of the raw query is timed as the baseline (`_run_one`
+parses it again; a streamed round times the parse that builds its entry),
+then the pipeline runs with the sink, so the stages timed are the stages of
+the real run.  The report averages the rounds and shows cumulative totals
+with their percentage overhead relative to the baseline.  With timing
+disabled no clock is read and the report is byte-stable across runs.
+
+`analyze_batch` keeps every entry and record of a corpus;
+`stream.stream_report`, which the `analyze` command runs, writes the same
+report keeping none.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from json.encoder import encode_basestring_ascii as _string
 
 from .corpus import CorpusEntry, entry_from_text
 from .errors import SparqlSatError
@@ -24,6 +30,9 @@ from .terms import format_term, graph_lines
 
 SCHEMA_VERSION = 1
 STAGES = ("parse", "wrong_literal", "schemes", "well_designed")
+#: The keys of a report's `counts`: the verdict of an entry that parsed,
+#: else its status.
+OUTCOMES = ("satisfiable", "unsatisfiable", "unknown", "syntax-error", "unsupported")
 
 
 class PipelineOptions(Record):
@@ -81,11 +90,8 @@ def verdict_to_json(verdict) -> dict:
 
 
 def _run_one(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None):
-    """The pipeline's result for one entry, the exception it raised (one
-    entry must never abort a batch or a scaling pass), or None for an entry
-    that did not parse.  With a `stage_ns` dict, the baseline parse of the
-    raw text is timed into it first, then the pipeline adds its stage spans.
-    """
+    """`_decide`'s result for an entry; with a `stage_ns` dict, the baseline
+    parse of the raw text is timed into it first."""
     if stage_ns is not None:
         start = time.perf_counter_ns()
         try:
@@ -93,6 +99,14 @@ def _run_one(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None
         except SparqlSatError:
             pass
         stage_ns["parse"] += time.perf_counter_ns() - start
+    return _decide(entry, options, stage_ns)
+
+
+def _decide(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None):
+    """The pipeline's result for one entry, the exception it raised (one
+    entry must never abort a batch or a scaling pass), or None for an entry
+    that did not parse.  With a `stage_ns` dict, the pipeline adds its stage
+    spans to it."""
     if entry.status != "ok":
         return None
     try:
@@ -102,7 +116,7 @@ def _run_one(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None
 
 
 def _record(entry: CorpusEntry, result) -> EntryRecord:
-    """The report record of `_run_one`'s result for `entry`."""
+    """The report record of `_decide`'s result for `entry`."""
     if result is None:
         return EntryRecord(entry.entry_id, entry.status, error=entry.error)
     if isinstance(result, Exception):
@@ -120,6 +134,24 @@ def _record(entry: CorpusEntry, result) -> EntryRecord:
         well_designed=result.well_designed,
         wrong_literal_modified=result.wrong_literal_modified,
     )
+
+
+def _outcome(record: EntryRecord) -> str:
+    """The key of `counts` that `record` adds to."""
+    return record.verdict["status"] if record.status == "ok" else record.status
+
+
+def _overheads(stage_totals: dict | None) -> dict | None:
+    """Each stage's cumulative overhead over the parse baseline, in percent;
+    None without timing or when the baseline took no time."""
+    if not stage_totals or stage_totals["parse"] <= 0:
+        return None
+    baseline = stage_totals["parse"]
+    return {
+        "wrong_literal": 100.0 * stage_totals["wrong_literal"] / baseline,
+        "schemes": 100.0 * (stage_totals["wrong_literal"] + stage_totals["schemes"]) / baseline,
+        "well_designed": 100.0 * stage_totals["well_designed"] / baseline,
+    }
 
 
 def check_options(options: PipelineOptions, corpus_size: int | None = None) -> None:
@@ -153,7 +185,6 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
             _run_one(entry, options, span)
 
     stage_totals = None
-    overheads = None
     if repeats:
         for record, span in zip(records, spans):
             record.stage_ns = {stage: span[stage] / repeats for stage in STAGES}
@@ -161,17 +192,10 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
             stage: sum(record.stage_ns[stage] for record in records) / 1e6  # ms
             for stage in STAGES
         }
-        baseline = stage_totals["parse"]
-        if baseline > 0:
-            overheads = {
-                "wrong_literal": 100.0 * stage_totals["wrong_literal"] / baseline,
-                "schemes": 100.0 * (stage_totals["wrong_literal"] + stage_totals["schemes"]) / baseline,
-                "well_designed": 100.0 * stage_totals["well_designed"] / baseline,
-            }
 
-    counts = {"satisfiable": 0, "unsatisfiable": 0, "unknown": 0, "syntax-error": 0, "unsupported": 0}
+    counts = dict.fromkeys(OUTCOMES, 0)
     for record in records:
-        counts[record.verdict["status"] if record.status == "ok" else record.status] += 1
+        counts[_outcome(record)] += 1
 
     scaling = None
     if options.size_buckets:
@@ -183,7 +207,7 @@ def analyze_batch(entries: list, options: PipelineOptions | None = None) -> Anal
         counts=counts,
         entries=records,
         stage_totals_ms=stage_totals,
-        overhead_pct=overheads,
+        overhead_pct=_overheads(stage_totals),
         scaling=scaling,
     )
 
@@ -216,41 +240,93 @@ def pearson(xs, ys) -> float:
 
 # --- emission -----------------------------------------------------------------------
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    scaling = report.scaling
-    if scaling is not None:
-        scaling = {"sizes": list(scaling.sizes), "total_ms": list(scaling.total_ms), "pearson": scaling.pearson}
-    out = {
-        "schema": SCHEMA_VERSION,
-        "total": report.total,
-        "counts": report.counts,
-        "stage_totals_ms": report.stage_totals_ms,
-        "overhead_pct": report.overhead_pct,
-        "scaling": scaling,
-        "entries": [],
-    }
-    for record in report.entries:
-        entry = {
-            "id": record.entry_id,
-            "status": record.status,
-            "verdict": record.verdict,
-            "kinds": record.kinds,
-            "route": record.route,
-            "well_designed": record.well_designed,
-            "wrong_literal_modified": record.wrong_literal_modified,
-            "stage_ns": record.stage_ns,
-            "error": record.error,
-        }
-        out["entries"].append(entry)
-    return out
-
-
 def emit_report(report: AnalysisReport, mode: str = "json") -> str:
     if mode == "json":
-        return json.dumps(report_to_dict(report), indent=2)
+        entries = [entry_text(record) for record in report.entries]
+        return header_text(report) + ("[\n" + ",\n".join(entries) + "\n  ]\n}" if entries else "[]\n}")
     if mode == "table":
         return _emit_table(report)
     raise ValueError(f"unknown report mode: {mode!r}")
+
+
+# The JSON report is what `json.dumps(..., indent=2)` writes, but written
+# without json's encoder, which is the pure-Python one whenever an indent is
+# given: `header_text` writes everything before the `entries` list and
+# `entry_text` one record, with json's own C function escaping every string.
+# Only values a record rarely holds, such as timing floats, go through
+# `json.dumps`.  `emit_report` joins their texts for a whole report, and
+# `stream.stream_report` writes them one entry at a time.
+
+def header_text(report: AnalysisReport) -> str:
+    """The report's JSON text up to its `entries` list."""
+    counts = report.counts
+    counts = "{\n    " + ",\n    ".join(
+        [_string(key) + ": " + _item_text(value, 2) for key, value in counts.items()]
+    ) + "\n  }" if counts else "{}"
+    scaling = report.scaling
+    if scaling is not None:
+        scaling = {"sizes": list(scaling.sizes), "total_ms": list(scaling.total_ms), "pearson": scaling.pearson}
+    return (
+        '{\n  "schema": ' + _item_text(SCHEMA_VERSION, 1)
+        + ',\n  "total": ' + _item_text(report.total, 1)
+        + ',\n  "counts": ' + counts
+        + ',\n  "stage_totals_ms": ' + _item_text(report.stage_totals_ms, 1)
+        + ',\n  "overhead_pct": ' + _item_text(report.overhead_pct, 1)
+        + ',\n  "scaling": ' + _item_text(scaling, 1)
+        + ',\n  "entries": '
+    )
+
+
+def entry_text(record: EntryRecord) -> str:
+    """The JSON text of one record, an item of the report's `entries` list."""
+    verdict = record.verdict
+    if type(verdict) is dict and verdict:
+        verdict = "{\n        " + ",\n        ".join(
+            [_string(key) + ": " + _item_text(value, 4) for key, value in verdict.items()]
+        ) + "\n      }"
+    else:
+        verdict = _item_text(verdict, 3)
+    return (
+        '    {\n      "id": ' + _item_text(record.entry_id, 3)
+        + ',\n      "status": ' + _item_text(record.status, 3)
+        + ',\n      "verdict": ' + verdict
+        + ',\n      "kinds": ' + _item_text(record.kinds, 3)
+        + ',\n      "route": ' + _item_text(record.route, 3)
+        + ',\n      "well_designed": ' + _item_text(record.well_designed, 3)
+        + ',\n      "wrong_literal_modified": ' + _item_text(record.wrong_literal_modified, 3)
+        + ',\n      "stage_ns": ' + _item_text(record.stage_ns, 3)
+        + ',\n      "error": ' + _item_text(record.error, 3)
+        + "\n    }"
+    )
+
+
+def _item_text(value, level: int) -> str:
+    """The JSON text of `value` nested `level` containers deep, written
+    directly for the values a record holds: None, booleans, ints, strings,
+    and lists and dicts of strings."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    pad = "\n" + "  " * (level + 1)
+    if kind is list:
+        try:
+            return "[" + pad + ("," + pad).join(map(_string, value)) + pad[:-2] + "]" if value else "[]"
+        except TypeError:  # an item that is not a string
+            pass
+    elif kind is dict:
+        try:
+            return "{" + pad + ("," + pad).join([_string(k) + ": " + _string(v) for k, v in value.items()]) + \
+                pad[:-2] + "}" if value else "{}"
+        except TypeError:
+            pass
+    # anything else, such as floats, by json itself; its text holds no raw newline but those it indents with
+    return json.dumps(value, indent=2).replace("\n", pad[:-2])
 
 
 def _emit_table(report: AnalysisReport) -> str:

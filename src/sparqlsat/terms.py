@@ -5,10 +5,11 @@ variables.  IRIs and literals together are the *constants*.  Literals are
 compared by lexical form only; no datatype or language-tag semantics is
 applied anywhere in this package.
 
-The term classes are interned immutable values: each class keeps a weak table
-from key to its one live instance, and constructing a term returns that
-instance.  Equal terms are therefore the same object, so terms compare and
-hash by identity, in C; they are the innermost objects of every join,
+The term classes are interned immutable values: each class keeps a plain
+dict from key to a weak reference to its one live instance, whose callback
+removes the entry when the instance dies, and constructing a term returns
+that instance.  Equal terms are therefore the same object, so terms compare
+and hash by identity, in C; they are the innermost objects of every join,
 scheme, and solution-set operation.  Identity hashes differ from process to
 process, so every output that lists terms sorts them explicitly.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Collection, Iterable, Iterator, Union
 
 from .record import Record, _setattr
@@ -43,17 +45,26 @@ class _Term:
     __slots__ = ("_key", "__weakref__")
 
     def __init_subclass__(cls):
-        cls._interned = weakref.WeakValueDictionary()
+        table = cls._interned = {}  # key -> weak reference to the live term
+
+        # a term died: drop its entry, unless a new term took the key; bound
+        # here, as module globals may be gone when the last terms die at exit
+        def forget(ref, remove=_remove_dead_weakref):
+            remove(table, ref.key)
+
+        cls._forget = staticmethod(forget)
 
     def __new__(cls, key: str):
-        term = cls._interned.get(key)
+        ref = cls._interned.get(key)
+        term = ref() if ref is not None else None
         if term is None:
             with _INTERN_LOCK:  # two threads must not both create the instance
-                term = cls._interned.get(key)
+                ref = cls._interned.get(key)
+                term = ref() if ref is not None else None
                 if term is None:
                     term = object.__new__(cls)
                     object.__setattr__(term, "_key", key)
-                    cls._interned[key] = term
+                    cls._interned[key] = weakref.KeyedRef(term, cls._forget, key)
                     _RING[next(_RING_SLOTS)] = term
         return term
 

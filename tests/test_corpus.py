@@ -5,6 +5,7 @@ import pytest
 from sparqlsat.corpus import (
     generate_corpus,
     ingest_corpus,
+    read_corpus,
     split_corpus,
     write_corpus,
 )
@@ -51,6 +52,22 @@ def test_unknown_format_is_rejected(tmp_path):
         ingest_corpus(str(tmp_path / "nope.txt"), "csv")
     with pytest.raises(UnknownFormat):
         split_corpus("", "csv")
+
+
+@pytest.mark.parametrize("fmt", ["delim", "lines"])
+def test_the_lazy_reader_splits_as_the_whole_text_is_split(fmt, tmp_path):
+    # every line break `str.splitlines` knows, blank entries, a BOM, no final
+    # newline, and enough text that lines and breaks straddle the read blocks
+    body = "q1 a\r\nq1 b\n####\n \n####\r\nq2\x0bq2\x85q2\u2028q2\rq2 \\\\n\n  ####  \nq3\x1cq3\fq3\r"
+    text = "\ufeff" + body * 3000 + "q4"
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(text.encode())
+    expected = split_corpus(text[1:].replace("\r\n", "\n").replace("\r", "\n"), fmt)
+    assert len(expected) > 6000
+    assert list(read_corpus(str(path), fmt)) == expected
+    assert [entry.raw_text for entry in ingest_corpus(str(path), fmt)] == expected
+    with pytest.raises(UnknownFormat):
+        read_corpus(str(path), "csv")
 
 
 def test_ten_thousand_query_corpus_ingests_completely(tmp_path):

@@ -283,6 +283,207 @@ def test_untimed_report_is_byte_identical_to_the_gate(builtins_as_bound):
     assert hashlib.sha256(text.encode()).hexdigest() == GATE_DIGESTS[builtins_as_bound]
 
 
+# --- the JSON writer and the streamed command ------------------------------------------
+
+def reference_dict(report):
+    """The report in the layout of its JSON text, for `json.dumps(..., indent=2)`."""
+    scaling = report.scaling
+    if scaling is not None:
+        scaling = {"sizes": list(scaling.sizes), "total_ms": list(scaling.total_ms), "pearson": scaling.pearson}
+    entries = [
+        {
+            "id": record.entry_id,
+            "status": record.status,
+            "verdict": record.verdict,
+            "kinds": record.kinds,
+            "route": record.route,
+            "well_designed": record.well_designed,
+            "wrong_literal_modified": record.wrong_literal_modified,
+            "stage_ns": record.stage_ns,
+            "error": record.error,
+        }
+        for record in report.entries
+    ]
+    return {
+        "schema": 1,
+        "total": report.total,
+        "counts": report.counts,
+        "stage_totals_ms": report.stage_totals_ms,
+        "overhead_pct": report.overhead_pct,
+        "scaling": scaling,
+        "entries": entries,
+    }
+
+
+#: Queries whose literals, errors and reasons hold non-ASCII and control
+#: characters, quotes and backslashes.
+ODD_QUERIES = [
+    'SELECT * WHERE { ?x <p> "\u00fc\x01 \\"q\\" \\\\ \u00e9 \u4e2d \U0001F600" }',
+    'SELECT * WHERE { ?x <p> ?o FILTER regex(?o, "\u00e9\t\\"\\\\\x7f") }',
+    "SELECT * WHERE { ?x <p> \u00e9 }",
+    'SELECT * WHERE { ?x <p\u00e9> "\u2028" }',
+]
+
+
+@pytest.mark.parametrize(
+    "queries, options",
+    [
+        ([], PipelineOptions(repeats=0)),
+        ([], PipelineOptions(repeats=1)),
+        (GOLDEN_QUERIES, PipelineOptions(repeats=0)),
+        (ODD_QUERIES, PipelineOptions(repeats=0, builtins_as_bound=False)),
+        (generate_corpus(60, seed=3, error_rate=0.1), PipelineOptions(repeats=2, size_buckets=(20, 40, 60))),
+        (generate_corpus(30, seed=5), PipelineOptions(repeats=1, builtins_as_bound=True)),
+    ],
+    ids=["empty", "empty-timed", "statuses", "odd-characters", "timed-buckets", "timed"],
+)
+def test_the_json_writer_writes_what_json_dumps_writes(queries, options):
+    report = analyze_batch(entries_from(queries), options)
+    assert emit_report(report, "json") == json.dumps(reference_dict(report), indent=2)
+
+
+def test_the_json_writer_writes_an_internal_error_as_json_dumps_does(monkeypatch):
+    from sparqlsat import report as report_module
+
+    def failing(pattern, **options):
+        raise RuntimeError('lost \u00fc\x00 "scheme" \\ \u4e2d')
+
+    monkeypatch.setattr(report_module, "run_pipeline", failing)
+    report = analyze_batch(entries_from(GOLDEN_QUERIES), PipelineOptions(repeats=0))
+    assert report.entries[0].verdict["reason"].startswith("internal-error: RuntimeError")
+    assert emit_report(report, "json") == json.dumps(reference_dict(report), indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        None, True, False, 0, 1, -7, 2 ** 70, 0.1, -0.0, 1e300, float("nan"), float("inf"), float("-inf"),
+        "", "\u00e9\"\\\n", [], {}, (), [True, 1, 1.0, None], {"a": [], "b": {}, "c": [{}, [[]]]},
+        {"k": {"j": [1, (2, 3), {"i": "x"}]}}, [{"a": None}, {"b": False}], ["a", "b\x00\u00e9"],
+        {"?x": "<a>", "?\u00e9": "\"\\"}, ["a", 1], {"a": "b", "c": None},
+    ],
+)
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_json_values_are_written_as_json_dumps_writes_them(value, level):
+    from sparqlsat.report import _item_text
+
+    assert _item_text(value, level) == json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+@pytest.mark.parametrize("builtins_as_bound", [False, True])
+def test_the_streamed_command_prints_the_gate_report(builtins_as_bound, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    assert main(["gen", "--count", "2000", "--seed", "7", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    flags = ["--builtins-as-bound"] if builtins_as_bound else []
+    assert main(["analyze", str(corpus), "--repeats", "0", "--mode", "json", *flags]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == GATE_DIGESTS[builtins_as_bound]
+
+
+@pytest.mark.parametrize("fmt", ["delim", "lines"])
+def test_the_streamed_command_prints_the_library_report(fmt, tmp_path, capsys):
+    queries = GOLDEN_QUERIES + ODD_QUERIES
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), queries, fmt)
+    assert main(["analyze", str(corpus), "--format", fmt, "--repeats", "0"]) == 0
+    expected = emit_report(analyze_batch(ingest_corpus(str(corpus), fmt), PipelineOptions(repeats=0)), "json")
+    assert capsys.readouterr().out == expected + "\n"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n####\n")
+    assert main(["analyze", str(empty), "--repeats", "0"]) == 0
+    assert capsys.readouterr().out == emit_report(analyze_batch([], PipelineOptions(repeats=0)), "json") + "\n"
+
+
+def test_each_streamed_round_parses_and_analyzes_each_entry_once(tmp_path, capsys, monkeypatch):
+    from collections import Counter
+
+    from sparqlsat import corpus as corpus_module
+    from sparqlsat import report as report_module
+
+    real_parse, real_run_pipeline = corpus_module.parse_pattern, report_module.run_pipeline
+    parsed, analyzed = Counter(), Counter()
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return real_parse(text)
+
+    def counting_run(pattern, **options):
+        analyzed[pattern] += 1
+        return real_run_pipeline(pattern, **options)
+
+    def no_second_parse(text):
+        raise AssertionError("a streamed round times the parse that builds its entry")
+
+    monkeypatch.setattr(corpus_module, "parse_pattern", counting_parse)
+    monkeypatch.setattr(report_module, "run_pipeline", counting_run)
+    monkeypatch.setattr(report_module, "parse_pattern", no_second_parse)
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), GOLDEN_QUERIES)
+    assert main(["analyze", str(corpus), "--repeats", "3", "--buckets", "2,5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ok = [real_parse(query) for query in GOLDEN_QUERIES[:3]]
+    # three timing rounds, then one untimed pass per repeat over each bucket's prefix
+    assert parsed == Counter({query: 3 + 3 * (1 + (i < 2)) for i, query in enumerate(GOLDEN_QUERIES)})
+    assert analyzed == Counter({ok[0]: 3 + 2 * 3, ok[1]: 3 + 2 * 3, ok[2]: 3 + 3})
+    assert payload["total"] == 5 and payload["counts"] == analyze_batch(
+        entries_from(GOLDEN_QUERIES), PipelineOptions(repeats=0)
+    ).counts
+    assert set(payload["stage_totals_ms"]) == {"parse", "wrong_literal", "schemes", "well_designed"}
+    assert all(entry["stage_ns"]["parse"] > 0 for entry in payload["entries"])
+    assert payload["scaling"]["sizes"] == [2, 5]
+
+
+def test_the_streamed_table_writes_no_spool(tmp_path, capsys, monkeypatch):
+    import tempfile
+
+    def no_spool(*args, **kwargs):
+        raise AssertionError("the table needs no spool")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_spool)
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), GOLDEN_QUERIES)
+    assert main(["analyze", str(corpus), "--repeats", "0", "--mode", "table"]) == 0
+    expected = emit_report(analyze_batch(entries_from(GOLDEN_QUERIES), PipelineOptions(repeats=0)), "table")
+    assert capsys.readouterr().out == expected + "\n"
+
+
+_TRACED_ANALYZE = """
+import sys, tracemalloc
+from sparqlsat.cli import main
+status = main(["analyze", sys.argv[1], "--repeats", "0", "--builtins-as-bound", "--mode", "json"])
+sys.stderr.write(str(tracemalloc.get_traced_memory()[1]))
+sys.exit(status)
+"""
+
+
+def test_streamed_memory_does_not_grow_with_the_corpus(tmp_path):
+    # each run is a process traced from its start, as its peak RSS counts
+    # it, writing its report to a file; a report held whole grows about
+    # 9 KB a query
+    import os
+    import subprocess
+
+    import sparqlsat
+
+    package_root = os.path.dirname(os.path.dirname(sparqlsat.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    queries = generate_corpus(4000, seed=7)
+    peaks = []
+    for size in (1000, 4000):
+        corpus = tmp_path / f"corpus-{size}.txt"
+        write_corpus(str(corpus), queries[:size])
+        with open(tmp_path / f"report-{size}.json", "w") as out:
+            result = subprocess.run(
+                [sys.executable, "-X", "tracemalloc", "-c", _TRACED_ANALYZE, str(corpus)],
+                stdout=out, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+            )
+        assert result.returncode == 0, result.stderr
+        peaks.append(int(result.stderr))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 # Digests of the output of `analyze --repeats 0 --mode table` on the same
 # corpus, written by `gen --count 2000 --seed 7`, at commit 495702f.
 TABLE_GATE_DIGESTS = {
@@ -592,6 +793,31 @@ def test_cli_check_reports_a_file_that_is_not_utf8(tmp_path, capsys):
 
 def test_cli_analyze_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     _assert_not_utf8_reported("analyze", tmp_path, capsys)
+
+
+def test_cli_check_accepts_a_byte_order_mark(tmp_path, capsys):
+    query = tmp_path / "query.rq"
+    query.write_bytes(b"\xef\xbb\xbfSELECT * WHERE { ?x <p> ?y }")
+    assert main(["check", str(query)]) == 0
+    assert capsys.readouterr().out.startswith("satisfiable\n")
+
+
+@pytest.mark.parametrize("fmt", ["delim", "lines"])
+def test_cli_analyze_accepts_a_byte_order_mark(fmt, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), GOLDEN_QUERIES, fmt)
+    corpus.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+    assert main(["analyze", str(corpus), "--format", fmt, "--repeats", "0"]) == 0
+    expected = emit_report(analyze_batch(entries_from(GOLDEN_QUERIES), PipelineOptions(repeats=0)), "json")
+    assert capsys.readouterr().out == expected + "\n"
+    assert [entry.raw_text for entry in ingest_corpus(str(corpus), fmt)] == GOLDEN_QUERIES
+
+
+def test_cli_dalab_eval_accepts_a_byte_order_mark(tmp_path, capsys):
+    relation = tmp_path / "rel.txt"
+    relation.write_bytes(b"\xef\xbb\xbfa b\nb c\n")
+    assert main(["dalab", "eval", "--expr", "R . R", "--relation", str(relation)]) == 0
+    assert capsys.readouterr().out == "a c\n"
 
 
 def test_cli_dalab_round(tmp_path, capsys):

@@ -88,6 +88,26 @@ def test_the_intern_tables_hold_at_most_the_ring_beyond_live_terms():
     assert sum(map(len, tables)) <= before + RING_SIZE
 
 
+def test_a_dead_term_leaves_its_table_once_the_ring_has_evicted_it():
+    Variable("evicted probe")
+    assert "evicted probe" in Variable._interned
+    for i in range(RING_SIZE):
+        Iri(f"eviction filler {i}")
+    gc.collect()
+    assert "evicted probe" not in Variable._interned
+    rebuilt = Variable("evicted probe")
+    assert Variable._interned["evicted probe"]() is rebuilt
+
+
+def test_a_live_term_keeps_its_identity_after_the_ring_turns_over():
+    held = Variable("held probe")
+    for i in range(2 * RING_SIZE):
+        Iri(f"identity filler {i}")
+    gc.collect()
+    assert Variable("held probe") is held
+    assert Variable._interned["held probe"]() is held
+
+
 def test_variable_name_must_be_nonempty():
     with pytest.raises(ValueError):
         Variable("")
