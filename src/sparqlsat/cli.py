@@ -8,7 +8,7 @@ import sys
 
 from .corpus import FORMATS, generate_corpus, read_corpus, read_text, write_corpus
 from .errors import BoundTooLarge, InvalidConstants, SparqlSatError, UnknownFormat
-from .report import PipelineOptions, check_options, format_verdict_text
+from .report import PipelineOptions, check_options, format_verdict_text, stream_report
 from .satisfiability import decide_satisfiability
 from .syntax import parse_pattern, serialize_pattern
 from .terms import Iri
@@ -91,8 +91,6 @@ def _cmd_analyze(args) -> int:
     except (OSError, UnknownFormat, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .stream import stream_report  # `check` never loads it
-
     stream_report(lambda: read_corpus(args.file, args.format), total, options, sys.stdout, args.mode)
     return 0
 

@@ -62,8 +62,15 @@ def _check_format(fmt: str) -> None:
 
 
 def split_corpus(text: str, fmt: str) -> list[str]:
+    r"""The raw entry texts of a corpus text in format `fmt`.  Its lines end
+    at "\n", "\r\n" or "\r", as a file's lines end when Python reads it
+    with universal newlines; the other line breaks of `str.splitlines` are
+    text, so a query keeps them."""
     _check_format(fmt)
-    return list(_entry_texts(text.splitlines(), fmt))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the end of the last line, or of an empty text
+        lines.pop()
+    return list(_entry_texts(lines, fmt))
 
 
 def entry_from_text(entry_id: int, raw: str) -> CorpusEntry:
@@ -79,8 +86,11 @@ def entry_from_text(entry_id: int, raw: str) -> CorpusEntry:
 def ingest_corpus(path: str, fmt: str = "delim") -> list[CorpusEntry]:
     """Read and parse a corpus file; bad entries are recorded, never fatal."""
     _check_format(fmt)
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:  # named as `read_text` names it
+        raise _not_utf8(path) from None
     return [entry_from_text(i + 1, raw) for i, raw in enumerate(split_corpus(text, fmt))]
 
 
@@ -105,19 +115,14 @@ def read_corpus(path: str, fmt: str = "delim") -> Iterator[str]:
 
 
 def _file_lines(path: str) -> Iterator[str]:
-    """The lines of the UTF-8 file at `path`, split as `str.splitlines`
-    splits its whole text, read a block at a time."""
+    """The lines of the UTF-8 file at `path`, read one at a time and split
+    as `split_corpus` splits its whole text."""
     with open(path, encoding="utf-8-sig") as handle:
-        tail = ""
         try:
-            while block := handle.read(1 << 16):
-                lines = (tail + block).splitlines(True)
-                tail = lines.pop()  # it may go on in the next block
-                for line in lines:
-                    yield line[:-1]  # universal newlines end every line with one character
+            for line in handle:
+                yield line.removesuffix("\n")
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
-        yield from tail.splitlines()
 
 
 def _not_utf8(path: str) -> OSError:
@@ -132,12 +137,23 @@ def _not_utf8(path: str) -> OSError:
 
 
 def write_corpus(path: str, queries: list[str], fmt: str = "delim"):
+    r"""Write `queries` to a corpus file in format `fmt`.  A query the file
+    would not give back as written raises ValueError, before the file is
+    opened: one holding "\r", which reading takes for a line end; a blank
+    one, which reading skips; and in `delim` format, one holding a
+    delimiter line."""
+    _check_format(fmt)
+    for index, query in enumerate(queries):
+        if "\r" in query:
+            raise ValueError(f"query {index} holds the line break '\\r', which a corpus file reads as '\\n'")
+        if not query or query.isspace():
+            raise ValueError(f"query {index} is blank, and reading a corpus file skips blank entries")
+        if fmt == "delim" and DELIMITER in query and any(line.strip() == DELIMITER for line in query.split("\n")):
+            raise ValueError(f"query {index} holds a {DELIMITER} line, which ends an entry")
     if fmt == "delim":
         body = f"\n{DELIMITER}\n".join(queries) + "\n"
-    elif fmt == "lines":
-        body = "\n".join(_escape_line(q) for q in queries) + "\n"
     else:
-        raise UnknownFormat(f"unknown corpus format: {fmt!r}")
+        body = "\n".join(_escape_line(q) for q in queries) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(body)
 

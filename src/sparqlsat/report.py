@@ -1,25 +1,26 @@
-"""Batch analysis driver, per-stage timing, and report emission.
+"""Corpus analysis, per-stage timing, and report emission.
 
-One per-entry function, `_decide`, runs the decision pipeline for the
-report's records, for every timing round and for the scaling run.  Timing
-follows the classic read-and-parse baseline methodology: with a sink for
-stage spans, a parse of the raw query is timed as the baseline (`_run_one`
-parses it again; a streamed round times the parse that builds its entry),
-then the pipeline runs with the sink, so the stages timed are the stages of
-the real run.  The report averages the rounds and shows cumulative totals
-with their percentage overhead relative to the baseline.  With timing
-disabled no clock is read and the report is byte-stable across runs.
-
-`analyze_batch` keeps every entry and record of a corpus;
-`stream.stream_report`, which the `analyze` command runs, writes the same
-report keeping none.
+One loop, `_analyze`, decides a corpus for both `analyze_batch`, which
+keeps every entry and record, and `stream_report`, which the `analyze`
+command runs and which keeps none.  It runs `max(repeats, 1)` rounds of
+`_decide`, the per-entry pipeline run, which the scaling run calls too.
+Timing follows the classic read-and-parse baseline methodology: with
+timing on, each entry's parse is timed as the baseline (the parse that
+builds a streamed entry, or a parse of a given entry's text again), then
+the pipeline runs with a sink for its stage spans, so the stages timed are
+the stages of the real run.  Every round adds its spans to the stage
+totals, which average the rounds and show their percentage overhead
+relative to the baseline; a record's `stage_ns` are its last round's spans.
+With timing disabled no clock is read and the report is byte-stable
+across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import time
 from json.encoder import encode_basestring_ascii as _string
+from time import perf_counter, perf_counter_ns
 
 from .corpus import CorpusEntry, entry_from_text
 from .errors import SparqlSatError
@@ -89,19 +90,6 @@ def verdict_to_json(verdict) -> dict:
     return {"status": "unknown", "reason": verdict.reason}
 
 
-def _run_one(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None):
-    """`_decide`'s result for an entry; with a `stage_ns` dict, the baseline
-    parse of the raw text is timed into it first."""
-    if stage_ns is not None:
-        start = time.perf_counter_ns()
-        try:
-            parse_pattern(entry.raw_text)
-        except SparqlSatError:
-            pass
-        stage_ns["parse"] += time.perf_counter_ns() - start
-    return _decide(entry, options, stage_ns)
-
-
 def _decide(entry: CorpusEntry, options: PipelineOptions, stage_ns: dict | None = None):
     """The pipeline's result for one entry, the exception it raised (one
     entry must never abort a batch or a scaling pass), or None for an entry
@@ -168,48 +156,100 @@ def check_options(options: PipelineOptions, corpus_size: int | None = None) -> N
         raise ValueError(f"size buckets {buckets} do not fit a corpus of {corpus_size}")
 
 
-def analyze_batch(entries: list, options: PipelineOptions | None = None) -> AnalysisReport:
-    """Run the decision pipeline over a corpus and assemble the report.
+def _analyze(texts, entries, total: int, options: PipelineOptions, keep) -> AnalysisReport:
+    """Decide a corpus in `max(repeats, 1)` rounds and return its report
+    without entries; `keep` is given each record, in corpus order, as the
+    last round builds it.
 
-    The first round builds the records; with timing on, each of the
-    `repeats` rounds adds every entry's baseline parse and stage spans, and
-    a record's `stage_ns` is their mean.
+    Each call of `texts()` yields the corpus's `total` raw entry texts
+    again.  The entries decided are `entries`, one for each text, or, with
+    `entries` None, each text's entry built afresh in every round.  With
+    timing on, each entry's baseline is timed before the pipeline runs: the
+    parse that builds the entry or, for a given entry, a parse of its text
+    again.
     """
-    options = options or PipelineOptions()
-    check_options(options, len(entries))
+    check_options(options, total)
     repeats = options.repeats
-    spans = [dict.fromkeys(STAGES, 0) for _ in entries] if repeats else [None] * len(entries)
-    records = [_record(entry, _run_one(entry, options, span)) for entry, span in zip(entries, spans)]
-    for _ in range(1, repeats):
-        for entry, span in zip(entries, spans):
-            _run_one(entry, options, span)
-
-    stage_totals = None
-    if repeats:
-        for record, span in zip(records, spans):
-            record.stage_ns = {stage: span[stage] / repeats for stage in STAGES}
-        stage_totals = {
-            stage: sum(record.stage_ns[stage] for record in records) / 1e6  # ms
-            for stage in STAGES
-        }
-
+    totals = dict.fromkeys(STAGES, 0)
     counts = dict.fromkeys(OUTCOMES, 0)
-    for record in records:
-        counts[_outcome(record)] += 1
+    for rounds_left in reversed(range(max(repeats, 1))):
+        for index, item in enumerate(texts() if entries is None else entries, 1):
+            if not repeats:
+                span = None
+                entry = item if entries is not None else entry_from_text(index, item)
+            else:
+                span = dict.fromkeys(STAGES, 0)
+                start = perf_counter_ns()
+                if entries is None:
+                    entry = entry_from_text(index, item)
+                else:
+                    entry = item
+                    try:
+                        parse_pattern(entry.raw_text)
+                    except SparqlSatError:
+                        pass
+                span["parse"] = perf_counter_ns() - start
+            result = _decide(entry, options, span)
+            if span is not None:
+                for stage in STAGES:
+                    totals[stage] += span[stage]
+            if not rounds_left:
+                record = _record(entry, result)
+                if span is not None:
+                    record.stage_ns = {stage: float(span[stage]) for stage in STAGES}
+                counts[_outcome(record)] += 1
+                keep(record)
 
+    stage_totals = {stage: totals[stage] / repeats / 1e6 for stage in STAGES} if repeats else None  # ms
     scaling = None
     if options.size_buckets:
-        raw_texts = [entry.raw_text for entry in entries]
-        scaling = measure_scaling(raw_texts, options.size_buckets, options)
+        sizes = sorted(options.size_buckets)
+        scaling = measure_scaling(list(itertools.islice(texts(), sizes[-1])), sizes, options)
+    return AnalysisReport(sum(counts.values()), counts, [], stage_totals, _overheads(stage_totals), scaling)
 
-    return AnalysisReport(
-        total=len(entries),
-        counts=counts,
-        entries=records,
-        stage_totals_ms=stage_totals,
-        overhead_pct=_overheads(stage_totals),
-        scaling=scaling,
+
+def analyze_batch(entries: list, options: PipelineOptions | None = None) -> AnalysisReport:
+    """Run the decision pipeline over a corpus and assemble the report."""
+    records: list = []
+    report = _analyze(
+        lambda: (entry.raw_text for entry in entries), entries, len(entries), options or PipelineOptions(),
+        records.append,
     )
+    report.entries = records
+    return report
+
+
+def stream_report(read_texts, total: int, options: PipelineOptions, out, mode: str = "json") -> None:
+    """Analyze a corpus one entry at a time and write its report to `out`,
+    as `print(emit_report(analyze_batch(entries, options), mode), file=out)`
+    would, keeping no entry, record or text past its own query.
+
+    Each call of `read_texts()` yields the corpus's `total` raw entry texts
+    again.  The JSON text of each record goes to a temporary spool file,
+    copied to `out` after the header, whose counts and totals cover the
+    whole corpus; the table needs no spool.
+    """
+    if mode not in ("json", "table"):
+        raise ValueError(f"unknown report mode: {mode!r}")
+    if mode == "table":
+        out.write(_emit_table(_analyze(read_texts, None, total, options, lambda record: None)) + "\n")
+        return
+    import shutil  # only the JSON spool needs these, so `check` never loads them
+    import tempfile
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        # a streamed entry's id is its place in the corpus, counted from 1
+        report = _analyze(
+            read_texts, None, total, options,
+            lambda record: spool.write((",\n" if record.entry_id > 1 else "[\n") + entry_text(record)),
+        )
+        out.write(header_text(report))
+        if not report.total:
+            out.write("[]\n}\n")
+            return
+        spool.seek(0)
+        shutil.copyfileobj(spool, out)
+        out.write("\n  ]\n}\n")
 
 
 def measure_scaling(raw_texts: list, sizes, options: PipelineOptions | None = None) -> ScalingResult:
@@ -224,10 +264,10 @@ def measure_scaling(raw_texts: list, sizes, options: PipelineOptions | None = No
     for size in sizes:
         elapsed = []
         for _ in range(max(1, options.repeats)):
-            start = time.perf_counter()
+            start = perf_counter()
             for index in range(size):
-                _run_one(entry_from_text(index + 1, raw_texts[index]), options)
-            elapsed.append((time.perf_counter() - start) * 1000.0)
+                _decide(entry_from_text(index + 1, raw_texts[index]), options)
+            elapsed.append((perf_counter() - start) * 1000.0)
         totals.append(statistics.fmean(elapsed))
     return ScalingResult(sizes, totals, pearson(sizes, totals))
 
@@ -255,7 +295,7 @@ def emit_report(report: AnalysisReport, mode: str = "json") -> str:
 # `entry_text` one record, with json's own C function escaping every string.
 # Only values a record rarely holds, such as timing floats, go through
 # `json.dumps`.  `emit_report` joins their texts for a whole report, and
-# `stream.stream_report` writes them one entry at a time.
+# `stream_report` writes them one entry at a time.
 
 def header_text(report: AnalysisReport) -> str:
     """The report's JSON text up to its `entries` list."""

@@ -22,6 +22,7 @@ from .errors import (
     NotNormalized,
     NotWellDesigned,
     PreconditionViolated,
+    SchemeSetBlowup,
     UnsupportedOpaquePredicate,
 )
 from .evaluator import evaluate
@@ -346,7 +347,10 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineRes
 
     if profile.route is not Route.NONE:
         enter("schemes")
-        _, table = scheme_table(reduced, facts=facts)
+        try:
+            _, table = scheme_table(reduced, facts=facts)
+        except SchemeSetBlowup as exc:
+            return PipelineResult(Unknown(str(exc)), profile, well_designed, modified, "scheme-blowup")
         if not table[id(reduced)]:
             verdict: Verdict = Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
         else:

@@ -6,6 +6,7 @@ from sparqlsat.corpus import (
     generate_corpus,
     ingest_corpus,
     read_corpus,
+    read_text,
     split_corpus,
     write_corpus,
 )
@@ -68,6 +69,62 @@ def test_the_lazy_reader_splits_as_the_whole_text_is_split(fmt, tmp_path):
     assert [entry.raw_text for entry in ingest_corpus(str(path), fmt)] == expected
     with pytest.raises(UnknownFormat):
         read_corpus(str(path), "csv")
+
+
+def test_every_reader_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"SELECT * WHERE { ?x <p> ?y }\n####\nSELECT * WHERE { ?x <p> \"caf\xe9\" }\n")
+    for read in (ingest_corpus, lambda name: list(read_corpus(name)), read_text):
+        with pytest.raises(OSError) as raised:
+            read(str(path))
+        assert str(raised.value) == f"{path}: not UTF-8 (line 3, byte 0xE9)"
+
+
+#: Every line break of `str.splitlines` but "\n", and "\r\n".
+LINE_BREAKS = ["\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n"]
+
+
+def test_the_line_breaks_are_every_break_of_splitlines():
+    breaks = [chr(code) for code in range(0x110000) if len(f"a{chr(code)}b".splitlines()) == 2]
+    assert breaks == ["\n"] + LINE_BREAKS[:-1]
+
+
+@pytest.mark.parametrize("fmt", ["delim", "lines"])
+@pytest.mark.parametrize("line_break", LINE_BREAKS)
+def test_a_written_query_reads_back_as_written_or_is_refused(line_break, fmt, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("kept\n")
+    queries = ["SELECT * WHERE { ?x <p> ?y }", f'SELECT * WHERE {{ ?x <p> "a{line_break}b" }}']
+    if "\r" not in line_break:
+        write_corpus(str(path), queries, fmt)
+        assert [entry.raw_text for entry in ingest_corpus(str(path), fmt)] == queries
+        assert list(read_corpus(str(path), fmt)) == queries
+        return
+    # reading a file reads "\r\n" and "\r" as "\n"
+    with pytest.raises(ValueError) as raised:
+        write_corpus(str(path), queries, fmt)
+    assert str(raised.value) == "query 1 holds the line break '\\r', which a corpus file reads as '\\n'"
+    assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["delim", "lines"])
+@pytest.mark.parametrize(
+    "query, reason",
+    [("", "is blank"), (" \n\t", "is blank"), ("SELECT * WHERE {\n  ####  \n?x <p> ?y }", "holds a #### line")],
+    ids=["empty", "whitespace", "delimiter-line"],
+)
+def test_a_query_a_corpus_file_would_lose_is_refused_before_writing(query, reason, fmt, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("kept\n")
+    queries = ["SELECT * WHERE { ?x <p> ?y }", query]
+    if fmt == "lines" and "####" in query:  # one escaped line keeps it
+        write_corpus(str(path), queries, fmt)
+        assert list(read_corpus(str(path), fmt)) == queries
+        return
+    with pytest.raises(ValueError) as raised:
+        write_corpus(str(path), queries, fmt)
+    assert str(raised.value).startswith(f"query 1 {reason}")
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_ten_thousand_query_corpus_ingests_completely(tmp_path):

@@ -396,6 +396,35 @@ def test_the_streamed_command_prints_the_library_report(fmt, tmp_path, capsys):
     assert capsys.readouterr().out == emit_report(analyze_batch([], PipelineOptions(repeats=0)), "json") + "\n"
 
 
+def test_the_timed_command_prints_the_library_report(tmp_path, capsys, monkeypatch):
+    # a clock whose ticks grow with every reading gives each round other
+    # spans, so both paths must read it alike and keep the same round's spans
+    from sparqlsat import report as report_module
+    from sparqlsat import satisfiability
+
+    readings = [0]
+
+    def clock():
+        readings[0] += 1
+        return readings[0] ** 2
+
+    monkeypatch.setattr(report_module, "perf_counter_ns", clock)
+    monkeypatch.setattr(satisfiability, "perf_counter_ns", clock)
+    corpus = tmp_path / "corpus.txt"
+    write_corpus(str(corpus), GOLDEN_QUERIES + ODD_QUERIES)
+    entries = ingest_corpus(str(corpus))
+    assert main(["analyze", str(corpus), "--repeats", "3"]) == 0
+    text = capsys.readouterr().out
+    readings[0] = 0
+    assert text == emit_report(analyze_batch(entries, PipelineOptions(repeats=3)), "json") + "\n"
+    payload = json.loads(text)
+    assert all(payload["stage_totals_ms"][stage] > 0 for stage in ("parse", "wrong_literal", "well_designed"))
+    # this clock makes each round slower than the one before, so the spans
+    # of the last round, which the records hold, add up to more than the mean
+    last = sum(entry["stage_ns"]["parse"] for entry in payload["entries"])
+    assert last > payload["stage_totals_ms"]["parse"] * 1e6
+
+
 def test_each_streamed_round_parses_and_analyzes_each_entry_once(tmp_path, capsys, monkeypatch):
     from collections import Counter
 

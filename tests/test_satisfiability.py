@@ -461,6 +461,36 @@ def test_sixteen_way_bound_disjunction_is_decided_fast():
     assert len(verdict.sample) == arms + 1
 
 
+def _bound_or_join(conjuncts):
+    """A join of UNIONs, each filtered by a bound OR over its two arms: its
+    maximal-scheme table doubles with every conjunct."""
+    return "SELECT * WHERE { " + " ".join(
+        f"{{ {{ ?s <p{i}> ?a{i} }} UNION {{ ?s <q{i}> ?b{i} }} FILTER (bound(?a{i}) || bound(?b{i})) }}"
+        for i in range(conjuncts)
+    ) + " }"
+
+
+def test_a_scheme_cap_blowup_answers_unknown(monkeypatch, tmp_path, capsys):
+    from sparqlsat import schemes
+    from sparqlsat.cli import main
+
+    monkeypatch.setattr(schemes, "DEFAULT_SCHEME_CAP", 4)
+    text = _bound_or_join(3)
+    result = run_pipeline(parse_pattern(text))
+    assert result.verdict == Unknown("scheme family exceeds 4 schemes")
+    assert result.blocking == "scheme-blowup"
+    assert result.profile.kinds == {ConstraintKind.BOUND} and result.profile.route is Route.BOTH
+    assert result.well_designed is False and result.wrong_literal_modified is False
+    # the same query two conjuncts smaller stays under the cap
+    assert isinstance(run_pipeline(parse_pattern(_bound_or_join(2))).verdict, Satisfiable)
+
+    query = tmp_path / "query.rq"
+    query.write_text(text)
+    assert main(["check", str(query)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "unknown (scheme family exceeds 4 schemes)\n" and captured.err == ""
+
+
 _PREFIX = "PREFIX p: <http://example.org/>\n"
 
 
