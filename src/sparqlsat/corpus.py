@@ -86,9 +86,10 @@ def entry_from_text(entry_id: int, raw: str) -> CorpusEntry:
 def ingest_corpus(path: str, fmt: str = "delim") -> list[CorpusEntry]:
     """Read and parse a corpus file; bad entries are recorded, never fatal."""
     _check_format(fmt)
+    with open(path, "rb") as handle:  # one decode of the bytes; `split_corpus` folds the line ends
+        data = handle.read()
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError:  # named as `read_text` names it
         raise _not_utf8(path) from None
     return [entry_from_text(i + 1, raw) for i, raw in enumerate(split_corpus(text, fmt))]

@@ -11,7 +11,8 @@ walk that lists each distinct node after its descendants, so no pass
 recurses; `rebuilt` rebuilds a node only when a child changed.
 `pattern_facts` collects what a pattern contains (variables, constants,
 filter variables and conditions, triples, node classes, the post-order)
-into one `PatternFacts` record in that walk; the helpers here read it.
+into one `PatternFacts` record in one loop of the same shape, reading each
+node as it first reaches it; the helpers here read the record.
 `rename_vars` walks down and back up on its own stack, carrying the
 renaming in force, so one call applies renamings scoped to many subtrees.
 """
@@ -221,11 +222,11 @@ def children(pattern: Pattern) -> tuple[Pattern, ...]:
     return ()
 
 
-def post_order(pattern: Pattern, operands=children, shared: set | None = None, pre: list | None = None) -> list:
+def post_order(pattern: Pattern, operands=children, shared: set | None = None) -> list:
     """Each distinct node (by identity) once, after all of its `operands`
     (default `children`), left first; an explicit stack makes depth no limit.
     A node reached again, below a second parent, is skipped and its id added
-    to `shared` if given; `pre`, if given, receives the nodes in pre-order.
+    to `shared` if given.
     """
     post, seen, stack = [], set(), [pattern]
     shared = set() if shared is None else shared
@@ -237,8 +238,6 @@ def post_order(pattern: Pattern, operands=children, shared: set | None = None, p
             shared.add(id(node))
         else:
             seen.add(id(node))
-            if pre is not None:
-                pre.append(node)
             kids = operands(node)
             if kids:
                 stack.append((node,))
@@ -291,18 +290,31 @@ class PatternFacts(Record):
 
 
 def pattern_facts(pattern: Pattern) -> PatternFacts:
-    """Collect the facts of a pattern in one walk."""
+    """Collect the facts of a pattern in one walk: the loop of `post_order`,
+    reading each node's facts when it first reaches the node, in pre-order."""
     variables, constants, filter_vars, node_types = set(), set(), set(), set()
-    conditions, triples, pre, shared = [], [], [], set()
-    post = post_order(pattern, shared=shared, pre=pre)
-    for node in pre:
+    conditions, triples, post, seen, stack = [], [], [], set(), [pattern]
+    shares = False
+    while stack:
+        node = stack.pop()
         kind = type(node)
+        if kind is tuple:  # every child of node[0] is listed
+            post.append(node[0])
+            continue
+        if id(node) in seen:
+            shares = True
+            continue
+        seen.add(id(node))
         node_types.add(kind)
         if kind is TriplePattern:
+            post.append(node)
             triples.append(node)
             for term in (node.subject, node.predicate, node.object):
                 (variables if type(term) is Variable else constants).add(term)
-        elif kind is Filter:
+            continue
+        stack.append((node,))
+        if kind is Filter:
+            stack.append(node.pattern)
             conditions.append(node.condition)
             todo = [node.condition]
             while todo:
@@ -316,10 +328,13 @@ def pattern_facts(pattern: Pattern) -> PatternFacts:
                     if isinstance(condition, (EqC, NeqC)):
                         constants.add(condition.constant)
         elif kind is Select:
+            stack.append(node.pattern)
             variables.update(node.scheme)
+        else:
+            stack += (node.right, node.left)
     return PatternFacts(
         frozenset(variables | filter_vars), frozenset(constants), frozenset(filter_vars),
-        tuple(conditions), tuple(triples), frozenset(node_types), tuple(post), bool(shared),
+        tuple(conditions), tuple(triples), frozenset(node_types), tuple(post), shares,
     )
 
 

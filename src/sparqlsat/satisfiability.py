@@ -8,6 +8,11 @@ injective mapping into fresh IRIs (nonequality fragment).  Union-free
 well-designed patterns outside those fragments reduce to their AND/FILTER
 core, where nonempty schemes plus consistent value constraints decide.
 Everything else is answered Unknown, never guessed.
+
+A pattern with no filter condition left after the rewrites is in both
+fragments, and its scheme table is {∅} at every node.  Without a UNION as
+well, the sample walk would reach every triple, so the pipeline takes the
+whole witness model, whose variables are the triples', as the sample.
 """
 
 from __future__ import annotations
@@ -359,8 +364,11 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineRes
             else:
                 model = _injective_model(facts)
             witness = _instantiate(facts, model)
-            sample = _realized_solution(reduced, model, table).drop(fresh_introduced)
-            verdict = Satisfiable(witness, sample)
+            if facts.conditions or Union in facts.node_types:
+                sample = _realized_solution(reduced, model, table)
+            else:  # the walk would reach every triple, and the model binds their variables only
+                sample = model
+            verdict = Satisfiable(witness, sample.drop(fresh_introduced))
         return PipelineResult(verdict, profile, well_designed, modified, None)
 
     if well_designed:
@@ -393,7 +401,7 @@ def _blocking_feature(members) -> str | None:
             return "a UNION is nested under another operator"
         if not member.opt_or_filter:  # nothing for either condition to reject
             continue
-        ok, violations = is_well_designed(member.pattern)
+        ok, violations = is_well_designed(member.pattern, first=True)
         if not ok:
             return f"the pattern is not well-designed ({violations[0].describe()})"
     return None

@@ -38,7 +38,9 @@ union is the larger scheme, so the node reuses that side's family object
 and allocates nothing: the triples of a BGP whose variables no filter
 mentions all have {∅}, and so does every AND above them.  `_maximal` runs
 only at a node with more than one candidate, so a BGP's table costs at
-most one set union per AND.
+most one set union per AND.  A pattern with no filter condition needs no
+fold at all: every triple's pruned scheme is ∅, so `scheme_table` maps
+every node to one shared family {∅}.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .patterns import (
     Opt,
     Pattern,
     PatternFacts,
+    Select,
     TriplePattern,
     Union,
     is_atomic,
@@ -70,6 +73,9 @@ from .terms import Scheme, Variable
 DEFAULT_SCHEME_CAP = 1 << 20
 
 SchemeSet = frozenset  # frozenset[Scheme]
+
+#: The family {∅}, shared by every node of a pattern without filters.
+_EMPTY_ONLY: SchemeSet = frozenset((frozenset(),))
 
 
 def admits(scheme: Scheme, constraint: Constraint) -> bool:
@@ -178,7 +184,11 @@ def scheme_table(pattern: Pattern, *, facts: PatternFacts | None = None) -> tupl
     """
     facts = facts or pattern_facts(pattern)
     fv = facts.filter_variables
-    return fv, _families(facts.order, fv, DEFAULT_SCHEME_CAP, maximal=True)
+    if facts.conditions:
+        return fv, _families(facts.order, fv, DEFAULT_SCHEME_CAP, maximal=True)
+    if Select in facts.node_types:
+        raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
+    return fv, dict.fromkeys(map(id, facts.order), _EMPTY_ONLY)  # no filter: every pruned scheme is ∅
 
 
 def scheme_sort_key(scheme: Scheme):

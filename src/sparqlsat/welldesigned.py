@@ -106,7 +106,7 @@ def outside_vars(pattern: Pattern, position: Position) -> Scheme:
     )
 
 
-def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
+def is_well_designed(pattern: Pattern, *, first: bool = False) -> tuple[bool, list[WdViolation]]:
     """Check the two well-designedness conditions over all occurrences.
 
     Condition 1: each filter's variables occur in the pattern it applies to.
@@ -119,8 +119,11 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
     the optional arm, by climbing the OPT nodes that hold that occurrence in
     their optional arms: each step but the last finds one.  So the check
     takes O(n log n) time and O(n) memory, plus the violations' positions.
-    Violations come in pre-order, by variable name within a node.  A UNION
-    anywhere raises NotUnionFree; else a SELECT raises PreconditionViolated.
+    Violations come in pre-order, by variable name within a node; with
+    `first`, only the first one is listed, so only its position is built
+    (a position is a path from the root, as long as the node is deep).  A
+    UNION anywhere raises NotUnionFree; else a SELECT raises
+    PreconditionViolated.
     """
     nodes, parents, ends, arm_of, occurrences = _preorder_index(pattern)
     kinds = set(map(type, nodes))
@@ -144,6 +147,8 @@ def is_well_designed(pattern: Pattern) -> tuple[bool, list[WdViolation]]:
                 opt = arm_of[opt]
             previous = place
     found.sort(key=lambda item: (item[0], item[1].name))
+    if first:
+        del found[1:]
     kind_of = {Filter: "filter-unsafe", Opt: "optional-escape"}
     violations = [WdViolation(kind_of[type(nodes[i])], _position(parents, i), var) for i, var in found]
     return (not violations, violations)

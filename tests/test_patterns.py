@@ -3,7 +3,7 @@
 import random
 
 from randgen import ALL_KINDS, VAR_POOL, iter_subpatterns, random_constraint, random_pattern, random_shared_pattern
-from sparqlsat import And, AndExpr, Filter, NotExpr, Opaque, OrExpr, Select, TriplePattern, Union
+from sparqlsat import And, AndExpr, Filter, NotExpr, Opaque, OrExpr, Select, TriplePattern, Union, normalize_filters
 from sparqlsat.patterns import (
     EqC,
     NeqC,
@@ -55,8 +55,13 @@ def _condition_constants(condition):
 
 
 def _reference(pattern):
-    """Every facts field, built node by node from `iter_subpatterns`."""
-    nodes = list(iter_subpatterns(pattern))
+    """Every facts field but the order and the sharing, built node by node
+    from `iter_subpatterns`, each distinct node at its first occurrence."""
+    nodes, seen = [], set()
+    for node in iter_subpatterns(pattern):
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
     triples = tuple(n for n in nodes if isinstance(n, TriplePattern))
     conditions = tuple(n.condition for n in nodes if isinstance(n, Filter))
     filter_vars = frozenset().union(*(condition_vars(c) for c in conditions))
@@ -98,17 +103,29 @@ def test_pattern_facts_equal_the_node_by_node_reference():
 
 
 def test_pattern_facts_record_their_order_and_any_sharing():
-    rng = random.Random(6)
+    # `pattern_facts` reads every node as its one loop first reaches it; the
+    # reference takes the order and the sharing from `post_order` and the
+    # other fields from the distinct nodes in pre-order.  The patterns are
+    # trees, random DAGs, and the DAGs normalization builds, whose UNION
+    # branches share the pattern under a disjunctive filter.
+    rng = random.Random(7)
     seen = set()
-    for index in range(400):
-        if index % 2:
+    for index in range(600):
+        source = index % 3
+        if source == 0:
             pattern = random_pattern(rng, depth=rng.randint(0, 5), select_rate=0.3)
-        else:
+        elif source == 1:
             pattern = random_shared_pattern(rng, depth=rng.randint(0, 3), select_rate=0.3)
+        else:
+            pattern = _with_composites(rng, random_pattern(rng, depth=rng.randint(1, 4), select_rate=0.3))
+            pattern = normalize_filters(pattern, builtins_as_bound=True)
         shared: set = set()
         order = post_order(pattern, shared=shared)
-        facts = pattern_facts(pattern)
-        assert facts.order == tuple(order)
+        facts, expected = pattern_facts(pattern), _reference(pattern)
+        assert list(map(id, facts.order)) == list(map(id, order))
+        assert list(map(id, facts.triples)) == list(map(id, expected["triples"]))
         assert facts.shares == bool(shared)
-        seen.add(facts.shares)
-    assert seen == {False, True}
+        for field, value in expected.items():
+            assert getattr(facts, field) == value, field
+        seen.add((source, facts.shares))
+    assert seen == {(0, False), (1, False), (1, True), (2, False), (2, True)}

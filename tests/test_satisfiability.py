@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from wide_shapes import LADDER, basic_graph_pattern
 from randgen import (
     EQ_KINDS,
     NEQ_KINDS,
@@ -39,9 +40,9 @@ import realize_reference
 from sparqlsat.corpus import entry_from_text, generate_corpus
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
 from sparqlsat.evaluator import format_graph
-from sparqlsat.patterns import pattern_facts
+from sparqlsat.patterns import Union, pattern_facts
 from sparqlsat.report import PipelineOptions, analyze_batch, format_verdict_text
-from sparqlsat.rewrites import select_eliminate, union_free_split
+from sparqlsat.rewrites import select_eliminate, select_eliminate_info, union_free_split, wrong_literal_reduce
 from sparqlsat.satisfiability import (
     ConstraintKind,
     _blocking_feature,
@@ -381,6 +382,82 @@ def test_blocking_feature_matches_checking_every_member():
         True,
         False,
     }
+
+
+def _optional_nest_joined_again(arms: int) -> str:
+    """An OPTIONAL nest whose arm variables are joined again after it, so
+    every arm breaks well-designedness, under filters outside both fragments."""
+    lines = ["?s <t> <T> ."] + [f"OPTIONAL {{ ?s <p{i}> ?v{i} . }}" for i in range(arms)]
+    lines += [f"?v{i} <q> ?z{i} ." for i in range(arms)]
+    lines += ["FILTER ( ?v0 = ?v1 )", "FILTER ( ?v0 != ?v2 )"]
+    return "SELECT * WHERE {\n" + "\n".join(lines) + "\n}"
+
+
+def test_the_pipeline_builds_the_position_of_one_violation_only(monkeypatch):
+    # 4,000 arms break well-designedness, each at a position about 4,000
+    # steps deep; the pipeline names the first violation and builds no other
+    from sparqlsat import welldesigned
+
+    pattern = parse_pattern(_optional_nest_joined_again(4000))
+    calls = [0]
+    original = welldesigned._position
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(welldesigned, "_position", counted)
+    result = run_pipeline(pattern)
+    monkeypatch.undo()
+    assert calls[0] == 1
+    ok, violations = is_well_designed(pattern)  # the full list stays the default
+    assert not ok and len(violations) == 4000
+    expected = f"the pattern is not well-designed ({violations[0].describe()})"
+    assert expected.startswith("the pattern is not well-designed (?v3999 from the optional arm at ")
+    assert result.blocking == expected
+    assert isinstance(result.verdict, Unknown) and result.verdict.reason.endswith(expected)
+
+
+def test_the_sample_without_the_descent_is_the_realized_solution():
+    # a pattern with no filter condition and no UNION after the rewrites
+    # takes the witness model as its sample; the descent gives the same
+    texts = [text for _, text in LADDER] + generate_corpus(2000, 777)
+    taken = []
+    for index, text in enumerate(texts):
+        entry = entry_from_text(index, text)
+        if entry.pattern is None:
+            continue
+        core, fresh = select_eliminate_info(entry.pattern)
+        reduced = wrong_literal_reduce(normalize_filters(core, builtins_as_bound=True))
+        facts = pattern_facts(reduced) if reduced is not None else None
+        if facts is None or facts.conditions or Union in facts.node_types:
+            continue
+        taken.append(index)
+        _, table = scheme_table(reduced, facts=facts)
+        expected = _realized_solution(reduced, _constant_model(facts), table).drop(fresh)
+        assert run_pipeline(entry.pattern, builtins_as_bound=True).verdict.sample == expected
+    ladder = [name for index, (name, _) in enumerate(LADDER) if index in taken]
+    assert ladder == [f"bgp-{n}" for n in (50, 100, 150, 200, 250, 300)]
+    assert len(taken) - len(ladder) == 1001
+
+
+def test_a_filter_free_bgp_is_decided_without_the_fold_or_the_descent(monkeypatch):
+    from sparqlsat import satisfiability, schemes
+
+    calls = []
+    for module, name in ((schemes, "_families"), (satisfiability, "_realized_solution")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    text = basic_graph_pattern(300)
+    result = run_pipeline(parse_pattern(text))
+    assert isinstance(result.verdict, Satisfiable) and len(result.verdict.sample) == 301
+    assert calls == []
+    # one filter brings both back
+    run_pipeline(parse_pattern(text.replace("\n}", "\n  FILTER ( bound(?o0) )\n}")))
+    assert calls == ["_families", "_realized_solution"]
 
 
 def test_pipeline_walks_of_the_seed_777_corpus(monkeypatch):
