@@ -16,6 +16,16 @@ needs: PREFIX declarations, SELECT with projection or '*', brace groups with
 nodes (replaced by fresh variables), and 'a' for rdf:type.  Anything else
 raises UnsupportedFeature.
 
+Tokens are plain strings, all read by one `findall` of `_SCAN_RE`, with
+the empty string as the end marker.  `_kind` reads a token's kind (IRI,
+string, blank node, variable, number, name or operator) from its first
+character.  A lone `<`, `"`, `?`, `$`, `+` or `-`, and `<=`, are
+operators although their first character starts another kind, and `_`
+starts a blank node only when `:` and more follow.  Offsets in the text are
+found only when something reads one: an error's position, or the source
+text of an opaque condition.  `_tokenize` builds the `(kind, value, start,
+end)` form from the same scan.
+
 Nothing here recurses: a group, SELECT body, EXISTS argument or condition
 in parentheses saves what encloses it on its reader's own stack, so any
 depth parses at the default recursion limit, and the writer keeps a stack.
@@ -55,40 +65,87 @@ from .terms import Iri, Literal, Term, Variable
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 #: Each match is one token: the whitespace and comments before it, then
-#: the token in its named group, whose name is the token's kind.  At the
-#: end of the text the `eof` group matches empty, so the greedy skip never
-#: gives a comment back for a later alternative to read.  A pname's local
-#: part, and a `^^` datatype pname, never end in a dot: that dot ends the
-#: triple.
-_TOKEN_RE = re.compile(
+#: the token in the one group.  The alternatives read, in order, an IRI, a
+#: string, a blank node, a variable, a number, a name (a pname or a bare
+#: word) and an operator; at the end of the text the group matches empty,
+#: so the greedy skip never gives a comment back for a later alternative to
+#: read, and the empty string is the end marker.  A pname's local part, and
+#: a `^^` datatype pname, never end in a dot: that dot ends the triple.
+_SCAN_RE = re.compile(
     r"""
     \s*(?:\#[^\n]*\s*)*
-    (?:
-      (?P<iriref><[^<>\s]*>)
-    | (?P<string>"(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?)
-    | (?P<blank>_:[A-Za-z0-9_]+)
-    | (?P<var>[?$][A-Za-z0-9_]+)
-    | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<name>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?|[A-Za-z_][A-Za-z0-9_-]*)
-    | (?P<op>&&|\|\||!=|<=|>=|\S)
-    | (?P<eof>\Z)
+    (
+      <[^<>\s]*>
+    | "(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?
+    | _:[A-Za-z0-9_]+
+    | [?$][A-Za-z0-9_]+
+    | [+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | (?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?|[A-Za-z_][A-Za-z0-9_-]*
+    | &&|\|\||!=|<=|>=|\S
+    | \Z
     )
     """,
     re.VERBOSE,
 )
+
+
+def _scan(text: str) -> list[str]:
+    """Every token of `text` in one scan, then exactly one end marker."""
+    tokens = _SCAN_RE.findall(text)
+    if len(tokens) > 1 and tokens[-2] == "":  # text that ends in whitespace or a comment matches
+        tokens.pop()  # the end once past them and once more, empty, at the end
+    return tokens
+
+
+#: Kinds that a token's text decides alone: the end marker, and the tokens
+#: whose first character starts a longer token of another kind.
+_KIND_OF_TOKEN = {
+    "": "eof", "<": "op", "<=": "op", '"': "op", "?": "op", "$": "op", "+": "op", "-": "op",
+    "_": "name", "_:": "name",
+}
+#: The kind of any other token by its first character, for every printable
+#: ASCII character but `_`, which starts a blank node or a name.
+_KIND_OF_FIRST = {
+    c: "name" if c.isalpha() or c == ":" else "number" if c.isdigit() or c in "+-" else "op"
+    for c in map(chr, range(0x21, 0x7F)) if c != "_"
+}
+_KIND_OF_FIRST.update({"<": "iriref", '"': "string", "?": "var", "$": "var"})
+
+
+def _kind(token: str) -> str:
+    """The kind of a token that `_scan` read, from its first character:
+    `eof`, `iriref`, `string`, `blank`, `var`, `number`, `name` or `op`."""
+    kind = _KIND_OF_TOKEN.get(token) or _KIND_OF_FIRST.get(token[0])
+    if kind is not None:
+        return kind
+    if token[0] == "_":
+        return "blank" if token[1] == ":" else "name"
+    return "number" if token[0].isdecimal() else "op"  # as `\d`, any Unicode decimal digit
+
+
+def _starts(text: str, tokens: list[str], first: int) -> list[int]:
+    """Where each of the `tokens` of `text` from index `first` on starts."""
+    if "#" in text:  # a comment may hold a token's text: skip as the scan does
+        return [match.start(1) for match in _SCAN_RE.finditer(text)][first:len(tokens)]
+    # only whitespace lies between a token and the next, and no token ends
+    # in it, so each token is the last occurrence of its text before the next
+    starts = [len(text)]  # the end marker
+    for token in reversed(tokens[first:-1]):
+        starts.append(text.rfind(token, 0, starts[-1]))
+    starts.reverse()
+    return starts
+
 
 #: A token is `(kind, value, start, end)`.
 _Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """Every token of `text` in one scan, then exactly one `eof` marker."""
-    tokens = [
-        (kind, m[kind], m.start(kind), m.end()) for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)
-    ]  # every match has a group: the condition only names it
-    if len(tokens) > 1 and tokens[-2][0] == "eof":  # text that ends in whitespace or a comment matches
-        tokens.pop()  # `eof` once past them and once more, empty, at the end
-    return tokens
+    """Every token of `text` with its kind and offsets, then exactly one
+    `eof` marker: the form the parser's strings stand for."""
+    tokens = _scan(text)
+    starts = _starts(text, tokens, 0)
+    return [(_kind(token), token, start, start + len(token)) for token, start in zip(tokens, starts)]
 
 
 _COMPACT_RESERVED = frozenset(("UNION", "AND", "OPT", "FILTER", "SELECT", "EXISTS", "bound"))
@@ -127,51 +184,58 @@ def _unescape_literal(raw: str) -> str:
 class _Parser:
     """Shared machinery: token cursor, terms, and the filter-condition grammar.
 
-    The texts the parser looks for, operators and keywords, each occur as
-    the value of one kind of token only, so the cursor compares values alone.
+    The tokens are the strings `_scan` read, the empty end marker last, and
+    `_kind` reads a token's kind from its first character.  The texts the
+    parser looks for, operators and keywords, each occur as one kind of
+    token only, so the cursor compares strings alone.  Offsets in the text
+    are found only when something reads one: a `QuerySyntaxError`, an
+    `UnsupportedFeature`, or the source text of an `Opaque` condition that
+    spans several tokens.  The offsets are found back from the end of the
+    text to the earliest token asked for, and kept for later tokens.
     """
 
     surface = False
 
-    def __init__(self, text: str, tokens: list[_Token]):
+    def __init__(self, text: str, tokens: list[str]):
         self.text = text
         self.tokens = tokens
         self.pos = 0
+        self._starts: list[int] = []
         self._fresh = 1
         self._blanks: dict[str, Variable] = {}
         self._terms: dict[str, Term] = {}  # variable and pname texts to the terms they read as
 
     # -- cursor ---------------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
+    def peek(self, ahead: int = 0) -> str:
         # the parser looks past a token only once it has seen that the token
         # is not the end marker, so the index stays within the list
         return self.tokens[self.pos + ahead]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         token = self.tokens[self.pos]
-        if token[0] != "eof":
+        if token:  # the cursor stays on the end marker
             self.pos += 1
         return token
 
     def expect_op(self, op: str) -> None:
         token = self.tokens[self.pos]
-        if token[1] != op:
-            raise QuerySyntaxError(f"found {token[1]!r}", token[2], expected=repr(op))
+        if token != op:
+            raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected=repr(op))
         self.pos += 1
 
     def at(self, value: str) -> bool:
-        return self.tokens[self.pos][1] == value
+        return self.tokens[self.pos] == value
 
     def word(self) -> str:
         """The name at the cursor upper-cased, to compare with keywords; else ''."""
-        kind, value, _, _ = self.tokens[self.pos]
-        return value.upper() if kind == "name" else ""
+        token = self.tokens[self.pos]
+        return token.upper() if _kind(token) == "name" else ""
 
     def operator(self, table: dict, operands: list, operators: list) -> bool:
         """Apply the pending operators that bind at least as tightly as the
         `table` operator at the cursor, then push it; with none, apply all."""
-        op = table.get(self.tokens[self.pos][1])
+        op = table.get(self.tokens[self.pos])
         prec = 0 if op is None else op[0]
         while operators and operators[-1][0] >= prec:
             right = operands.pop()
@@ -182,6 +246,20 @@ class _Parser:
         operators.append(op)
         return True
 
+    # -- offsets --------------------------------------------------------------
+
+    def offset(self, index: int) -> int:
+        """Where token `index` starts in the text."""
+        kept = len(self.tokens) - len(self._starts)  # the index of the first kept offset
+        if index < kept:
+            self._starts = _starts(self.text, self.tokens, index)
+            kept = index
+        return self._starts[index - kept]
+
+    def source(self, first: int, last: int) -> str:
+        """The text from the start of token `first` to the end of token `last`."""
+        return self.text[self.offset(first):self.offset(last) + len(self.tokens[last])]
+
     # -- terms ----------------------------------------------------------------
 
     def fresh_var(self) -> Variable:
@@ -189,15 +267,15 @@ class _Parser:
         self._fresh += 1
         return var
 
-    def make_var(self, token: _Token) -> Variable:
-        text = token[1]
-        var = self._terms.get(text)
+    def make_var(self, token: str) -> Variable:
+        """The variable the cursor just passed, `token`."""
+        var = self._terms.get(token)
         if var is None:
-            if is_reserved_name(text[1:]):
+            if is_reserved_name(token[1:]):
                 raise QuerySyntaxError(
-                    f"variable name {text!r} uses the reserved fresh-name prefix", token[2]
+                    f"variable name {token!r} uses the reserved fresh-name prefix", self.offset(self.pos - 1)
                 )
-            var = self._terms[text] = Variable(text[1:])
+            var = self._terms[token] = Variable(token[1:])
         return var
 
     def blank_var(self, label: str) -> Variable:
@@ -210,33 +288,35 @@ class _Parser:
         comparison.  A surface query reads `[ ]` as a fresh variable,
         `true` and `false` as literals, and resolves any other name as a
         pname; the compact grammar reads a name as the IRI it spells."""
-        token = self.advance()
-        kind, value, start, _ = token
+        token = self.tokens[self.pos]
+        kind = _kind(token)
+        if kind not in _TERM_KINDS:
+            if token == "[" and self.surface:
+                self.pos += 1
+                self.expect_op("]")
+                return self.fresh_var()
+            raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected="a term")
+        self.pos += 1
         if kind == "var":
             return self.make_var(token)
         if kind == "name":
             if not self.surface:
-                return Iri(value)
-            if value in ("true", "false"):
-                return Literal(value)
+                return Iri(token)
+            if token in ("true", "false"):
+                return Literal(token)
             return self._resolve_pname(token)
         if kind == "iriref":
-            return Iri(value[1:-1])
+            return Iri(token[1:-1])
         if kind == "string":
-            return Literal(_unescape_literal(value))
+            return Literal(_unescape_literal(token))
         if kind == "number":
-            return Literal(value)
-        if kind == "blank":
-            return self.blank_var(value[2:])
-        if value == "[" and self.surface:
-            self.expect_op("]")
-            return self.fresh_var()
-        raise QuerySyntaxError(f"found {value!r}", start, expected="a term")
+            return Literal(token)
+        return self.blank_var(token[2:])
 
     def variables(self) -> set[Variable]:
         """The variables of a SELECT list at the cursor, commas optional."""
         found: set[Variable] = set()
-        while self.peek()[0] == "var":
+        while _kind(self.peek()) == "var":
             found.add(self.make_var(self.advance()))
             if self.at(","):
                 self.advance()
@@ -270,76 +350,76 @@ class _Parser:
 
     def _cond_atom(self) -> FilterCondition:
         token = self.peek()
-        kind, value, start, _ = token
-        bound_name = self.word() == "BOUND" if self.surface else value == "bound"
-        if bound_name and self.peek(1)[1] == "(":
+        kind = _kind(token)
+        bound_name = self.word() == "BOUND" if self.surface else token == "bound"
+        if bound_name and self.peek(1) == "(":
             self.advance()
             self.expect_op("(")
-            var_token = self.peek()
-            if var_token[0] != "var":
-                raise QuerySyntaxError("bound() takes a variable", var_token[2])
+            if _kind(self.peek()) != "var":
+                raise QuerySyntaxError("bound() takes a variable", self.offset(self.pos))
             var = self.make_var(self.advance())
             self.expect_op(")")
             return Bound(var)
         if kind == "var":
-            return self._cond_from_var(token)
-        if kind == "name" and self.peek(1)[1] == "(":
-            return self._opaque_call(start)
+            return self._cond_from_var()
+        if kind == "name" and self.peek(1) == "(":
+            return self._opaque_call()
         if kind in ("iriref", "string", "number", "name"):
-            return self._cond_from_constant(token)
-        raise QuerySyntaxError(f"found {value!r} in a filter condition", start)
+            return self._cond_from_constant()
+        raise QuerySyntaxError(f"found {token!r} in a filter condition", self.offset(self.pos))
 
-    def _cond_from_var(self, first: _Token) -> FilterCondition:
-        _, _, start, first_end = first
+    def _cond_from_var(self) -> FilterCondition:
+        first = self.pos
         var = self.make_var(self.advance())
-        op = self.peek()[1]
+        op = self.peek()
         if op in ("=", "!="):
-            rhs_kind, _, _, rhs_end = self.peek(1)
+            rhs_kind = _kind(self.peek(1))
             if rhs_kind == "var":
                 self.advance()
                 other = self.make_var(self.advance())
                 if op == "=":
                     return Eq(var, other)
                 if var == other:  # ?x != ?x is not one of the atomic forms
-                    return Opaque(self.text[start:rhs_end], frozenset((var,)))
+                    return Opaque(self.source(first, self.pos - 1), frozenset((var,)))
                 return Neq(var, other)
             if rhs_kind in ("iriref", "string", "number") or (
-                rhs_kind == "name" and self.peek(2)[1] != "("
+                rhs_kind == "name" and self.peek(2) != "("
             ):
                 self.advance()
                 constant = self.term()
                 return EqC(var, constant) if op == "=" else NeqC(var, constant)
-            return self._opaque_until_stop(start)
+            return self._opaque_until_stop(first)
         if op in _CMP_OPS or self.word() == "IN":
-            return self._opaque_until_stop(start)
-        # a bare variable used as an effective-boolean filter
-        return Opaque(self.text[start:first_end], frozenset((var,)))
+            return self._opaque_until_stop(first)
+        # a bare variable used as an effective-boolean filter: its text is the token's
+        return Opaque(self.tokens[first], frozenset((var,)))
 
-    def _cond_from_constant(self, first: _Token) -> FilterCondition:
-        start = first[2]
+    def _cond_from_constant(self) -> FilterCondition:
+        first = self.pos
         constant = self.term()
-        if self.peek()[1] in ("=", "!=") and self.peek(1)[0] == "var":
-            op = self.advance()[1]
+        if self.peek() in ("=", "!=") and _kind(self.peek(1)) == "var":
+            op = self.advance()
             var = self.make_var(self.advance())
             return EqC(var, constant) if op == "=" else NeqC(var, constant)
-        return self._opaque_until_stop(start)
+        return self._opaque_until_stop(first)
 
-    def _opaque_call(self, start: int) -> Opaque:
+    def _opaque_call(self) -> Opaque:
+        first = self.pos
         self.advance()  # function name
         mentions = self._consume_balanced()
-        end = self.tokens[self.pos - 1][3]
-        if self.peek()[1] in _CMP_OPS:
+        last = self.pos - 1
+        if self.peek() in _CMP_OPS:
             self.advance()
-            rhs_kind = self.peek()[0]
+            rhs_kind = _kind(self.peek())
             if rhs_kind == "var":
                 mentions |= {self.make_var(self.advance())}
-            elif rhs_kind == "name" and self.peek(1)[1] == "(":
+            elif rhs_kind == "name" and self.peek(1) == "(":
                 self.advance()
                 mentions |= self._consume_balanced()
             elif rhs_kind in ("iriref", "string", "number", "name"):
                 self.advance()
-            end = self.tokens[self.pos - 1][3]
-        return Opaque(self.text[start:end], frozenset(mentions))
+            last = self.pos - 1
+        return Opaque(self.source(first, last), frozenset(mentions))
 
     def _consume_balanced(self) -> frozenset:
         """Consume a parenthesized argument list, collecting mentioned variables."""
@@ -348,41 +428,40 @@ class _Parser:
         mentions: set[Variable] = set()
         while depth:
             token = self.advance()
-            kind, value, start, _ = token
-            if kind == "eof":
-                raise QuerySyntaxError("unbalanced parentheses in builtin call", start)
-            if value == "(":
+            if not token:
+                raise QuerySyntaxError("unbalanced parentheses in builtin call", self.offset(self.pos))
+            if token == "(":
                 depth += 1
-            elif value == ")":
+            elif token == ")":
                 depth -= 1
-            elif kind == "var":
+            elif _kind(token) == "var":
                 mentions.add(self.make_var(token))
         return frozenset(mentions)
 
-    def _opaque_until_stop(self, start: int) -> Opaque:
+    def _opaque_until_stop(self, first: int) -> Opaque:
         mentions: set[Variable] = set()
         depth = 0
         while True:
             token = self.peek()
-            kind, value, _, _ = token
+            kind = _kind(token)
             if kind == "eof":
                 break
             if kind == "op":
-                if value == "(":
+                if token == "(":
                     depth += 1
-                elif value == ")":
+                elif token == ")":
                     if depth == 0:
                         break
                     depth -= 1
-                elif depth == 0 and value in _COND_STOP:
+                elif depth == 0 and token in _COND_STOP:
                     break
-            elif kind == "name" and depth == 0 and value.upper() in _COND_STOP_WORDS:
+            elif kind == "name" and depth == 0 and token.upper() in _COND_STOP_WORDS:
                 break
             elif kind == "var":
-                mentions.add(self.make_var(token))
+                mentions.add(self.make_var(self.advance()))
+                continue
             self.advance()
-        end = self.tokens[self.pos - 1][3]
-        return Opaque(self.text[start:end].strip(), frozenset(mentions))
+        return Opaque(self.source(first, self.pos - 1), frozenset(mentions))
 
 
 class _CompactParser(_Parser):
@@ -393,22 +472,23 @@ class _CompactParser(_Parser):
         scheme = None  # what `pattern`'s solutions bind, once an EXISTS filter needed it
         while True:
             if pattern is None:
+                opened = self.pos
                 open_token = self.advance()
-                if open_token[1] == "SELECT":
+                if open_token == "SELECT":
                     self.expect_op("{")
                     scheme = self.variables()
                     self.expect_op("}")
                     self.expect_op("(")
                     finish = partial(Select, frozenset(scheme))
-                elif open_token[1] != "(":
-                    raise QuerySyntaxError(f"found {open_token[1]!r}", open_token[2], expected="'(' or SELECT")
+                elif open_token != "(":
+                    raise QuerySyntaxError(f"found {open_token!r}", self.offset(opened), expected="'(' or SELECT")
                 elif self._looks_like_triple():
                     terms = (self.term(), self.term(), self.term())
                     self.expect_op(")")
                     try:
                         pattern, scheme = TriplePattern(*terms), None
                     except ValueError as exc:
-                        raise QuerySyntaxError(str(exc), open_token[2]) from exc
+                        raise QuerySyntaxError(str(exc), self.offset(opened)) from exc
                     continue
                 else:
                     finish = None
@@ -427,9 +507,9 @@ class _CompactParser(_Parser):
                 if self.operator(_PATTERN_OPS, operands, operators):
                     continue
                 if not operators:
-                    kind, value, start, _ = self.peek()
-                    if kind != "eof":
-                        raise QuerySyntaxError(f"trailing {value!r}", start)
+                    token = self.peek()
+                    if token:
+                        raise QuerySyntaxError(f"trailing {token!r}", self.offset(self.pos))
                     return operands[0]
                 self.expect_op(")")
                 pattern, finish = operands.pop(), operators.pop()[1]
@@ -443,38 +523,37 @@ class _CompactParser(_Parser):
 
     def _looks_like_triple(self) -> bool:
         for ahead in range(3):
-            kind, value, _, _ = self.peek(ahead)
-            if kind not in _TERM_KINDS or value in _COMPACT_RESERVED:
+            token = self.peek(ahead)
+            if _kind(token) not in _TERM_KINDS or token in _COMPACT_RESERVED:
                 return False
-        return self.peek(3)[1] == ")"
+        return self.peek(3) == ")"
 
 
 class _SurfaceParser(_Parser):
     surface = True
 
-    def __init__(self, text: str, tokens: list[_Token]):
+    def __init__(self, text: str, tokens: list[str]):
         super().__init__(text, tokens)
         self.prefixes: dict[str, str] = {}
 
     def parse(self) -> Pattern:
         while self.word() == "PREFIX":
             self.advance()
-            name_kind, name, name_start, _ = self.peek()
-            if name_kind != "name" or not name.endswith(":"):
-                raise QuerySyntaxError("malformed PREFIX declaration", name_start)
+            name = self.peek()
+            if _kind(name) != "name" or not name.endswith(":"):
+                raise QuerySyntaxError("malformed PREFIX declaration", self.offset(self.pos))
             self.advance()
-            iri_kind, iri, iri_start, _ = self.peek()
-            if iri_kind != "iriref":
-                raise QuerySyntaxError("PREFIX needs an IRI", iri_start)
+            iri = self.peek()
+            if _kind(iri) != "iriref":
+                raise QuerySyntaxError("PREFIX needs an IRI", self.offset(self.pos))
             self.advance()
             self.prefixes[name[:-1]] = iri[1:-1]
 
-        _, value, start, _ = self.peek()
         word = self.word()
         if word in _SURFACE_UNSUPPORTED:
-            raise UnsupportedFeature(word, start)
+            raise UnsupportedFeature(word, self.offset(self.pos))
         if word != "SELECT":
-            raise QuerySyntaxError(f"found {value!r}", start, expected="a SELECT query")
+            raise QuerySyntaxError(f"found {self.peek()!r}", self.offset(self.pos), expected="a SELECT query")
         self.advance()
         if self.word() in ("DISTINCT", "REDUCED"):
             self.advance()
@@ -484,18 +563,17 @@ class _SurfaceParser(_Parser):
         else:
             variables = self.variables()
             if not variables:
-                _, value, start, _ = self.peek()
-                raise QuerySyntaxError(f"found {value!r}", start, expected="'*' or variables")
+                raise QuerySyntaxError(f"found {self.peek()!r}", self.offset(self.pos), expected="'*' or variables")
             scheme = frozenset(variables)
         if self.word() == "WHERE":
             self.advance()
         body = self._braced_group()
-        kind, value, start, _ = self.peek()
-        if kind != "eof":
+        token = self.peek()
+        if token:
             word = self.word()
             if word in _SURFACE_UNSUPPORTED:
-                raise UnsupportedFeature(word, start)
-            raise QuerySyntaxError(f"trailing {value!r}", start)
+                raise UnsupportedFeature(word, self.offset(self.pos))
+            raise QuerySyntaxError(f"trailing {token!r}", self.offset(self.pos))
         return Select(scheme, body) if scheme is not None else body
 
     def _braced_group(self) -> Pattern:
@@ -504,9 +582,10 @@ class _SurfaceParser(_Parser):
         self.expect_op("{")
         stack, elements, filters, leading_optional = [], [], [], -1
         while True:
-            kind, value, start, _ = self.peek()
-            word = self.word()
-            if kind == "eof" or value == "}":
+            token = self.peek()
+            kind = _kind(token)
+            word = token.upper() if kind == "name" else ""
+            if kind == "eof" or token == "}":
                 pattern = self._group_pattern(elements, filters, leading_optional)
                 self.expect_op("}")
                 if not stack:
@@ -524,7 +603,7 @@ class _SurfaceParser(_Parser):
                 left = pattern
             elif word == "OPTIONAL":
                 if not elements:
-                    leading_optional = start  # nothing precedes this OPTIONAL
+                    leading_optional = self.pos  # nothing precedes this OPTIONAL
                 self.advance()
                 role, left = "opt", None
             elif word == "FILTER":
@@ -534,38 +613,40 @@ class _SurfaceParser(_Parser):
                     self.advance()
                     role, left = "exists", None
                 elif word == "NOT":
-                    raise UnsupportedFeature("NOT EXISTS", self.peek()[2])
+                    raise UnsupportedFeature("NOT EXISTS", self.offset(self.pos))
                 else:
                     filters.append((Filter, self.condition()))
                     continue
             elif word in _SURFACE_UNSUPPORTED:
-                raise UnsupportedFeature(word, start)
-            elif value == "{":
+                raise UnsupportedFeature(word, self.offset(self.pos))
+            elif token == "{":
                 role, left = "and", None
-            elif value == ".":
+            elif token == ".":
                 self.advance()
                 continue
-            elif kind in _TERM_KINDS or value == "[":
+            elif kind in _TERM_KINDS or token == "[":
                 self._triple_block(elements)
                 continue
             else:
-                raise QuerySyntaxError(f"found {value!r} in a group", start)
+                raise QuerySyntaxError(f"found {token!r} in a group", self.offset(self.pos))
             stack.append((elements, filters, leading_optional, role, left))
             self.expect_op("{")
             elements, filters, leading_optional = [], [], -1
 
     def _group_pattern(self, elements: list, filters: list, leading_optional: int) -> Pattern:
-        """Fold a group's elements left to right, then apply its filters."""
+        """Fold a group's elements left to right, then apply its filters;
+        `leading_optional` is the index of an OPTIONAL token that nothing
+        precedes in the group."""
         pattern: Pattern | None = None
         for kind, sub in elements:
             if kind == "and":
                 pattern = sub if pattern is None else And(pattern, sub)
             else:
                 if pattern is None:
-                    raise UnsupportedFeature("OPTIONAL without a preceding pattern", leading_optional)
+                    raise UnsupportedFeature("OPTIONAL without a preceding pattern", self.offset(leading_optional))
                 pattern = Opt(pattern, sub)
         if pattern is None:
-            raise QuerySyntaxError("empty group pattern", self.peek()[2])
+            raise QuerySyntaxError("empty group pattern", self.offset(self.pos))
         scheme = None  # what the group's solutions bind: one set for all its EXISTS filters
         for make, payload in filters:  # `Filter` with a condition, `exists_rewrite` with a subquery
             if make is Filter:
@@ -579,9 +660,8 @@ class _SurfaceParser(_Parser):
         subject = self.term()
         while True:
             predicate = self._predicate()
-            _, value, start, _ = self.peek()
-            if value in ("/", "|", "^", "*", "+", "?"):
-                raise UnsupportedFeature("property paths", start)
+            if self.peek() in ("/", "|", "^", "*", "+", "?"):
+                raise UnsupportedFeature("property paths", self.offset(self.pos))
             obj = self.term()
             elements.append(("and", self._make_triple(subject, predicate, obj)))
             while self.at(","):
@@ -590,7 +670,7 @@ class _SurfaceParser(_Parser):
                 elements.append(("and", self._make_triple(subject, predicate, obj)))
             if self.at(";"):
                 self.advance()
-                if self.peek()[0] in _TERM_KINDS and self.word() not in _BLOCK_STOP_WORDS:
+                if _kind(self.peek()) in _TERM_KINDS and self.word() not in _BLOCK_STOP_WORDS:
                     continue
             break
         if self.at("."):
@@ -600,35 +680,36 @@ class _SurfaceParser(_Parser):
         try:
             return TriplePattern(subject, predicate, obj)
         except ValueError as exc:
-            raise QuerySyntaxError(str(exc), self.peek()[2]) from exc
+            raise QuerySyntaxError(str(exc), self.offset(self.pos)) from exc
 
     def _predicate(self) -> Term:
-        kind, value, start, _ = self.peek()
-        if value == "a":
+        token = self.peek()
+        if token == "a":
             self.advance()
             return RDF_TYPE
+        kind = _kind(token)
         if kind == "var":
             return self.make_var(self.advance())
         if kind == "iriref":
             self.advance()
-            return Iri(value[1:-1])
+            return Iri(token[1:-1])
         if kind == "name":
             return self._resolve_pname(self.advance())
-        raise QuerySyntaxError(f"found {value!r}", start, expected="a predicate")
+        raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected="a predicate")
 
-    def _resolve_pname(self, token: _Token) -> Iri:
-        _, value, start, _ = token
-        iri = self._terms.get(value)
+    def _resolve_pname(self, token: str) -> Iri:
+        """The IRI of the pname the cursor just passed, `token`."""
+        iri = self._terms.get(token)
         if iri is None:
-            if ":" not in value:
-                iri = Iri(value)
+            if ":" not in token:
+                iri = Iri(token)
             else:
-                prefix, local = value.split(":", 1)
+                prefix, local = token.split(":", 1)
                 base = self.prefixes.get(prefix)
                 if base is None:
-                    raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", start)
+                    raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", self.offset(self.pos - 1))
                 iri = Iri(base + local)
-            self._terms[value] = iri
+            self._terms[token] = iri
         return iri
 
 
@@ -639,18 +720,18 @@ def parse_pattern(text: str) -> Pattern:
     Blank nodes in triple positions are replaced by fresh variables; FILTER
     EXISTS is rewritten to a projected conjunction at parse time.
     """
-    tokens = _tokenize(text)
+    tokens = _scan(text)
     return _detect_dialect(tokens)(text, tokens).parse()
 
 
-def _detect_dialect(tokens: list[_Token]) -> type[_Parser]:
-    kind, value, _, _ = tokens[0]
-    if value == "{":
+def _detect_dialect(tokens: list[str]) -> type[_Parser]:
+    first = tokens[0]
+    if first == "{":
         return _SurfaceParser
-    if kind == "name":
-        word = value.upper()
+    if _kind(first) == "name":
+        word = first.upper()
         if word == "SELECT":  # a name is followed at least by the end marker
-            return _CompactParser if tokens[1][1] == "{" else _SurfaceParser
+            return _CompactParser if tokens[1] == "{" else _SurfaceParser
         if word in _SURFACE_UNSUPPORTED or word == "PREFIX":
             return _SurfaceParser
     return _CompactParser

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +33,9 @@ import tokenize_reference
 from sparqlsat.corpus import generate_corpus
 from sparqlsat.errors import QuerySyntaxError, UnsupportedFeature
 from sparqlsat.patterns import AndExpr, OrExpr, pattern_facts, vars_of
-from sparqlsat.syntax import _tokenize
+from sparqlsat import syntax
+from sparqlsat.syntax import _Parser, _kind, _scan, _tokenize
+from wide_shapes import LADDER
 
 
 def tp(s, p, o):
@@ -320,17 +321,92 @@ _TOKEN_PIECES = (
 )
 
 
-def test_tokenizer_matches_the_reference(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    from workloads import LADDER
+#: Texts that end in whitespace or a comment, or hold no token.
+_END_TEXTS = ["", "  \n", "# only a comment", "(?x p ?y) # trailing", "p:a."]
 
+
+def _reference_texts():
+    """The seed-777 corpus, the ladder shapes, and 50,000 texts glued from
+    `_TOKEN_PIECES`."""
     rng = random.Random(11)
     random_texts = [
         "".join(rng.choice(_TOKEN_PIECES) for _ in range(rng.randint(1, 12))) for _ in range(50_000)
     ]
-    for texts in (generate_corpus(2000, 777), [text for _, text in LADDER], random_texts):
+    return generate_corpus(2000, 777), [text for _, text in LADDER], random_texts
+
+
+def test_tokenizer_matches_the_reference():
+    for texts in _reference_texts():
         mismatched = [text for text in texts if _tokenize(text) != tokenize_reference.tokenize(text)]
         assert mismatched == []
+
+
+def test_the_scan_kinds_and_offsets_match_the_reference():
+    # the parser's own view: the scanned strings, the kind read from each
+    # one's first character, and offsets found on demand, first from a
+    # random token to the end and then for the tokens before it
+    rng = random.Random(13)
+    for texts in (*_reference_texts(), _END_TEXTS):
+        for text in texts:
+            expected = tokenize_reference.tokenize(text)
+            tokens = _scan(text)
+            assert tokens == [value for _, value, _, _ in expected], text
+            assert [_kind(token) for token in tokens] == [kind for kind, _, _, _ in expected], text
+            parser = _Parser(text, tokens)
+            first = rng.randrange(len(tokens))
+            for index in [first, *range(len(tokens) - 1, -1, -1)]:
+                start = parser.offset(index)
+                assert (start, start + len(tokens[index])) == expected[index][2:], (text, index)
+
+
+@pytest.mark.parametrize(
+    "token, kind",
+    [
+        ("", "eof"), ("<", "op"), ("<=", "op"), ("<>", "iriref"), ("<=>", "iriref"), ("<a>", "iriref"),
+        ('"', "op"), ('""', "string"), ('"a"@en', "string"), ("?", "op"), ("?x", "var"), ("$", "op"),
+        ("$x", "var"), ("_", "name"), ("_:", "name"), ("_:b", "blank"), ("_a:b", "name"), ("_a", "name"),
+        ("+", "op"), ("-", "op"), ("+1", "number"), ("-1.5", "number"), ("7", "number"),
+        ("\u0663", "number"), ("a", "name"), ("p:a", "name"), (":", "name"), (":a", "name"),
+        ("&&", "op"), ("!=", "op"), (">=", "op"), ("!", "op"), (".", "op"), ("§", "op"), ("é", "op"),
+    ],
+)
+def test_a_token_kind_is_read_from_its_first_character(token, kind):
+    assert tokenize_reference.tokenize(token)[0][:2] == (kind, token)
+    assert _kind(token) == kind
+
+
+def test_offsets_are_found_only_for_errors_and_opaque_conditions(monkeypatch):
+    # no ladder shape needs an offset but the OPTIONAL nests, whose filters
+    # call builtins; a corpus query needs them once, for its first opaque
+    # condition of more than one token, and keeps them for the others
+    walks = []
+
+    def counted(text, tokens, first):
+        walks.append(text)
+        return starts(text, tokens, first)
+
+    starts = syntax._starts
+    monkeypatch.setattr(syntax, "_starts", counted)
+    for name, text in LADDER:
+        parse_pattern(text)
+        assert len(walks) == name.startswith("optional-nest"), name
+        walks.clear()
+    needing = []
+    for text in generate_corpus(2000, 777):
+        pattern = parse_pattern(text)
+        todo = list(pattern_facts(pattern).conditions)
+        while todo:
+            condition = todo.pop()
+            todo += [getattr(condition, name) for name in ("left", "right", "operand") if hasattr(condition, name)]
+            if isinstance(condition, Opaque) and len(_scan(condition.text)) > 2:
+                needing.append(text)
+                break
+    assert len(needing) == 333
+    assert walks == needing
+    walks.clear()
+    with pytest.raises(QuerySyntaxError):
+        parse_pattern("SELECT * WHERE { ?x <p> ?y . ?x }")
+    assert len(walks) == 1
 
 
 def test_edited_queries_parse_or_raise_a_syntax_error():
@@ -350,7 +426,7 @@ def test_edited_queries_parse_or_raise_a_syntax_error():
             pass
 
 
-@pytest.mark.parametrize("text", ["", "  \n", "# only a comment", "(?x p ?y) # trailing", "p:a."])
+@pytest.mark.parametrize("text", _END_TEXTS)
 def test_tokenize_ends_in_exactly_one_end_marker(text):
     tokens = _tokenize(text)
     assert tokens[-1] == ("eof", "", len(text), len(text))
