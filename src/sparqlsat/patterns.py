@@ -338,23 +338,6 @@ def pattern_facts(pattern: Pattern) -> PatternFacts:
     )
 
 
-def select_body_facts(select: Select, facts: PatternFacts) -> PatternFacts:
-    """The facts of the body of `select`, a SELECT whose body holds no
-    SELECT, read off `facts`, the SELECT's own, without a walk: the body has
-    every node but the SELECT, which the post-order lists last, and its
-    variables are those of its triples and conditions, which may lack some
-    of the scheme's."""
-    unseen = set(select.scheme - facts.filter_variables)  # scheme variables not yet found in the body
-    for tp in facts.triples:  # they are most often found in the first triples
-        if not unseen:
-            break
-        unseen.difference_update((tp.subject, tp.predicate, tp.object))
-    return PatternFacts(
-        facts.variables - unseen, facts.constants, facts.filter_variables, facts.conditions, facts.triples,
-        facts.node_types - {Select}, facts.order[:-1], facts.shares,
-    )
-
-
 def vars_of(pattern: Pattern) -> Scheme:
     """All variables occurring in triple patterns, filters, and SELECT schemes."""
     return pattern_facts(pattern).variables

@@ -76,11 +76,14 @@ def select_eliminate(pattern: Pattern) -> Pattern:
     return select_eliminate_info(pattern)[0]
 
 
-def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None) -> tuple[Pattern, Scheme]:
-    """As select_eliminate, also reporting the fresh variables of the result;
-    a SELECT-free pattern is returned itself, and a SELECT that captures no
-    variable is its body.  With a SELECT, a subtree that two parents share
-    raises PreconditionViolated (the parser builds trees).
+def select_eliminate_info(
+    pattern: Pattern, *, facts: PatternFacts | None = None
+) -> tuple[Pattern, Scheme, PatternFacts]:
+    """As select_eliminate, also reporting the fresh variables of the result
+    and the result's facts; a SELECT-free pattern is returned itself, and a
+    SELECT that captures no variable is its body.  With a SELECT, a subtree
+    that two parents share raises PreconditionViolated (the parser builds
+    trees).
 
     A SELECT *captures* the variables of its body that no inner SELECT
     captured and that its scheme lacks.  One fold over the post-order finds
@@ -91,7 +94,7 @@ def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None
     """
     facts = facts or pattern_facts(pattern)
     if Select not in facts.node_types:
-        return pattern, frozenset()
+        return pattern, frozenset(), facts
     if facts.shares:  # each SELECT occurrence needs fresh names of its own
         raise PreconditionViolated("select_eliminate requires a pattern that shares no subtree")
     captures = []  # (a SELECT's body in the result, the variables it captures), in post-order
@@ -99,7 +102,10 @@ def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None
         # a root SELECT over a SELECT-free body: the pattern's variables are
         # the body's and the scheme's, so no variable set is folded
         result = pattern.pattern
-        captures.append((result, facts.variables - pattern.scheme))
+        captured = facts.variables - pattern.scheme
+        if not captured:
+            return result, frozenset(), _body_facts(pattern, facts)
+        captures.append((result, captured))
     else:
         free: dict = {}  # id(node) -> the variables at and below it that no SELECT captured
         done: dict = {}
@@ -134,7 +140,25 @@ def select_eliminate_info(pattern: Pattern, *, facts: PatternFacts | None = None
                 (v, fresh.take()) for v in sorted(captured, key=lambda v: v.name)
             )
     introduced = frozenset(v for renaming in renamings.values() for v in renaming.values())
-    return rename_vars(result, renamings), introduced
+    result = rename_vars(result, renamings)
+    return result, introduced, pattern_facts(result)
+
+
+def _body_facts(select: Select, facts: PatternFacts) -> PatternFacts:
+    """The facts of the body of `select`, a root SELECT over a SELECT-free
+    body, read off `facts`, the SELECT's own, without a walk: the body has
+    every node but the SELECT, which the post-order lists last, and its
+    variables are those of its triples and conditions, which may lack some
+    of the scheme's."""
+    unseen = set(select.scheme - facts.filter_variables)  # scheme variables not yet found in the body
+    for tp in facts.triples:  # they are most often found in the first triples
+        if not unseen:
+            break
+        unseen.difference_update((tp.subject, tp.predicate, tp.object))
+    return PatternFacts(
+        facts.variables - unseen, facts.constants, facts.filter_variables, facts.conditions, facts.triples,
+        facts.node_types - {Select}, facts.order[:-1], facts.shares,
+    )
 
 
 def exists_rewrite(pattern: Pattern, subquery: Pattern, scheme: Scheme | None = None) -> Pattern:

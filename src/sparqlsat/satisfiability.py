@@ -44,12 +44,10 @@ from .patterns import (
     Opt,
     Pattern,
     PatternFacts,
-    Select,
     TriplePattern,
     Union,
     is_atomic,
     pattern_facts,
-    select_body_facts,
 )
 from .record import Record, _setattr
 from .rewrites import af_reduce, select_eliminate_info, union_free_split, wrong_literal_reduce
@@ -326,14 +324,9 @@ def run_pipeline(
 def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineResult:
     """`run_pipeline`'s body; `enter(stage)` is called as each timed stage
     after the first begins.  Each stage reads the facts of its input, which
-    are collected again only when a rewrite returns a new pattern; those of
-    the body a root SELECT reduces to are read off the SELECT's."""
-    facts = pattern_facts(pattern)
-    core, fresh_introduced = select_eliminate_info(pattern, facts=facts)
-    if type(pattern) is Select and core is pattern.pattern:  # a root SELECT that captured nothing:
-        facts = select_body_facts(pattern, facts)  # its body, like every result, holds no SELECT
-    elif core is not pattern:
-        facts = pattern_facts(core)
+    are collected again only when a rewrite returns a new pattern; SELECT
+    elimination returns those of its result."""
+    core, fresh_introduced, facts = select_eliminate_info(pattern, facts=pattern_facts(pattern))
     try:
         normalized = normalize_filters(core, builtins_as_bound=builtins_as_bound, facts=facts)
     except UnsupportedOpaquePredicate as exc:

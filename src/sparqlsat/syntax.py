@@ -23,8 +23,9 @@ character.  A lone `<`, `"`, `?`, `$`, `+` or `-`, and `<=`, are
 operators although their first character starts another kind, and `_`
 starts a blank node only when `:` and more follow.  Offsets in the text are
 found only when something reads one: an error's position, or the source
-text of an opaque condition.  `_tokenize` builds the `(kind, value, start,
-end)` form from the same scan.
+text of an opaque condition; then one `finditer` of `_SCAN_RE` finds them
+all.  `_tokenize` builds the `(kind, value, start, end)` form from the
+same scan.
 
 Nothing here recurses: a group, SELECT body, EXISTS argument or condition
 in parentheses saves what encloses it on its reader's own stack, so any
@@ -123,17 +124,9 @@ def _kind(token: str) -> str:
     return "number" if token[0].isdecimal() else "op"  # as `\d`, any Unicode decimal digit
 
 
-def _starts(text: str, tokens: list[str], first: int) -> list[int]:
-    """Where each of the `tokens` of `text` from index `first` on starts."""
-    if "#" in text:  # a comment may hold a token's text: skip as the scan does
-        return [match.start(1) for match in _SCAN_RE.finditer(text)][first:len(tokens)]
-    # only whitespace lies between a token and the next, and no token ends
-    # in it, so each token is the last occurrence of its text before the next
-    starts = [len(text)]  # the end marker
-    for token in reversed(tokens[first:-1]):
-        starts.append(text.rfind(token, 0, starts[-1]))
-    starts.reverse()
-    return starts
+def _starts(text: str, tokens: list[str]) -> list[int]:
+    """Where each of the `tokens` that `_scan` read from `text` starts."""
+    return [match.start(1) for match in _SCAN_RE.finditer(text)][:len(tokens)]
 
 
 #: A token is `(kind, value, start, end)`.
@@ -144,7 +137,7 @@ def _tokenize(text: str) -> list[_Token]:
     """Every token of `text` with its kind and offsets, then exactly one
     `eof` marker: the form the parser's strings stand for."""
     tokens = _scan(text)
-    starts = _starts(text, tokens, 0)
+    starts = _starts(text, tokens)
     return [(_kind(token), token, start, start + len(token)) for token, start in zip(tokens, starts)]
 
 
@@ -190,8 +183,8 @@ class _Parser:
     token only, so the cursor compares strings alone.  Offsets in the text
     are found only when something reads one: a `QuerySyntaxError`, an
     `UnsupportedFeature`, or the source text of an `Opaque` condition that
-    spans several tokens.  The offsets are found back from the end of the
-    text to the earliest token asked for, and kept for later tokens.
+    spans several tokens.  The first such read finds every token's offset
+    in one `finditer` of `_SCAN_RE`, and the parser keeps them.
     """
 
     surface = False
@@ -250,11 +243,9 @@ class _Parser:
 
     def offset(self, index: int) -> int:
         """Where token `index` starts in the text."""
-        kept = len(self.tokens) - len(self._starts)  # the index of the first kept offset
-        if index < kept:
-            self._starts = _starts(self.text, self.tokens, index)
-            kept = index
-        return self._starts[index - kept]
+        if not self._starts:
+            self._starts = _starts(self.text, self.tokens)
+        return self._starts[index]
 
     def source(self, first: int, last: int) -> str:
         """The text from the start of token `first` to the end of token `last`."""

@@ -3,21 +3,15 @@
 import random
 
 from randgen import ALL_KINDS, VAR_POOL, iter_subpatterns, random_constraint, random_pattern, random_shared_pattern
-from sparqlsat import (
-    And, AndExpr, Filter, NotExpr, Opaque, OrExpr, Select, TriplePattern, Union, normalize_filters, parse_pattern,
-)
-from sparqlsat.corpus import generate_corpus
-from sparqlsat.terms import Variable
+from sparqlsat import And, AndExpr, Filter, NotExpr, Opaque, OrExpr, Select, TriplePattern, Union, normalize_filters
 from sparqlsat.patterns import (
     EqC,
     NeqC,
     condition_vars,
     constants_of,
     contains_node,
-    PatternFacts,
     pattern_facts,
     post_order,
-    select_body_facts,
     vars_of,
 )
 from sparqlsat.schemes import filter_variables
@@ -135,26 +129,3 @@ def test_pattern_facts_record_their_order_and_any_sharing():
             assert getattr(facts, field) == value, field
         seen.add((source, facts.shares))
     assert seen == {(0, False), (1, False), (1, True), (2, False), (2, True)}
-
-
-def test_a_root_select_body_has_the_facts_read_off_the_select():
-    # the body's facts are derived, not walked: every field equals the walk's,
-    # the order and the triples node by node; the random schemes hold
-    # variables the body lacks as well as variables it holds
-    rng = random.Random(9)
-    selects = [p for p in map(parse_pattern, generate_corpus(2000, 777)) if isinstance(p, Select)]
-    assert len(selects) == 232
-    extra = tuple(Variable(f"w{i}") for i in range(3))
-    for _ in range(600):
-        body = _with_composites(rng, random_pattern(rng, depth=rng.randint(0, 5)))
-        scheme = rng.sample(VAR_POOL + extra, rng.randint(0, 4))
-        selects.append(Select(frozenset(scheme), body))
-    lacking = 0
-    for select in selects:
-        derived, walked = select_body_facts(select, pattern_facts(select)), pattern_facts(select.pattern)
-        for field in PatternFacts.__slots__:
-            assert getattr(derived, field) == getattr(walked, field), field
-        assert list(map(id, derived.order)) == list(map(id, walked.order))
-        assert list(map(id, derived.triples)) == list(map(id, walked.triples))
-        lacking += not select.scheme <= walked.variables
-    assert lacking > 100

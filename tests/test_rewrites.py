@@ -40,7 +40,8 @@ from sparqlsat import (
     wrong_literal_reduce,
 )
 from sparqlsat.errors import NotUnionFree, PreconditionViolated
-from sparqlsat.patterns import bindable_vars, contains_node, is_reserved_name, pattern_facts, vars_of
+from sparqlsat.corpus import generate_corpus
+from sparqlsat.patterns import PatternFacts, bindable_vars, contains_node, is_reserved_name, pattern_facts, vars_of
 from sparqlsat.rewrites import select_eliminate_info
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -149,7 +150,7 @@ def test_select_free_pattern_is_untouched():
 
 def test_select_free_pattern_is_returned_itself():
     pattern = parse_pattern("((?x p ?y) OPT (?x q ?z)) FILTER ?x != c")
-    eliminated, fresh = select_eliminate_info(pattern)
+    eliminated, fresh, _ = select_eliminate_info(pattern)
     assert eliminated is pattern
     assert fresh == frozenset()
     assert select_eliminate_info(Select(frozenset((x,)), pattern))[0] is not pattern
@@ -168,19 +169,45 @@ def test_a_select_that_projects_nothing_out_is_its_body_itself():
     for _ in range(300):
         body = random_pattern(rng, depth=rng.randint(0, 4))
         scheme = vars_of(body) | frozenset(rng.sample(VAR_POOL, rng.randint(0, 2)))
-        eliminated, fresh = select_eliminate_info(Select(scheme, body))
+        eliminated, fresh, _ = select_eliminate_info(Select(scheme, body))
         assert eliminated is body and fresh == frozenset()
         other = random_pattern(rng, depth=rng.randint(0, 2))
-        eliminated, _ = select_eliminate_info(And(Select(scheme, body), Select(frozenset(), other)))
+        eliminated, _, _ = select_eliminate_info(And(Select(scheme, body), Select(frozenset(), other)))
         assert eliminated.left is body
 
+
+def test_select_elimination_returns_the_facts_of_its_result():
+    # equal, field by field and the order and triples node by node, to a
+    # walk of the result; the facts of a root SELECT's body are read off the
+    # SELECT's, here for the corpus SELECTs and for random schemes that hold
+    # variables the body lacks as well as all it holds
+    rng = random.Random(37)
+    patterns = [p for p in map(parse_pattern, generate_corpus(2000, 777)) if type(p) is Select]
+    assert len(patterns) == 232
+    extra = tuple(Variable(f"w{i}") for i in range(3))
+    for _ in range(600):
+        body = random_pattern(rng, depth=rng.randint(0, 5))
+        patterns.append(Select(vars_of(body) | frozenset(rng.sample(VAR_POOL + extra, rng.randint(0, 4))), body))
+        patterns.append(random_pattern(rng, depth=rng.randint(1, 5), select_rate=0.5))
+    read_off = lacking = 0
+    for pattern in patterns:
+        eliminated, _, facts = select_eliminate_info(pattern)
+        walked = pattern_facts(eliminated)
+        for field in PatternFacts.__slots__:
+            assert getattr(facts, field) == getattr(walked, field), field
+        assert list(map(id, facts.order)) == list(map(id, walked.order))
+        assert list(map(id, facts.triples)) == list(map(id, walked.triples))
+        if type(pattern) is Select and eliminated is pattern.pattern:
+            read_off += 1
+            lacking += not pattern.scheme <= walked.variables
+    assert read_off >= 832 and lacking > 100
 
 def test_a_root_select_renames_exactly_the_body_variables_it_drops():
     rng = random.Random(33)
     for _ in range(300):
         body = random_pattern(rng, depth=rng.randint(0, 4))
         scheme = frozenset(rng.sample(VAR_POOL, rng.randint(0, 4)))
-        eliminated, fresh = select_eliminate_info(Select(scheme, body))
+        eliminated, fresh, _ = select_eliminate_info(Select(scheme, body))
         assert len(fresh) == len(vars_of(body) - scheme)
         assert vars_of(eliminated) == (vars_of(body) & scheme) | fresh
 
@@ -193,7 +220,7 @@ def test_single_projection_renames_dropped_variable():
 def test_projection_elimination_preserves_projected_solutions():
     rng = random.Random(23)
     pattern = parse_pattern("SELECT {?x} ((?x p ?y))")
-    eliminated, fresh = select_eliminate_info(pattern)
+    eliminated, fresh, _ = select_eliminate_info(pattern)
     for _ in range(30):
         graph = random_graph(rng, pattern)
         direct = evaluate(pattern, graph)
@@ -208,7 +235,7 @@ def test_select_elimination_hat_projection_law(seed):
     # the original solutions, on every graph tried
     rng = random.Random(seed)
     pattern = random_pattern(rng, depth=rng.randint(1, 4), select_rate=0.5)
-    eliminated, fresh = select_eliminate_info(pattern)
+    eliminated, fresh, _ = select_eliminate_info(pattern)
     assert not contains_node(eliminated, Select)
     for _ in range(4):
         graph = random_graph(rng, pattern)
@@ -242,7 +269,7 @@ def test_select_elimination_matches_the_reference():
     nested = 0
     for _ in range(4000):
         pattern = random_pattern(rng, depth=rng.randint(1, 5), select_rate=0.5)
-        eliminated, introduced = select_eliminate_info(pattern)
+        eliminated, introduced, _ = select_eliminate_info(pattern)
         expected, _ = select_eliminate_reference(pattern)
         assert introduced == _fresh_names(eliminated)
         if _has_nested_select(pattern):
@@ -257,7 +284,7 @@ def test_a_fresh_name_is_not_renamed_by_an_enclosing_select():
     w = Variable("w")
     inner = Select(frozenset((x,)), TriplePattern(x, Iri("q"), w))
     pattern = Select(frozenset(), And(TriplePattern(x, Iri("p"), y), inner))
-    eliminated, introduced = select_eliminate_info(pattern)
+    eliminated, introduced, _ = select_eliminate_info(pattern)
     # the inner SELECT names ?w first; the outer one captures ?x and ?y, not ?_g1
     g3 = Variable("_g3")
     assert eliminated == And(TriplePattern(g2, Iri("p"), g3), TriplePattern(g2, Iri("q"), g1))

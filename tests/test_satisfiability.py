@@ -427,7 +427,7 @@ def test_the_sample_without_the_descent_is_the_realized_solution():
         entry = entry_from_text(index, text)
         if entry.pattern is None:
             continue
-        core, fresh = select_eliminate_info(entry.pattern)
+        core, fresh, _ = select_eliminate_info(entry.pattern)
         reduced = wrong_literal_reduce(normalize_filters(core, builtins_as_bound=True))
         facts = pattern_facts(reduced) if reduced is not None else None
         if facts is None or facts.conditions or Union in facts.node_types:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -325,38 +326,37 @@ _TOKEN_PIECES = (
 _END_TEXTS = ["", "  \n", "# only a comment", "(?x p ?y) # trailing", "p:a."]
 
 
-def _reference_texts():
-    """The seed-777 corpus, the ladder shapes, and 50,000 texts glued from
-    `_TOKEN_PIECES`."""
+def _reference_texts(ladder):
+    """The seed-777 corpus, the `ladder` shapes, and 50,000 texts glued
+    from `_TOKEN_PIECES`."""
     rng = random.Random(11)
     random_texts = [
         "".join(rng.choice(_TOKEN_PIECES) for _ in range(rng.randint(1, 12))) for _ in range(50_000)
     ]
-    return generate_corpus(2000, 777), [text for _, text in LADDER], random_texts
+    return generate_corpus(2000, 777), [text for _, text in ladder], random_texts
 
 
-def test_tokenizer_matches_the_reference():
-    for texts in _reference_texts():
+def test_tokenizer_matches_the_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import LADDER
+
+    for texts in _reference_texts(LADDER):
         mismatched = [text for text in texts if _tokenize(text) != tokenize_reference.tokenize(text)]
         assert mismatched == []
 
 
 def test_the_scan_kinds_and_offsets_match_the_reference():
     # the parser's own view: the scanned strings, the kind read from each
-    # one's first character, and offsets found on demand, first from a
-    # random token to the end and then for the tokens before it
-    rng = random.Random(13)
-    for texts in (*_reference_texts(), _END_TEXTS):
+    # one's first character, and the offsets it finds on demand
+    for texts in (*_reference_texts(LADDER), _END_TEXTS):
         for text in texts:
             expected = tokenize_reference.tokenize(text)
             tokens = _scan(text)
             assert tokens == [value for _, value, _, _ in expected], text
             assert [_kind(token) for token in tokens] == [kind for kind, _, _, _ in expected], text
             parser = _Parser(text, tokens)
-            first = rng.randrange(len(tokens))
-            for index in [first, *range(len(tokens) - 1, -1, -1)]:
-                start = parser.offset(index)
-                assert (start, start + len(tokens[index])) == expected[index][2:], (text, index)
+            offsets = [(parser.offset(i), parser.offset(i) + len(token)) for i, token in enumerate(tokens)]
+            assert offsets == [(start, end) for _, _, start, end in expected], text
 
 
 @pytest.mark.parametrize(
@@ -381,9 +381,9 @@ def test_offsets_are_found_only_for_errors_and_opaque_conditions(monkeypatch):
     # condition of more than one token, and keeps them for the others
     walks = []
 
-    def counted(text, tokens, first):
+    def counted(text, tokens):
         walks.append(text)
-        return starts(text, tokens, first)
+        return starts(text, tokens)
 
     starts = syntax._starts
     monkeypatch.setattr(syntax, "_starts", counted)
