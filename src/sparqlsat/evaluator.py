@@ -9,8 +9,9 @@ definitional ones.
 Inside `evaluate` the solutions of a node are a *table*: a dict from a
 domain, a name-sorted tuple of variables, to the nonempty set of value
 tuples of the mappings over it.  Only the root's rows become `Mapping`
-objects.  The graph is indexed by predicate once per call, so a triple
-pattern with a constant predicate reads only that predicate's triples.
+objects.  The graph is indexed by predicate once per call, or once for
+several patterns through `_solutions`, so a triple pattern with a constant
+predicate reads only that predicate's triples.
 AND, OPT and set difference pair two tables per pair of domains through a
 plan made once per pair: the probe-key positions, the merged row layout,
 and where an atomic filter condition is checked.  A FILTER directly over an
@@ -401,7 +402,11 @@ def evaluate(pattern: Pattern, graph: RdfGraph) -> SolutionSet:
     an OPT is the filtered join united with the filtered difference, so the
     join rows the condition rejects are never built.
     """
-    index = _graph_index(graph)
+    return _solutions(pattern, _graph_index(graph))
+
+
+def _solutions(pattern: Pattern, index: dict) -> SolutionSet:
+    """`evaluate` over a graph indexed by `_graph_index`."""
     if type(pattern) is TriplePattern:  # one triple pattern needs no walk
         return _mappings(_match_triple(pattern, index))
     shared: set = set()

@@ -6,8 +6,9 @@ family, and a SAT verdict comes with a checkable witness graph: instantiate
 every triple pattern under a constant mapping (equality fragment) or an
 injective mapping into fresh IRIs (nonequality fragment).  Union-free
 well-designed patterns outside those fragments reduce to their AND/FILTER
-core, where nonempty schemes plus consistent value constraints decide.
-Everything else is answered Unknown, never guessed.
+core, where a bound check and a consistency check of its value constraints
+decide, and the sample is picked arm by arm.  Everything else is answered
+Unknown, never guessed.
 
 A pattern with no filter condition left after the rewrites is in both
 fragments, and its scheme table is {∅} at every node.  Without a UNION as
@@ -30,7 +31,9 @@ from .errors import (
     SchemeSetBlowup,
     UnsupportedOpaquePredicate,
 )
-from .evaluator import evaluate
+# `candidate_schemes` and `evaluate` are not called here, but stay names of
+# this module: bench/layertrace.py times the layers by rebinding them here
+from .evaluator import _graph_index, _solutions, compatible, evaluate
 from .normalize import normalize_filters
 from .patterns import (
     And,
@@ -46,8 +49,10 @@ from .patterns import (
     PatternFacts,
     TriplePattern,
     Union,
+    children,
     is_atomic,
     pattern_facts,
+    post_order,
 )
 from .record import Record, _setattr
 from .rewrites import af_reduce, select_eliminate_info, union_free_split, wrong_literal_reduce
@@ -421,17 +426,17 @@ def decide_well_designed(pattern: Pattern) -> Verdict:
 
 
 def _decide_well_designed_core(pattern: Pattern) -> Verdict:
-    """decide_well_designed without its checks, for `run_pipeline`'s members."""
-    reduced = af_reduce(pattern)
-    schemes = candidate_schemes(reduced)
-    if not schemes:
-        return Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
-    (scheme,) = schemes
+    """decide_well_designed without its checks: assumes a well-designed member.
 
+    The core's filters mention only its triples' variables, its one scheme,
+    so only a `!bound` there empties its family.  The arms on the core share
+    only core variables, so the model's least extension is each arm's least."""
+    reduced = af_reduce(pattern)
     facts = pattern_facts(reduced)
-    constraint_set = extract_constraints(reduced, facts=facts)
-    sorts = derive_sort_map(reduced, facts=facts)
-    solved = solve_constraints(constraint_set, sorts)
+    if NegBound in map(type, facts.conditions):
+        return Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
+
+    solved = solve_constraints(extract_constraints(reduced, facts=facts), derive_sort_map(reduced, facts=facts))
     if solved is Failure.SORT_CLASH:
         return Unsatisfiable(UnsatReason.SORT_CONFLICT)
     if isinstance(solved, Failure):
@@ -439,19 +444,18 @@ def _decide_well_designed_core(pattern: Pattern) -> Verdict:
 
     pool = fresh_iris(facts.constants | frozenset(t for _, t in solved.items()))
     bindings = dict(solved.items())
-    for var in sorted(scheme - solved.domain, key=lambda v: v.name):
+    for var in sorted(facts.variables - solved.domain, key=lambda v: v.name):
         bindings[var] = next(pool)
     model = Mapping(bindings)
 
     witness = _instantiate(facts, model)
-    # The optional arms of a well-designed pattern only extend solutions of
-    # its AND/FILTER core, so the model's core solution reappears extended.
-    solutions = evaluate(pattern, witness)
-    extensions = [m for m in solutions if m.extends(model)]
-    if not extensions:
-        raise AssertionError("witness graph lost the core solution")
-    sample = min(extensions, key=_mapping_sort_key)
-    return Satisfiable(witness, sample)
+    index = _graph_index(witness)
+    core = post_order(pattern, lambda node: (node.left,) if type(node) is Opt else children(node))
+    for arm in {id(node.right): node.right for node in core if type(node) is Opt}.values():
+        parts = [m.drop(facts.variables) for m in _solutions(arm, index) if compatible(m, model)]
+        if parts:
+            bindings.update(min(parts, key=_mapping_sort_key).items())
+    return Satisfiable(witness, Mapping(bindings))
 
 
 def _mapping_sort_key(mapping: Mapping):

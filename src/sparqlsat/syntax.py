@@ -370,8 +370,8 @@ class _Parser:
                 other = self.make_var(self.advance())
                 if op == "=":
                     return Eq(var, other)
-                if var == other:  # ?x != ?x is not one of the atomic forms
-                    return Opaque(self.source(first, self.pos - 1), frozenset((var,)))
+                if var == other:  # not an atomic form: the negated equality, always false
+                    return NotExpr(Eq(var, var))
                 return Neq(var, other)
             if rhs_kind in ("iriref", "string", "number") or (
                 rhs_kind == "name" and self.peek(2) != "("

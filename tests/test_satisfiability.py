@@ -37,6 +37,7 @@ from sparqlsat import (
     parse_pattern,
 )
 import realize_reference
+import wd_core_reference
 from sparqlsat.corpus import entry_from_text, generate_corpus
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
 from sparqlsat.evaluator import format_graph
@@ -279,6 +280,127 @@ def test_decide_well_designed_agrees_with_its_reduction():
                 graph = random_graph(rng, pattern)
                 assert not evaluate(pattern, graph)
     assert checked > 50
+
+
+def _with_matching_arms(rng, pattern):
+    """`pattern` under one to three more optional arms, each a core triple
+    with a fresh object, maybe itself under an arm of the same kind, so
+    that the witness matches every arm at least once."""
+    from sparqlsat import af_reduce
+    from sparqlsat.patterns import Opt, TriplePattern
+
+    triples = pattern_facts(af_reduce(pattern)).triples
+    for i in range(rng.randint(1, 3)):
+        first, second = rng.choice(triples), rng.choice(triples)
+        arm = TriplePattern(first.subject, first.predicate, Variable(f"w{i}"))
+        if rng.random() < 0.5:
+            arm = Opt(arm, TriplePattern(second.subject, second.predicate, Variable(f"z{i}")))
+        pattern = Opt(pattern, arm)
+    return pattern
+
+
+def test_the_per_arm_sample_matches_the_whole_pattern_reference(monkeypatch):
+    # the reference folds the core's full scheme family and picks the least
+    # solution of the whole pattern that extends the core model
+    from sparqlsat import af_reduce, satisfiability
+
+    rng = random.Random(23)
+    reasons, extended = set(), 0
+    for index in range(1200):
+        pattern = random_well_designed(rng, depth=rng.randint(1, 4), negbound_rate=0.08)
+        if index % 2:
+            pattern = _with_matching_arms(rng, pattern)
+        verdict = _decide_well_designed_core(pattern)
+        assert verdict == wd_core_reference.decide_well_designed_core(pattern)
+        if isinstance(verdict, Unsatisfiable):
+            reasons.add(verdict.reason)
+        else:  # some arm bound a variable outside the core
+            extended += len(verdict.sample) > len(pattern_facts(af_reduce(pattern)).variables)
+    assert {UnsatReason.EMPTY_SCHEMES, UnsatReason.INCONSISTENT_CONSTRAINTS} <= reasons
+    assert extended > 400
+    # route-none well-designed members of patterns that share subtrees
+    checked = 0
+    for _ in range(3000):
+        pattern = random_shared_pattern(rng, depth=rng.randint(0, 3))
+        result = run_pipeline(pattern)
+        if result.profile is None or result.profile.route is not Route.NONE or not result.well_designed:
+            continue
+        checked += 1
+        with monkeypatch.context() as patched:
+            patched.setattr(satisfiability, "_decide_well_designed_core", wd_core_reference.decide_well_designed_core)
+            assert run_pipeline(pattern) == result
+    assert checked > 20
+
+
+def _wd_nest(arms):
+    """A core of `arms` triples under an equality and a nonequality, with
+    `arms` two-triple optional arms that the witness does not match."""
+    core = " . ".join(f"?s <c{i}> ?c{i}" for i in range(arms))
+    optional = " ".join(f"OPTIONAL {{ ?s <p{i}> ?a{i} . ?a{i} <q{i}> ?b{i} }}" for i in range(arms))
+    return f"SELECT * WHERE {{ {core} . {optional} FILTER (?c0 = <k>) FILTER (?c1 != ?c2) }}"
+
+
+def _multi_valued(triples, arms):
+    """`triples` values of one property in the core and `arms` optional
+    arms over the same property: the whole pattern has triples ** arms
+    solutions that extend the core model."""
+    core = " . ".join(f"?s <p> ?o{i}" for i in range(triples))
+    optional = " ".join(f"OPTIONAL {{ ?s <p> ?a{i} }}" for i in range(arms))
+    return f"SELECT * WHERE {{ {core} . {optional} FILTER (?o0 = <k>) }}"
+
+
+def test_a_well_designed_member_is_decided_without_the_fold_or_a_whole_pattern_evaluation(monkeypatch):
+    from sparqlsat import evaluator, satisfiability, schemes
+
+    calls = []
+    for module, name in ((schemes, "_families"), (evaluator, "evaluate"), (satisfiability, "evaluate")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = random.Random(29)
+    patterns = [parse_pattern(_wd_nest(20)), parse_pattern(_multi_valued(3, 3))]
+    patterns += [random_well_designed(rng, depth=3, negbound_rate=0.08) for _ in range(300)]
+    decided = 0
+    for pattern in patterns:
+        result = run_pipeline(pattern)
+        if result.profile.route is Route.NONE:
+            decided += 1
+            assert result.well_designed is True and calls == []
+        calls.clear()  # the fragment route reads the scheme table
+    assert decided > 50
+
+
+def test_many_arms_over_a_multi_valued_property_decide_fast():
+    # each arm is evaluated alone, so 8 arms over 8 values cost 8 * 8
+    # solutions, not the 8 ** 8 of the whole pattern
+    assert sys.getrecursionlimit() == 1000
+    pattern = parse_pattern(_multi_valued(8, 8))
+    start = time.perf_counter()
+    result = run_pipeline(pattern)
+    elapsed = time.perf_counter() - start
+    assert result.profile.route is Route.NONE and result.well_designed is True
+    sample = result.verdict.sample
+    assert len(sample) == 17
+    # every arm takes the least value, the constant <k> that ?o0 is bound to
+    assert all(sample[Variable(f"a{i}")] == sample[Variable("o0")] == Iri("k") for i in range(8))
+    assert elapsed < 1.0, f"{elapsed:.3f} s"
+    # the same shape small enough for the reference's whole-pattern evaluation
+    small = parse_pattern(_multi_valued(3, 3))
+    verdict = run_pipeline(small).verdict
+    assert verdict.sample in evaluate(normalize_filters(small), verdict.witness)
+
+
+def test_a_variable_unequal_to_itself_is_unsatisfiable():
+    for text in ("SELECT * WHERE { ?x <p> ?y FILTER(?x != ?x) }", "(?x p ?y) FILTER ?x != ?x"):
+        negated = text.replace("?x != ?x", "!(?x != ?x)")
+        for builtins_as_bound in (False, True):
+            verdict = decide_satisfiability(parse_pattern(text), builtins_as_bound=builtins_as_bound)
+            assert format_verdict_text(verdict) == "unsatisfiable (empty-schemes)"
+            verdict = decide_satisfiability(parse_pattern(negated), builtins_as_bound=builtins_as_bound)
+            assert isinstance(verdict, Satisfiable)
+            assert verdict.sample in evaluate(normalize_filters(parse_pattern(negated)), verdict.witness)
 
 
 def test_every_scheme_is_covered_by_some_witness_solution():
@@ -604,8 +726,10 @@ def _well_designed_opt_chain(arms):
         pytest.param(_bgp(5000), False, Route.BOTH, 4.0, id="bgp-5000"),
         pytest.param(_optional_nest(1000), True, Route.BOTH, 2.0, id="optional-nest-1000"),
         pytest.param(_union_group(1000), False, Route.BOTH, 2.0, id="union-1000"),
-        # route none: af_reduce, the scheme family and evaluate decide it
+        # route none: af_reduce, a bound check, the constraint solver and
+        # one evaluation per optional arm decide it
         pytest.param(_well_designed_opt_chain(1000), False, Route.NONE, 2.0, id="wd-opt-chain-1000"),
+        pytest.param(_wd_nest(3200), False, Route.NONE, 0.5, id="wd-nest-3200"),
     ],
 )
 def test_deep_patterns_are_decided_at_the_default_recursion_limit(text, builtins_as_bound, route, bound_s):
