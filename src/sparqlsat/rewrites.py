@@ -6,6 +6,10 @@ of its body that no inner SELECT captured and that its scheme lacks.  A
 onto what a solution of the left side can bind (`bindable_vars`), so a
 variable seen only in a filter condition or in an earlier EXISTS body
 stays unbound outside it.
+
+The AND/FILTER reduction of a union-free pattern reads the core along its
+own edges: AND, FILTER and the left side of an OPT.  The right side of an
+OPT is an optional arm, listed but not entered.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .patterns import (
     TriplePattern,
     Union,
     bindable_vars,
+    children,
     condition_vars,
     pattern_facts,
     post_order,
@@ -221,13 +226,27 @@ def union_free_split(pattern: Pattern, *, facts: PatternFacts | None = None) -> 
 
 
 def af_reduce(pattern: Pattern) -> Pattern:
-    """Strip every optional arm, leaving the AND/FILTER core of the pattern."""
+    """Strip every optional arm, leaving the AND/FILTER core of the pattern.
+
+    The UNION and SELECT checks see the whole pattern, arms included; the
+    core itself is read along its own edges, by `af_core`."""
     facts = pattern_facts(pattern)
     if Union in facts.node_types:
         raise NotUnionFree("af_reduce requires a union-free pattern")
     if Select in facts.node_types:
         raise PreconditionViolated("af_reduce requires a SELECT-free pattern")
+    return af_core(pattern)[0]
+
+
+def af_core(pattern: Pattern) -> tuple[Pattern, list[Pattern]]:
+    """The AND/FILTER core of a union- and SELECT-free pattern, and its
+    distinct optional arms, from one walk along the core's edges.
+
+    An OPT contributes its left side only: the walk does not enter its
+    right side, which is an arm, listed once in post-order of the first OPT
+    that has it.  No node inside an arm is visited."""
+    order = post_order(pattern, lambda node: (node.left,) if type(node) is Opt else children(node))
     done: dict = {}
-    for node in facts.order:  # an OPT keeps its mandatory side only
+    for node in order:
         done[id(node)] = done[id(node.left)] if type(node) is Opt else rebuilt(node, done)
-    return done[id(pattern)]
+    return done[id(pattern)], list({id(node.right): node.right for node in order if type(node) is Opt}.values())

@@ -49,13 +49,11 @@ from .patterns import (
     PatternFacts,
     TriplePattern,
     Union,
-    children,
     is_atomic,
     pattern_facts,
-    post_order,
 )
 from .record import Record, _setattr
-from .rewrites import af_reduce, select_eliminate_info, union_free_split, wrong_literal_reduce
+from .rewrites import af_core, select_eliminate_info, union_free_split, wrong_literal_reduce
 from .schemes import candidate_schemes, scheme_sort_key, scheme_table
 from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, Variable, format_term
 from .welldesigned import derive_sort_map, extract_constraints, is_well_designed
@@ -428,10 +426,14 @@ def decide_well_designed(pattern: Pattern) -> Verdict:
 def _decide_well_designed_core(pattern: Pattern) -> Verdict:
     """decide_well_designed without its checks: assumes a well-designed member.
 
-    The core's filters mention only its triples' variables, its one scheme,
-    so only a `!bound` there empties its family.  The arms on the core share
-    only core variables, so the model's least extension is each arm's least."""
-    reduced = af_reduce(pattern)
+    The member is read twice, over its AND/FILTER core only: `af_core` walks
+    the core's edges, giving the core and its optional arms, and
+    `pattern_facts` walks the core.  An arm's nodes are first visited when
+    `_solutions` evaluates it.  The core's filters mention only its triples'
+    variables, its one scheme, so only a `!bound` there empties its family.
+    The arms on the core share only core variables, so the model's least
+    extension is each arm's least."""
+    reduced, arms = af_core(pattern)
     facts = pattern_facts(reduced)
     if NegBound in map(type, facts.conditions):
         return Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
@@ -450,8 +452,7 @@ def _decide_well_designed_core(pattern: Pattern) -> Verdict:
 
     witness = _instantiate(facts, model)
     index = _graph_index(witness)
-    core = post_order(pattern, lambda node: (node.left,) if type(node) is Opt else children(node))
-    for arm in {id(node.right): node.right for node in core if type(node) is Opt}.values():
+    for arm in arms:
         parts = [m.drop(facts.variables) for m in _solutions(arm, index) if compatible(m, model)]
         if parts:
             bindings.update(min(parts, key=_mapping_sort_key).items())

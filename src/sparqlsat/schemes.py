@@ -64,9 +64,8 @@ from .patterns import (
     Union,
     is_atomic,
     pattern_facts,
-    post_order,
 )
-from .terms import Scheme, Variable
+from .terms import Scheme
 
 #: Families beyond this many schemes raise SchemeSetBlowup.  The decision's
 #: maximal-scheme table stays far below it unless UNIONs multiply under AND.
@@ -89,9 +88,11 @@ def admits(scheme: Scheme, constraint: Constraint) -> bool:
     raise NotNormalized(f"not an atomic constraint: {constraint!r}")
 
 
-def candidate_schemes(pattern: Pattern, cap: int = DEFAULT_SCHEME_CAP) -> SchemeSet:
-    """The full scheme family of a SELECT-free pattern with atomic filters."""
-    return _families(post_order(pattern), None, cap)[id(pattern)]
+def candidate_schemes(pattern: Pattern) -> SchemeSet:
+    """The full scheme family of a SELECT-free pattern with atomic filters,
+    the fold that keeps every variable of the pattern."""
+    facts = pattern_facts(pattern)
+    return _families(facts.order, facts.variables)[id(pattern)]
 
 
 def pruned_schemes(pattern: Pattern) -> SchemeSet:
@@ -102,21 +103,20 @@ def pruned_schemes(pattern: Pattern) -> SchemeSet:
     is, while its size is bounded by two to the number of filter variables.
     """
     facts = pattern_facts(pattern)
-    return _families(facts.order, facts.filter_variables, DEFAULT_SCHEME_CAP)[id(pattern)]
+    return _families(facts.order, facts.filter_variables)[id(pattern)]
 
 
-def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> dict[int, SchemeSet]:
+def _families(order, keep: Scheme, maximal: bool = False) -> dict[int, SchemeSet]:
     """The scheme family of every node of a post-order, by node identity, its
-    schemes intersected with `keep` unless None, ⊆-maximal ones if `maximal`."""
+    schemes intersected with `keep`, ⊆-maximal ones if `maximal`.  A family
+    beyond `DEFAULT_SCHEME_CAP` schemes raises SchemeSetBlowup."""
     table: dict[int, SchemeSet] = {}
     distinct: dict = {}
     for node in order:
         kind = type(node)
         if kind is TriplePattern:
-            terms = (node.subject, node.predicate, node.object)
             # `keep` holds variables only, so its members among the terms are the pruned scheme
-            scheme = frozenset(t for t in terms if type(t) is Variable) if keep is None else keep.intersection(terms)
-            out = frozenset((scheme,))
+            out = frozenset((keep.intersection((node.subject, node.predicate, node.object)),))
         elif kind is Filter:
             condition = node.condition
             if not is_atomic(condition):
@@ -137,26 +137,26 @@ def _families(order, keep: Scheme | None, cap: int, maximal: bool = False) -> di
                 else:
                     out = frozenset((s1 | s2,))
             else:
-                out = _products(left, right, cap)
+                out = _products(left, right)
                 if kind is Opt:  # the left solutions that no arm solution extends
                     out |= left
             if maximal and len(out) > 1:
                 out = _maximal(out)
         else:
             raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
-        if len(out) > cap:
-            raise SchemeSetBlowup(f"scheme family exceeds {cap} schemes")
+        if len(out) > DEFAULT_SCHEME_CAP:
+            raise SchemeSetBlowup(f"scheme family exceeds {DEFAULT_SCHEME_CAP} schemes")
         table[id(node)] = distinct.setdefault(out, out)
     return table
 
 
-def _products(left: frozenset, right: frozenset, cap: int) -> frozenset:
+def _products(left: frozenset, right: frozenset) -> frozenset:
     out = set()
     for s1 in left:
         for s2 in right:
             out.add(s1 | s2)
-            if len(out) > cap:
-                raise SchemeSetBlowup(f"scheme family exceeds {cap} schemes")
+            if len(out) > DEFAULT_SCHEME_CAP:
+                raise SchemeSetBlowup(f"scheme family exceeds {DEFAULT_SCHEME_CAP} schemes")
     return frozenset(out)
 
 
@@ -185,7 +185,7 @@ def scheme_table(pattern: Pattern, *, facts: PatternFacts | None = None) -> tupl
     facts = facts or pattern_facts(pattern)
     fv = facts.filter_variables
     if facts.conditions:
-        return fv, _families(facts.order, fv, DEFAULT_SCHEME_CAP, maximal=True)
+        return fv, _families(facts.order, fv, maximal=True)
     if Select in facts.node_types:
         raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
     return fv, dict.fromkeys(map(id, facts.order), _EMPTY_ONLY)  # no filter: every pruned scheme is ∅

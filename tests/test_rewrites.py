@@ -41,8 +41,18 @@ from sparqlsat import (
 )
 from sparqlsat.errors import NotUnionFree, PreconditionViolated
 from sparqlsat.corpus import generate_corpus
-from sparqlsat.patterns import PatternFacts, bindable_vars, contains_node, is_reserved_name, pattern_facts, vars_of
-from sparqlsat.rewrites import select_eliminate_info
+from sparqlsat.patterns import (
+    PatternFacts,
+    bindable_vars,
+    children,
+    contains_node,
+    is_reserved_name,
+    pattern_facts,
+    post_order,
+    rebuilt,
+    vars_of,
+)
+from sparqlsat.rewrites import af_core, select_eliminate_info
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 g1, g2 = Variable("_g1"), Variable("_g2")
@@ -504,16 +514,48 @@ def test_af_reduce_rejects_a_select_inside_an_optional_arm():
         af_reduce(Opt(parse_pattern("(?x p ?y)"), Select(frozenset((x,)), parse_pattern("(?x q ?z)"))))
 
 
+def _af_core_reference(pattern):
+    """The fold of every node, an OPT taking its left side's result, and the
+    arms found by a recursive walk along AND, FILTER and OPT-left edges,
+    each listed once, in post-order of the first OPT that has it; with the
+    ids of the nodes on the core and of those inside each arm."""
+    done: dict = {}
+    for node in post_order(pattern):
+        done[id(node)] = done[id(node.left)] if type(node) is Opt else rebuilt(node, done)
+    arms, core = {}, set()
+
+    def visit(node):
+        if id(node) not in core:
+            core.add(id(node))
+            for kid in (node.left,) if type(node) is Opt else children(node):
+                visit(kid)
+            if type(node) is Opt:
+                arms.setdefault(id(node.right), node.right)
+
+    visit(pattern)
+    inside = [{id(node) for node in post_order(arm)} for arm in arms.values()]
+    return done[id(pattern)], list(arms.values()), core, inside
+
+
 def test_af_reduce_output_is_and_filter_only():
+    # trees, then DAGs whose subtrees sit both on the core and inside an
+    # arm, or inside two arms: the core equals the fold of every node
     rng = random.Random(9)
-    produced = 0
-    while produced < 60:
-        pattern = random_pattern(rng, depth=3)
+    produced = on_core_and_in_arm = in_two_arms = 0
+    while produced < 600:
+        pattern = random_pattern(rng, depth=3) if produced < 60 else random_shared_pattern(rng, rng.randint(0, 2))
         if contains_node(pattern, Union) or contains_node(pattern, Select):
             continue
         produced += 1
         reduced = af_reduce(pattern)
         assert not contains_node(reduced, (Opt, Union, Select))
+        core, arms = af_core(pattern)
+        expected, expected_arms, on_core, inside = _af_core_reference(pattern)
+        assert reduced == core == expected
+        assert list(map(id, arms)) == list(map(id, expected_arms))
+        on_core_and_in_arm += any(on_core & arm for arm in inside)
+        in_two_arms += any(inside[i] & inside[j] for i in range(len(inside)) for j in range(i))
+    assert on_core_and_in_arm > 100 and in_two_arms > 20
 
 
 def test_af_reduction_schemes_shrink():

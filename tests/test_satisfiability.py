@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
@@ -26,6 +27,7 @@ from sparqlsat import (
     Unsatisfiable,
     UnsatReason,
     Variable,
+    af_reduce,
     candidate_schemes,
     classify_fragment,
     constant_witness,
@@ -41,7 +43,7 @@ import wd_core_reference
 from sparqlsat.corpus import entry_from_text, generate_corpus
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
 from sparqlsat.evaluator import format_graph
-from sparqlsat.patterns import Union, pattern_facts
+from sparqlsat.patterns import Opt, Union, children, pattern_facts
 from sparqlsat.report import PipelineOptions, analyze_batch, format_verdict_text
 from sparqlsat.rewrites import select_eliminate, select_eliminate_info, union_free_split, wrong_literal_reduce
 from sparqlsat.satisfiability import (
@@ -370,6 +372,54 @@ def test_a_well_designed_member_is_decided_without_the_fold_or_a_whole_pattern_e
             assert result.well_designed is True and calls == []
         calls.clear()  # the fragment route reads the scheme table
     assert decided > 50
+
+    # a member is read twice, over its core only: one walk along the core's
+    # edges, then one facts walk of the core; no node inside an optional arm
+    # is visited until `_solutions` evaluates that arm
+    from sparqlsat import patterns
+
+    deciding, evaluating, walks = [], [], []
+
+    def during(active, original):
+        def run(pattern, *args):
+            active.append(pattern)
+            try:
+                return original(pattern, *args)
+            finally:
+                active.pop()
+
+        return run
+
+    for name, nodes in (("post_order", list), ("pattern_facts", attrgetter("order"))):
+        original = getattr(patterns, name)
+
+        def walked(*args, _original=original, _name=name, _nodes=nodes, **kwargs):
+            result = _original(*args, **kwargs)
+            if deciding and not evaluating:
+                walks.append((_name, deciding[-1], _nodes(result)))
+            return result
+
+        for module in [module for key, module in sys.modules.items() if key.startswith("sparqlsat")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, walked)
+    monkeypatch.setattr(satisfiability, "_decide_well_designed_core", during(deciding, _decide_well_designed_core))
+    monkeypatch.setattr(satisfiability, "_solutions", during(evaluating, satisfiability._solutions))
+    result = run_pipeline(parse_pattern(_wd_nest(20)))
+    monkeypatch.undo()
+    assert isinstance(result.verdict, Satisfiable) and result.profile.route is Route.NONE
+    member = walks[0][1]
+    core, arms, todo = set(), set(), [(member, False)]
+    while todo:  # the member's nodes, each on the core or inside an arm
+        node, in_arm = todo.pop()
+        (arms if in_arm else core).add(id(node))
+        todo += [(kid, in_arm or (type(node) is Opt and kid is node.right)) for kid in children(node)]
+    # the core: 20 triples, 19 ANDs, 20 OPTs and 2 FILTERs; its AND/FILTER
+    # reduction drops the OPTs, and the 20 arms hold 60 nodes
+    assert (len(core), len(arms)) == (61, 60)
+    assert [(name, len(nodes)) for name, _, nodes in walks] == [("post_order", 61), ("pattern_facts", 41)]
+    assert {id(node) for node in walks[0][2]} == core
+    assert walks[1][2][-1] == af_reduce(member)
+    assert not any(id(node) in arms for _, _, nodes in walks for node in nodes)
 
 
 def test_many_arms_over_a_multi_valued_property_decide_fast():

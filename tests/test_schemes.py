@@ -21,6 +21,7 @@ from sparqlsat import (
     filter_variables,
     parse_pattern,
     pruned_schemes,
+    schemes,
 )
 from sparqlsat.errors import PreconditionViolated, SchemeSetBlowup
 from sparqlsat.schemes import scheme_table
@@ -55,11 +56,12 @@ def test_union_under_bound_filters_is_empty():
     assert candidate_schemes(pattern) == frozenset()
 
 
-def test_family_blowup_cap():
+def test_family_blowup_cap(monkeypatch):
     arms = " OPT ".join(f"(?s p{i} ?v{i})" for i in range(25))
     pattern = parse_pattern(arms)
+    monkeypatch.setattr(schemes, "DEFAULT_SCHEME_CAP", 1 << 10)
     with pytest.raises(SchemeSetBlowup):
-        candidate_schemes(pattern, cap=1 << 10)
+        candidate_schemes(pattern)
     # the pruned family of the same pattern is a single empty scheme
     assert pruned_schemes(pattern) == family(set())
 
