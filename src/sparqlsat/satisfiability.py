@@ -4,11 +4,14 @@ For patterns whose filter constraints stay inside one of the two decidable
 fragments, satisfiability is exactly nonemptiness of the (pruned) scheme
 family, and a SAT verdict comes with a checkable witness graph: instantiate
 every triple pattern under a constant mapping (equality fragment) or an
-injective mapping into fresh IRIs (nonequality fragment).  Union-free
-well-designed patterns outside those fragments reduce to their AND/FILTER
-core, where a bound check and a consistency check of its value constraints
-decide, and the sample is picked arm by arm.  Everything else is answered
-Unknown, never guessed.
+injective mapping into fresh IRIs (nonequality fragment).  A composite
+condition is classified and decided on its negation normal form, a
+monotone AND/OR of the fragment's atoms, so the pattern is not rebuilt.
+Union-free well-designed patterns outside those fragments (route `none`)
+are first expanded to disjunctive normal form, then reduce to their
+AND/FILTER core, where a bound check and a consistency check of its value
+constraints decide, and the sample is picked arm by arm.  Everything else
+is answered Unknown, never guessed.
 
 A pattern with no filter condition left after the rewrites is in both
 fragments, and its scheme table is {∅} at every node.  Without a UNION as
@@ -34,7 +37,7 @@ from .errors import (
 # `candidate_schemes` and `evaluate` are not called here, but stay names of
 # this module: bench/layertrace.py times the layers by rebinding them here
 from .evaluator import _graph_index, _solutions, compatible, evaluate
-from .normalize import normalize_filters
+from .normalize import negation_normal_forms, normalize_filters
 from .patterns import (
     And,
     Bound,
@@ -102,15 +105,22 @@ class FragmentProfile(Record):
         _setattr(self, "route", route)
 
 
-def classify_fragment(pattern: Pattern, *, facts: PatternFacts | None = None) -> FragmentProfile:
+def classify_fragment(
+    pattern: Pattern, *, facts: PatternFacts | None = None, nnfs: dict | None = None
+) -> FragmentProfile:
     """Collect the constraint kinds used and pick the decidable route, if any
-    (`facts`, if given, are `pattern_facts(pattern)`)."""
+    (`facts`, if given, are `pattern_facts(pattern)`).  A composite
+    condition's kinds are its atoms' in `nnfs`, the negation normal forms
+    of `negation_normal_forms`."""
     facts = facts or pattern_facts(pattern)
     kinds = set()
     for condition in facts.conditions:
-        if not is_atomic(condition):
+        if is_atomic(condition):
+            kinds.add(_KIND_OF[type(condition)])
+        elif nnfs and id(condition) in nnfs:
+            kinds.update(_KIND_OF[type(step)] for step in nnfs[id(condition)] if type(step) is not tuple)
+        else:
             raise NotNormalized("classify_fragment requires atomic filter constraints")
-        kinds.add(_KIND_OF[type(condition)])
     kinds = frozenset(kinds)
     in_eq = kinds <= EQUALITY_FRAGMENT
     in_neq = kinds <= NONEQUALITY_FRAGMENT
@@ -328,25 +338,35 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineRes
     """`run_pipeline`'s body; `enter(stage)` is called as each timed stage
     after the first begins.  Each stage reads the facts of its input, which
     are collected again only when a rewrite returns a new pattern; SELECT
-    elimination returns those of its result."""
+    elimination returns those of its result.
+
+    Composite conditions are classified on their negation normal forms,
+    which the fragment route decides as they stand.  Route `none`, and an
+    opaque call without `builtins_as_bound`, take the disjunctive normal
+    form of `normalize_filters` instead: the well-designed core needs
+    atomic conjunctions, and the DNF names the opaque call or its own
+    blowup.  Its atoms are the NNFs', so the route stays."""
     core, fresh_introduced, facts = select_eliminate_info(pattern, facts=pattern_facts(pattern))
-    try:
-        normalized = normalize_filters(core, builtins_as_bound=builtins_as_bound, facts=facts)
-    except UnsupportedOpaquePredicate as exc:
-        return PipelineResult(Unknown(str(exc)), None, None, False, "opaque-builtin")
-    except NormalizationBlowup as exc:
-        return PipelineResult(Unknown(str(exc)), None, None, False, "normalization-blowup")
-    core, facts = normalized, facts if normalized is core else pattern_facts(normalized)
+    nnfs = negation_normal_forms(facts.conditions, builtins_as_bound)
+    profile = None if nnfs is None else classify_fragment(core, facts=facts, nnfs=nnfs)
+    if profile is None or (nnfs and profile.route is Route.NONE):
+        try:  # with an opaque call and no `builtins_as_bound`, this raises
+            normalized = normalize_filters(core, builtins_as_bound=builtins_as_bound, facts=facts)
+        except UnsupportedOpaquePredicate as exc:
+            return PipelineResult(Unknown(str(exc)), None, None, False, "opaque-builtin")
+        except NormalizationBlowup as exc:
+            return PipelineResult(Unknown(str(exc)), None, None, False, "normalization-blowup")
+        core, facts, nnfs = normalized, pattern_facts(normalized), {}
 
     reduced = wrong_literal_reduce(core, facts=facts)
     if reduced is None:
-        profile = classify_fragment(core, facts=facts)
         return PipelineResult(
             Unsatisfiable(UnsatReason.WRONG_LITERAL), profile, None, True, None
         )
     modified = reduced is not core
-    facts = pattern_facts(reduced) if modified else facts
-    profile = classify_fragment(reduced, facts=facts)
+    if modified:
+        facts = pattern_facts(reduced)
+        profile = classify_fragment(reduced, facts=facts, nnfs=nnfs)
     enter("well_designed")
     members = union_free_split(reduced, facts=facts)
     blocking = _blocking_feature(members)
@@ -355,7 +375,7 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineRes
     if profile.route is not Route.NONE:
         enter("schemes")
         try:
-            _, table = scheme_table(reduced, facts=facts)
+            _, table = scheme_table(reduced, facts=facts, nnfs=nnfs)
         except SchemeSetBlowup as exc:
             return PipelineResult(Unknown(str(exc)), profile, well_designed, modified, "scheme-blowup")
         if not table[id(reduced)]:

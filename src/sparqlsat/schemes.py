@@ -22,6 +22,11 @@ maximal members of its children alone:
   is nonempty (each left-only scheme lies below one of them), else the left;
 * filter: the admitted maximal schemes.
 
+A composite condition over those kinds, in negation normal form (see
+`normalize`), is a monotone AND/OR of them, so the schemes it admits are
+closed upwards too, and a filter keeps the maximal schemes of its child
+that its formula admits: no disjunctive normal form is needed.
+
 A family is empty exactly when its maximal members are, so emptiness is
 unchanged.  A chain of k optional arms under a k-way bound disjunction keeps
 one scheme per node instead of 2^k.  The worst case stays exponential,
@@ -88,6 +93,23 @@ def admits(scheme: Scheme, constraint: Constraint) -> bool:
     raise NotNormalized(f"not an atomic constraint: {constraint!r}")
 
 
+def _holds(nnf: tuple, scheme: Scheme) -> bool:
+    """Whether a mapping with this domain can satisfy a condition in
+    negation normal form (`normalize.negation_normal_forms`) whose atoms
+    only ask for variables to be bound."""
+    values: list = []
+    for step in nnf:
+        if type(step) is tuple:  # (all or any, the number of operands)
+            combine, count = step
+            start = len(values) - count
+            value = combine(values[start:])
+            del values[start:]
+            values.append(value)
+        else:
+            values.append(admits(scheme, step))
+    return values[0]
+
+
 def candidate_schemes(pattern: Pattern) -> SchemeSet:
     """The full scheme family of a SELECT-free pattern with atomic filters,
     the fold that keeps every variable of the pattern."""
@@ -106,10 +128,12 @@ def pruned_schemes(pattern: Pattern) -> SchemeSet:
     return _families(facts.order, facts.filter_variables)[id(pattern)]
 
 
-def _families(order, keep: Scheme, maximal: bool = False) -> dict[int, SchemeSet]:
+def _families(order, keep: Scheme, maximal: bool = False, nnfs: dict | None = None) -> dict[int, SchemeSet]:
     """The scheme family of every node of a post-order, by node identity, its
-    schemes intersected with `keep`, ⊆-maximal ones if `maximal`.  A family
-    beyond `DEFAULT_SCHEME_CAP` schemes raises SchemeSetBlowup."""
+    schemes intersected with `keep`, ⊆-maximal ones if `maximal`.  A
+    composite condition is read from `nnfs`, its monotone negation normal
+    form by `id`.  A family beyond `DEFAULT_SCHEME_CAP` schemes raises
+    SchemeSetBlowup."""
     table: dict[int, SchemeSet] = {}
     distinct: dict = {}
     for node in order:
@@ -119,11 +143,15 @@ def _families(order, keep: Scheme, maximal: bool = False) -> dict[int, SchemeSet
             out = frozenset((keep.intersection((node.subject, node.predicate, node.object)),))
         elif kind is Filter:
             condition = node.condition
-            if not is_atomic(condition):
+            if is_atomic(condition):
+                if maximal and isinstance(condition, NegBound):
+                    raise PreconditionViolated("scheme_table cannot keep maximal schemes under !bound")
+                out = frozenset(s for s in table[id(node.pattern)] if admits(s, condition))
+            elif nnfs and id(condition) in nnfs:
+                nnf = nnfs[id(condition)]
+                out = frozenset(s for s in table[id(node.pattern)] if _holds(nnf, s))
+            else:
                 raise NotNormalized("scheme analysis requires atomic filter constraints")
-            if maximal and isinstance(condition, NegBound):
-                raise PreconditionViolated("scheme_table cannot keep maximal schemes under !bound")
-            out = frozenset(s for s in table[id(node.pattern)] if admits(s, condition))
         elif kind is Union or kind is And or kind is Opt:
             left, right = table[id(node.left)], table[id(node.right)]
             if kind is Union:
@@ -174,18 +202,23 @@ def _maximal(schemes) -> SchemeSet:
     return frozenset(kept)
 
 
-def scheme_table(pattern: Pattern, *, facts: PatternFacts | None = None) -> tuple[Scheme, dict[int, SchemeSet]]:
+def scheme_table(
+    pattern: Pattern, *, facts: PatternFacts | None = None, nnfs: dict | None = None
+) -> tuple[Scheme, dict[int, SchemeSet]]:
     """Maximal pruned schemes of every subpattern, keyed by node identity.
 
     Returns the filter-variable set and the per-node table; the table backs
-    both the emptiness test and the witness sample construction.  Raises
-    PreconditionViolated on SELECT and on `!bound`, whose admitted schemes
-    are not closed upwards, and NotNormalized on composite filters.
+    both the emptiness test and the witness sample construction.  A
+    composite condition is read from `nnfs`, the negation normal forms of
+    `negation_normal_forms`, whose atoms must all be of the two fragments'
+    kinds.  Raises PreconditionViolated on SELECT and on `!bound`, whose
+    admitted schemes are not closed upwards, and NotNormalized on a
+    composite filter that `nnfs` lacks.
     """
     facts = facts or pattern_facts(pattern)
     fv = facts.filter_variables
     if facts.conditions:
-        return fv, _families(facts.order, fv, maximal=True)
+        return fv, _families(facts.order, fv, maximal=True, nnfs=nnfs)
     if Select in facts.node_types:
         raise PreconditionViolated("scheme analysis requires a SELECT-free pattern")
     return fv, dict.fromkeys(map(id, facts.order), _EMPTY_ONLY)  # no filter: every pruned scheme is ∅

@@ -262,7 +262,7 @@ class _Parser:
         """The variable the cursor just passed, `token`."""
         var = self._terms.get(token)
         if var is None:
-            if is_reserved_name(token[1:]):
+            if token.startswith("_g", 1) and is_reserved_name(token[1:]):
                 raise QuerySyntaxError(
                     f"variable name {token!r} uses the reserved fresh-name prefix", self.offset(self.pos - 1)
                 )
@@ -575,6 +575,9 @@ class _SurfaceParser(_Parser):
         while True:
             token = self.peek()
             kind = _kind(token)
+            if kind == "var" or kind == "iriref":  # a subject; no keyword is either
+                self._triple_block(elements)
+                continue
             word = token.upper() if kind == "name" else ""
             if kind == "eof" or token == "}":
                 pattern = self._group_pattern(elements, filters, leading_optional)
@@ -648,30 +651,56 @@ class _SurfaceParser(_Parser):
         return pattern
 
     def _triple_block(self, elements: list):
-        subject = self.term()
+        """The triples of a subject's block, in one loop over the tokens.
+
+        A term read before, a variable or a pname, is looked up by its text
+        in `_terms`; other terms go through `term()` and `_predicate()`.
+        `true` and `false` are literals as a subject or object, which
+        `_terms` may hold as a predicate's IRI, and `a` is rdf:type as a
+        predicate, which `_terms` may hold as the subject or object IRI.
+        """
+        tokens, known, pos = self.tokens, self._terms, self.pos
+        token = tokens[pos]
+        subject = None if token in ("true", "false") else known.get(token)
+        if subject is None:
+            subject = self.term()
+            pos = self.pos
+        else:
+            pos += 1
         while True:
-            predicate = self._predicate()
-            if self.peek() in ("/", "|", "^", "*", "+", "?"):
-                raise UnsupportedFeature("property paths", self.offset(self.pos))
-            obj = self.term()
-            elements.append(("and", self._make_triple(subject, predicate, obj)))
-            while self.at(","):
-                self.advance()
-                obj = self.term()
-                elements.append(("and", self._make_triple(subject, predicate, obj)))
-            if self.at(";"):
-                self.advance()
-                if _kind(self.peek()) in _TERM_KINDS and self.word() not in _BLOCK_STOP_WORDS:
+            token = tokens[pos]
+            predicate = RDF_TYPE if token == "a" else known.get(token)
+            if predicate is None:
+                self.pos = pos
+                predicate = self._predicate()
+                pos = self.pos
+            else:
+                pos += 1
+            if tokens[pos] in ("/", "|", "^", "*", "+", "?"):
+                raise UnsupportedFeature("property paths", self.offset(pos))
+            while True:  # an object, then one more after each ","
+                token = tokens[pos]
+                obj = None if token in ("true", "false") else known.get(token)
+                if obj is None:
+                    self.pos = pos
+                    obj = self.term()
+                    pos = self.pos
+                else:
+                    pos += 1
+                try:
+                    elements.append(("and", TriplePattern(subject, predicate, obj)))
+                except ValueError as exc:
+                    raise QuerySyntaxError(str(exc), self.offset(pos)) from exc
+                if tokens[pos] != ",":
+                    break
+                pos += 1
+            if tokens[pos] == ";":
+                pos += 1
+                self.pos = pos
+                if _kind(tokens[pos]) in _TERM_KINDS and self.word() not in _BLOCK_STOP_WORDS:
                     continue
             break
-        if self.at("."):
-            self.advance()
-
-    def _make_triple(self, subject: Term, predicate: Term, obj: Term) -> TriplePattern:
-        try:
-            return TriplePattern(subject, predicate, obj)
-        except ValueError as exc:
-            raise QuerySyntaxError(str(exc), self.offset(self.pos)) from exc
+        self.pos = pos + 1 if tokens[pos] == "." else pos
 
     def _predicate(self) -> Term:
         token = self.peek()

@@ -50,10 +50,11 @@ def _preorder_index(pattern: Pattern):
     """Number the node occurrences in pre-order, left child first, so every
     subtree is a contiguous range.  Returns the nodes, each one's parent
     (-1 at the root), the end of each one's range, the nearest OPT above
-    each that holds it in its optional arm (-1 if none), and per variable
-    the sorted numbers of the triples, filter conditions and SELECT schemes
-    that mention it."""
-    nodes, parents, arm_of, occurrences = [], [], [], {}
+    each that holds it in its optional arm (-1 if none), per variable the
+    sorted numbers of the triples, filter conditions and SELECT schemes
+    that mention it, and each filter's number and condition variables, in
+    pre-order."""
+    nodes, parents, arm_of, occurrences, filters = [], [], [], {}, []
     stack = [(pattern, -1, -1)]
     while stack:
         node, parent, arm = stack.pop()
@@ -67,7 +68,12 @@ def _preorder_index(pattern: Pattern):
                 if type(term) is Variable:
                     occurrences.setdefault(term, []).append(index)
         elif kind is Filter or kind is Select:
-            for var in condition_vars(node.condition) if kind is Filter else node.scheme:
+            if kind is Filter:
+                mentioned = condition_vars(node.condition)
+                filters.append((index, mentioned))
+            else:
+                mentioned = node.scheme
+            for var in mentioned:
                 occurrences.setdefault(var, []).append(index)
             stack.append((node.pattern, index, arm))
         else:  # an OPT's right child is its optional arm
@@ -75,7 +81,7 @@ def _preorder_index(pattern: Pattern):
     ends = list(range(1, len(nodes) + 1))
     for index in range(len(nodes) - 1, 0, -1):  # children before parents
         ends[parents[index]] = max(ends[parents[index]], ends[index])
-    return nodes, parents, ends, arm_of, occurrences
+    return nodes, parents, ends, arm_of, occurrences, filters
 
 
 def _occurs_in(places: list, start: int, stop: int) -> bool:
@@ -93,7 +99,7 @@ def _position(parents: list, index: int) -> Position:
 
 def outside_vars(pattern: Pattern, position: Position) -> Scheme:
     """Variables of the addressed subpattern that also occur outside of it."""
-    nodes, _, ends, _, occurrences = _preorder_index(pattern)
+    nodes, _, ends, _, occurrences, _ = _preorder_index(pattern)
     start = 0
     for step in position:
         if not 0 <= step < len(children(nodes[start])):
@@ -125,18 +131,17 @@ def is_well_designed(pattern: Pattern, *, first: bool = False) -> tuple[bool, li
     UNION anywhere raises NotUnionFree; else a SELECT raises
     PreconditionViolated.
     """
-    nodes, parents, ends, arm_of, occurrences = _preorder_index(pattern)
+    nodes, parents, ends, arm_of, occurrences, filters = _preorder_index(pattern)
     kinds = set(map(type, nodes))
     if Union in kinds:
         raise NotUnionFree("well-designedness is defined for union-free patterns")
     if Select in kinds:
         raise PreconditionViolated("run select_eliminate before the well-designedness check")
     found = []  # (node number, variable)
-    for index, node in enumerate(nodes):
-        if type(node) is Filter:
-            for var in condition_vars(node.condition):
-                if not _occurs_in(occurrences[var], index + 1, ends[index]):
-                    found.append((index, var))
+    for index, variables in filters:
+        for var in variables:
+            if not _occurs_in(occurrences[var], index + 1, ends[index]):
+                found.append((index, var))
     for var, places in occurrences.items():
         previous = -1
         for place in places:

@@ -33,7 +33,18 @@ from sparqlsat import (
     evaluate,
 )
 from sparqlsat.constraints import SortReq
-from sparqlsat.patterns import children, condition_vars, constants_of, vars_of
+from sparqlsat.patterns import (
+    AndExpr,
+    NotExpr,
+    Opaque,
+    OrExpr,
+    children,
+    condition_vars,
+    constants_of,
+    post_order,
+    rebuilt,
+    vars_of,
+)
 
 ALL_KINDS = ("bound", "negbound", "eq", "neq", "eqc", "neqc")
 EQ_KINDS = ("bound", "eq", "neqc")
@@ -133,6 +144,38 @@ def random_shared_pattern(rng: random.Random, depth: int, kinds=ALL_KINDS, selec
             node = Filter(node, random_constraint(rng, kinds, VAR_POOL))
         pool.append(node)
     return pool[-1]
+
+
+def random_condition(rng: random.Random, kinds, variables, depth: int = 3, opaque_rate: float = 0.15):
+    """A random `&&`/`||`/`!` condition up to `depth` operators deep, over
+    atoms of `kinds` and opaque calls that mention up to two variables."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < opaque_rate:
+            mentions = rng.sample(variables, rng.randint(0, min(2, len(variables))))
+            return Opaque(f"isIRI({', '.join('?' + v.name for v in mentions)})", frozenset(mentions))
+        return random_constraint(rng, kinds, variables)
+    roll = rng.random()
+    if roll < 0.2:
+        return NotExpr(random_condition(rng, kinds, variables, depth - 1, opaque_rate))
+    operator = AndExpr if roll < 0.6 else OrExpr
+    return operator(
+        random_condition(rng, kinds, variables, depth - 1, opaque_rate),
+        random_condition(rng, kinds, variables, depth - 1, opaque_rate),
+    )
+
+
+def with_composite_filters(rng: random.Random, pattern: Pattern, kinds, rate: float = 0.3, variables=None):
+    """`pattern` with a random composite filter over `rate` of its nodes;
+    its variables come from `variables(node)` if given, else the pool."""
+    done: dict = {}
+    for node in post_order(pattern):
+        out = rebuilt(node, done)
+        if type(node) is not Select and rng.random() < rate:
+            pool = VAR_POOL if variables is None else sorted(variables(node), key=lambda v: v.name)
+            if pool:
+                out = Filter(out, random_condition(rng, kinds, pool))
+        done[id(node)] = out
+    return done[id(pattern)]
 
 
 def random_graph(rng: random.Random, pattern: Pattern, max_triples: int = 6) -> RdfGraph:

@@ -206,3 +206,46 @@ def test_dnf_cap_raises():
         condition = AndExpr(condition, OrExpr(Bound(x), Bound(y)))
     with pytest.raises(NormalizationBlowup):
         normalize_filters(Filter(base, condition))
+
+
+# --- negation normal form ------------------------------------------------------------
+
+def _nnf(condition, builtins_as_bound=False):
+    from sparqlsat.normalize import negation_normal_forms
+
+    nnfs = negation_normal_forms((condition,), builtins_as_bound)
+    return None if nnfs is None else nnfs[id(condition)]
+
+
+def test_nested_connectives_flatten_to_one_step_each():
+    # (x || y) || !(!z && !x): De Morgan turns the negated AND into an OR
+    condition = OrExpr(OrExpr(Bound(x), Bound(y)), NotExpr(AndExpr(NotExpr(Bound(z)), NotExpr(Bound(x)))))
+    assert _nnf(condition) == (Bound(x), Bound(y), Bound(z), Bound(x), (any, 4))
+    condition = AndExpr(Bound(x), AndExpr(OrExpr(Eq(x, y), Bound(z)), Bound(y)))
+    assert _nnf(condition) == (Bound(x), Eq(x, y), Bound(z), (any, 2), Bound(y), (all, 3))
+
+
+def test_negation_flips_atoms_as_the_dnf_does():
+    c = Iri("c")
+    condition = NotExpr(OrExpr(AndExpr(Bound(x), Eq(x, y)), OrExpr(EqC(x, c), Eq(z, z))))
+    assert _nnf(condition) == (
+        NegBound(x), Neq(x, y), (any, 2), NeqC(x, c), Bound(z), NegBound(z), (all, 4)
+    )
+
+
+def test_opaque_calls_lower_to_bound_checks_or_true():
+    call, none = Opaque("isIRI(?y, ?x)", frozenset((x, y))), Opaque("rand()", frozenset())
+    assert _nnf(OrExpr(call, Bound(z))) is None
+    assert _nnf(OrExpr(call, Bound(z)), True) == (Bound(x), Bound(y), (all, 2), Bound(z), (any, 2))
+    assert _nnf(NotExpr(call), True) == (Bound(x), Bound(y), (all, 2))
+    assert _nnf(OrExpr(none, Bound(z)), True) == ((all, 0), Bound(z), (any, 2))
+    assert _nnf(AndExpr(none, Bound(z)), True) == (Bound(z),)
+    assert _nnf(none, True) == ((all, 0),)
+
+
+def test_a_deep_disjunction_needs_no_cap():
+    condition = Bound(x)
+    for _ in range(4999):
+        condition = OrExpr(condition, Bound(y))
+    nnf = _nnf(NotExpr(NotExpr(condition)))
+    assert len(nnf) == 5001 and nnf[-1] == (any, 5000)

@@ -8,6 +8,7 @@ from operator import attrgetter
 
 import pytest
 
+import wide_shapes
 from wide_shapes import LADDER, basic_graph_pattern
 from randgen import (
     EQ_KINDS,
@@ -16,6 +17,7 @@ from randgen import (
     random_pattern,
     random_shared_pattern,
     random_well_designed,
+    with_composite_filters,
     witness_is_sound,
 )
 from sparqlsat import (
@@ -43,7 +45,7 @@ import wd_core_reference
 from sparqlsat.corpus import entry_from_text, generate_corpus
 from sparqlsat.errors import NotWellDesigned, PreconditionViolated
 from sparqlsat.evaluator import format_graph
-from sparqlsat.patterns import Opt, Union, children, pattern_facts
+from sparqlsat.patterns import Opt, Select, Union, children, pattern_facts
 from sparqlsat.report import PipelineOptions, analyze_batch, format_verdict_text
 from sparqlsat.rewrites import select_eliminate, select_eliminate_info, union_free_split, wrong_literal_reduce
 from sparqlsat.satisfiability import (
@@ -180,14 +182,24 @@ def test_opaque_filters_without_flag_are_unknown():
 
 
 def test_normalization_blowup_is_reported_as_unknown():
-    from sparqlsat.patterns import AndExpr, Bound, Filter, OrExpr
+    # route none expands to DNF, which stops at its cap: 2^9 disjuncts here,
+    # over a pattern that is not well-designed
+    from sparqlsat.patterns import AndExpr, Bound, Eq, Filter, Neq, OrExpr
 
+    z = Variable("z")
+    pattern = parse_pattern("(?x p ?y) OPT (?y q ?z)")
+    condition = OrExpr(Eq(x, y), Neq(x, z))
+    for _ in range(8):
+        condition = AndExpr(condition, OrExpr(Eq(x, y), Neq(x, z)))
+    result = run_pipeline(Filter(pattern, condition))
+    assert result.verdict == Unknown("DNF exceeds 64 disjuncts")
+    assert result.blocking == "normalization-blowup"
+    # a bound-only condition of the same shape is monotone, and the fragment
+    # route decides it on its negation normal form, with no cap
     condition = OrExpr(Bound(x), Bound(y))
     for _ in range(8):
         condition = AndExpr(condition, OrExpr(Bound(x), Bound(y)))
-    pattern = Filter(parse_pattern("(?x p ?y)"), condition)
-    verdict = decide_satisfiability(pattern)
-    assert isinstance(verdict, Unknown)
+    assert isinstance(decide_satisfiability(Filter(pattern, condition)), Satisfiable)
 
 
 def test_undecidable_kinds_without_well_designedness_are_unknown():
@@ -636,8 +648,8 @@ def test_pipeline_walks_of_the_seed_777_corpus(monkeypatch):
     # how often `run_pipeline` collects a pattern's facts, per query: once,
     # plus once after each rewrite that returns a new pattern, but for the
     # body of a root SELECT that captures nothing (all 232 SELECTs here),
-    # whose facts are read off the SELECT's; the second walks left are
-    # normalization's
+    # whose facts are read off the SELECT's; on the fragment routes the
+    # queries with composite filters are not rebuilt, so none is walked twice
     import sparqlsat
     from sparqlsat import patterns
     from sparqlsat.corpus import generate_corpus
@@ -658,7 +670,99 @@ def test_pipeline_walks_of_the_seed_777_corpus(monkeypatch):
         walks[0] = 0
         run_pipeline(pattern, builtins_as_bound=True)
         histogram[walks[0]] = histogram.get(walks[0], 0) + 1
-    assert histogram == {1: 1644, 2: 356}  # a mean of 1.18 walks
+    assert histogram == {1: 2000}
+
+
+# --- composite filters on their negation normal form ----------------------------------
+
+@pytest.mark.parametrize("builtins_as_bound", [False, True])
+@pytest.mark.parametrize("kinds", [EQ_KINDS, NEQ_KINDS], ids=["eq-kinds", "neq-kinds"])
+def test_the_negation_normal_form_decides_like_the_dnf_reference(kinds, builtins_as_bound):
+    # random patterns with `&&`/`||`/`!` filters over 30% of their nodes,
+    # and well-designed ones whose filters mention only their core's
+    # variables (route none, when `=` meets `!=`, goes through the DNF)
+    import dnf_reference
+
+    rng = random.Random(len(kinds) * 2 + builtins_as_bound)
+    seen = {"fragment route": 0, "well-designed core": 0, "opaque-builtin": 0}
+    for index in range(2500):
+        if index % 3:
+            base = random_pattern(
+                rng, depth=rng.randint(1, 4), kinds=kinds, literal_subject_rate=0.05, select_rate=0.1
+            )
+            pattern = with_composite_filters(rng, base, kinds)
+        else:
+            base = random_well_designed(rng, depth=3, kinds=kinds[1:])
+            core_vars = lambda node: pattern_facts(af_reduce(node)).variables
+            pattern = with_composite_filters(rng, base, EQ_KINDS + NEQ_KINDS, variables=core_vars)
+        result = run_pipeline(pattern, builtins_as_bound=builtins_as_bound)
+        assert result == dnf_reference.run_reference(pattern, builtins_as_bound)
+        if result.blocking == "opaque-builtin":
+            seen["opaque-builtin"] += 1
+        elif not isinstance(result.verdict, Unknown) and result.well_designed is not None:
+            seen["fragment route" if result.profile.route is not Route.NONE else "well-designed core"] += 1
+    assert seen["fragment route"] > 1000 and seen["well-designed core"] > 20
+    assert (seen["opaque-builtin"] == 0) == builtins_as_bound
+
+
+@pytest.mark.parametrize("builtins_as_bound", [False, True])
+def test_a_thousand_arm_bound_disjunction_is_decided_fast(builtins_as_bound):
+    # the DNF stopped at 64 disjuncts; the negation normal form is linear
+    for arms, bound_s in ((100, 0.1), (1000, 0.5)):
+        pattern = parse_pattern(wide_shapes.bound_disjunction(arms))
+        start = time.perf_counter()
+        result = run_pipeline(pattern, builtins_as_bound=builtins_as_bound)
+        elapsed = time.perf_counter() - start
+        assert isinstance(result.verdict, Satisfiable), result.verdict
+        assert result.profile.route is Route.BOTH and len(result.verdict.sample) == arms + 1
+        assert elapsed < bound_s, f"{arms} arms: {elapsed:.3f} s"
+
+
+def test_a_query_with_composite_filters_is_walked_once(monkeypatch):
+    # no DNF rebuild: the facts of the SELECT-free pattern serve every stage
+    walks = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparqlsat") and getattr(module, "pattern_facts", None) is pattern_facts:
+            monkeypatch.setattr(module, "pattern_facts", lambda p: walks.append(p) or pattern_facts(p))
+    for text in (wide_shapes.optional_nest(50), wide_shapes.bound_disjunction(20), _bound_or_join(4)):
+        pattern = parse_pattern(text)
+        assert pattern_facts(pattern).conditions and not isinstance(pattern, Select)
+        walks.clear()
+        result = run_pipeline(pattern, builtins_as_bound=True)
+        assert isinstance(result.verdict, Satisfiable)
+        assert walks == [pattern]
+
+
+def test_the_first_opaque_call_in_post_order_is_named():
+    # without --builtins-as-bound the DNF names the call it meets first,
+    # in the inner filter, which the post-order lists before the outer one
+    text = (
+        'SELECT * WHERE { { ?s <p> ?o FILTER (bound(?o) || !(regex(?o, "in") && ?o != ?s)) } '
+        'FILTER (regex(?s, "out") || bound(?s)) }'
+    )
+    result = run_pipeline(parse_pattern(text))
+    assert result.verdict == Unknown("""opaque builtin call in filter: 'regex(?o, "in")'""")
+    assert result.blocking == "opaque-builtin" and result.profile is None
+    assert isinstance(run_pipeline(parse_pattern(text), builtins_as_bound=True).verdict, Satisfiable)
+    # within one condition the call is named before any DNF is expanded,
+    # even one past the cap to its left
+    wide = " && ".join(["(bound(?s) || bound(?o))"] * 7)
+    result = run_pipeline(parse_pattern(f'SELECT * WHERE {{ ?s <p> ?o FILTER (({wide}) && regex(?o, "x")) }}'))
+    assert result.verdict == Unknown("""opaque builtin call in filter: 'regex(?o, "x")'""")
+
+
+def test_well_designed_is_read_on_a_composite_filter_as_written():
+    # the filter's DNF made the optional arm a UNION of two filters, nested
+    # under the OPT, so the pattern read as not well-designed; as written,
+    # the arm's filter mentions only the arm's variables
+    text = "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?v FILTER (bound(?v) || ?v != ?s) } }"
+    pattern = parse_pattern(text)
+    result = run_pipeline(pattern)
+    assert result.profile.route is Route.NONEQUALITY and result.well_designed is True
+    assert isinstance(result.verdict, Satisfiable)
+    assert _blocking_feature(union_free_split(normalize_filters(pattern))) == (
+        "a UNION is nested under another operator"
+    )
 
 
 # --- route consistency ------------------------------------------------------------------
