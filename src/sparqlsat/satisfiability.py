@@ -11,7 +11,9 @@ Union-free well-designed patterns outside those fragments (route `none`)
 are first expanded to disjunctive normal form, then reduce to their
 AND/FILTER core, where a bound check and a consistency check of its value
 constraints decide, and the sample is picked arm by arm.  Everything else
-is answered Unknown, never guessed.
+is answered Unknown, never guessed.  On the fragment routes,
+`decide_satisfiability` (`check`) skips the well-designedness check, which
+only the `well_designed` field of `run_pipeline`'s report (`analyze`) reads.
 
 A pattern with no filter condition left after the rewrites is in both
 fragments, and its scheme table is {∅} at every node.  Without a UNION as
@@ -299,8 +301,10 @@ class PipelineResult(Record):
 
 
 def decide_satisfiability(pattern: Pattern, *, builtins_as_bound: bool = False) -> Verdict:
-    """Decide satisfiability where possible; Unknown names the blocker otherwise."""
-    return run_pipeline(pattern, builtins_as_bound=builtins_as_bound).verdict
+    """Decide satisfiability where possible; Unknown names the blocker otherwise.
+    The verdict is `run_pipeline`'s, without its well-designedness check on
+    the fragment routes, where only the report reads it."""
+    return _run_stages(pattern, builtins_as_bound, lambda stage: None, report=False).verdict
 
 
 def run_pipeline(
@@ -334,11 +338,13 @@ def run_pipeline(
         enter(None)
 
 
-def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineResult:
+def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter, report: bool = True) -> PipelineResult:
     """`run_pipeline`'s body; `enter(stage)` is called as each timed stage
-    after the first begins.  Each stage reads the facts of its input, which
-    are collected again only when a rewrite returns a new pattern; SELECT
-    elimination returns those of its result.
+    after the first begins.  Without `report`, the fragment routes leave
+    `well_designed` None, as their verdict does not read it.  Each stage
+    reads the facts of its input, which are collected again only when a
+    rewrite returns a new pattern; SELECT elimination returns those of its
+    result.
 
     Composite conditions are classified on their negation normal forms,
     which the fragment route decides as they stand.  Route `none`, and an
@@ -367,10 +373,12 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter) -> PipelineRes
     if modified:
         facts = pattern_facts(reduced)
         profile = classify_fragment(reduced, facts=facts, nnfs=nnfs)
-    enter("well_designed")
-    members = union_free_split(reduced, facts=facts)
-    blocking = _blocking_feature(members)
-    well_designed = blocking is None
+    well_designed = None
+    if report or profile.route is Route.NONE:
+        enter("well_designed")
+        members = union_free_split(reduced, facts=facts)
+        blocking = _blocking_feature(members)
+        well_designed = blocking is None
 
     if profile.route is not Route.NONE:
         enter("schemes")

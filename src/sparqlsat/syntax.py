@@ -66,22 +66,27 @@ from .terms import Iri, Literal, Term, Variable
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 #: Each match is one token: the whitespace and comments before it, then
-#: the token in the one group.  The alternatives read, in order, an IRI, a
-#: string, a blank node, a variable, a number, a name (a pname or a bare
-#: word) and an operator; at the end of the text the group matches empty,
-#: so the greedy skip never gives a comment back for a later alternative to
-#: read, and the empty string is the end marker.  A pname's local part, and
-#: a `^^` datatype pname, never end in a dot: that dot ends the triple.
+#: the token in the one group.  The alternatives read, in order, a variable,
+#: a blank node, a name (a bare word, whose one branch never backtracks, or
+#: a pname), an IRI, a string, a number and an operator; order matters only
+#: where two share a first character, so a blank node precedes a name, and
+#: an IRI (before `<=`), a string, a variable and a number (before `+`, `-`)
+#: precede the lone operators.  At the end of the text the group matches
+#: empty, so the greedy skip never gives a comment back for a later
+#: alternative to read, and the empty string is the end marker.  A pname's
+#: local part, and a `^^` datatype pname, never end in a dot: that dot ends
+#: the triple.
 _SCAN_RE = re.compile(
     r"""
     \s*(?:\#[^\n]*\s*)*
     (
-      <[^<>\s]*>
-    | "(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?
+      [?$][A-Za-z0-9_]+
     | _:[A-Za-z0-9_]+
-    | [?$][A-Za-z0-9_]+
+    | [A-Za-z_][A-Za-z0-9_-]*(?::(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)?
+    | :(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?
+    | <[^<>\s]*>
+    | "(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?
     | [+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
-    | (?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?|[A-Za-z_][A-Za-z0-9_-]*
     | &&|\|\||!=|<=|>=|\S
     | \Z
     )

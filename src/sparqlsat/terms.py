@@ -285,7 +285,9 @@ class Mapping:
         return Mapping._trusted(tuple((v, t) for v, t in self._items if v in scheme))
 
     def drop(self, variables: Scheme) -> "Mapping":
-        return Mapping._trusted(tuple((v, t) for v, t in self._items if v not in variables))
+        """Without `variables`; the mapping itself when it binds none of them."""
+        kept = tuple((v, t) for v, t in self._items if v not in variables) if variables else self._items
+        return self if len(kept) == len(self._items) else Mapping._trusted(kept)
 
     def merge(self, other: "Mapping") -> "Mapping | None":
         """Union of two mappings, or None when they disagree on a shared variable."""

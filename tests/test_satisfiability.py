@@ -980,3 +980,69 @@ def test_a_deep_filter_under_a_projection_decides_like_select_star(operator, tmp
     report = analyze_batch([entry_from_text(i + 1, text) for i, text in enumerate(texts)], PipelineOptions(repeats=0))
     assert report.entries[0].verdict == report.entries[1].verdict
     assert report.entries[0].verdict["status"] == ("unsatisfiable" if operator == "&&" else "unknown")
+
+
+# --- the verdict alone --------------------------------------------------------------
+
+def _count_well_designedness_calls(monkeypatch) -> list:
+    from sparqlsat import satisfiability
+
+    calls = []
+    for name in ("union_free_split", "is_well_designed"):
+        def counted(*args, _original=getattr(satisfiability, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(satisfiability, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, report_calls",
+    [
+        ("optional-nest-50", ["union_free_split", "is_well_designed"]),
+        ("bound-or-12", ["union_free_split", "is_well_designed"]),
+        # the UNION nested under the join ends the check before `is_well_designed`
+        ("union-64", ["union_free_split"]),
+    ],
+)
+def test_a_verdict_alone_skips_the_well_designedness_check_on_the_fragment_routes(name, report_calls, monkeypatch):
+    # on the fragment routes only the report reads `well_designed`
+    calls = _count_well_designedness_calls(monkeypatch)
+    pattern = parse_pattern(dict(LADDER)[name])
+    result = run_pipeline(pattern, builtins_as_bound=True)
+    assert calls == report_calls
+    assert result.profile.route is Route.BOTH and result.well_designed is False
+    calls.clear()
+    assert decide_satisfiability(pattern, builtins_as_bound=True) == result.verdict
+    assert calls == []
+
+
+def test_route_none_checks_well_designedness_for_the_verdict_too(monkeypatch):
+    calls = _count_well_designedness_calls(monkeypatch)
+    pattern = parse_pattern("SELECT * WHERE { ?s <p> ?o . ?s <q> ?v FILTER (?s = ?o) FILTER (?o != ?v) }")
+    result = run_pipeline(pattern)
+    assert result.profile.route is Route.NONE and result.well_designed is True
+    assert isinstance(result.verdict, Satisfiable)
+    assert calls == ["union_free_split", "is_well_designed"]
+    calls.clear()
+    assert decide_satisfiability(pattern) == result.verdict
+    assert calls == ["union_free_split", "is_well_designed"]
+
+
+@pytest.mark.parametrize("builtins_as_bound", [False, True])
+def test_the_verdict_alone_is_the_pipeline_verdict(builtins_as_bound):
+    rng = random.Random(31 + builtins_as_bound)
+    routes = set()
+    for index in range(1500):
+        if index % 3 == 0:
+            pattern = random_well_designed(rng, depth=3, negbound_rate=0.05)
+        else:
+            pattern = random_pattern(rng, depth=rng.randint(1, 4), literal_subject_rate=0.05, select_rate=0.1)
+        if index % 2:
+            pattern = with_composite_filters(rng, pattern, EQ_KINDS + NEQ_KINDS, rate=0.2)
+        result = run_pipeline(pattern, builtins_as_bound=builtins_as_bound)
+        assert decide_satisfiability(pattern, builtins_as_bound=builtins_as_bound) == result.verdict
+        if result.profile is not None:
+            routes.add(result.profile.route)
+    assert routes == set(Route)

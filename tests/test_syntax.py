@@ -359,6 +359,27 @@ def test_the_scan_kinds_and_offsets_match_the_reference():
             assert offsets == [(start, end) for _, _, start, end in expected], text
 
 
+#: Pieces for the scan's fuzz: tokens whose first character starts two
+#: alternatives, names that a backtracking branch could cut, `#` in an IRI
+#: and in a comment, and whitespace to end a text in.
+_SCAN_PIECES = (
+    "_:a-b", "_a:b", "_:", "_", ":x.", ":", "p:", "p:a.b", "a", "ab-c", "<=", "<= ?x>", "<a#b>", "<", ">",
+    "+1", "+", "-", "-2.5e3", "1", "\u0663", "?", "$", "?x", "$y", '"a"^^p:t.', '"a"@en-GB', '"', "\\",
+    "#", "# c\n", "\n", " ", "\t", ".", "&&", "||", "!=", ">=", "!", "(", ")", "{", "}", "é", "§",
+)
+
+
+def test_the_scan_reads_as_its_backtracking_reference():
+    # the reordered alternatives give the same tokens, all that `findall`
+    # returns, at the same offsets
+    rng = random.Random(41)
+    fuzz = ["".join(rng.choice(_SCAN_PIECES) for _ in range(rng.randint(1, 8))) for _ in range(20_000)]
+    for texts in (*_reference_texts(LADDER), _END_TEXTS, fuzz):
+        for text in texts:
+            spans = [(m.group(1), m.span(1)) for m in syntax._SCAN_RE.finditer(text)]
+            assert spans == [(m.group(1), m.span(1)) for m in tokenize_reference.SCAN_RE.finditer(text)], text
+
+
 @pytest.mark.parametrize(
     "token, kind",
     [

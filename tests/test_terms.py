@@ -196,6 +196,13 @@ def test_mapping_merge_and_restrict():
     assert merged.drop(frozenset([Variable("x")])) == m2
 
 
+def test_a_mapping_that_drops_nothing_is_itself():
+    m = Mapping({Variable("x"): Iri("a"), Variable("y"): Iri("b")})
+    assert m.drop(frozenset()) is m
+    assert m.drop(frozenset([Variable("z")])) is m
+    assert m.drop(frozenset([Variable("x"), Variable("z")])) == Mapping({Variable("y"): Iri("b")})
+
+
 def test_mapping_rejects_variable_values():
     with pytest.raises(TypeError):
         Mapping({Variable("x"): Variable("y")})

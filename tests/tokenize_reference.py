@@ -1,6 +1,7 @@
 """The `match`-loop tokenizer, kept as written before the one-pass
 `finditer` scan replaced it, as the reference the differential tests
-compare against.
+compare against; and `SCAN_RE`, the scan's pattern as it was first
+written, before its alternatives were reordered.
 
 It strips a pname's trailing dots after matching them; the scan in
 `sparqlsat.syntax` never matches them.  Tokens are returned as
@@ -24,6 +25,26 @@ _TOKEN_RE = re.compile(
     | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<name>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_.-]*)?|[A-Za-z_][A-Za-z0-9_-]*)
     | (?P<op>&&|\|\||!=|<=|>=|\S)
+    """,
+    re.VERBOSE,
+)
+
+#: The scan's pattern with the IRI, string, blank node, variable and number
+#: first, and a name in two forms: a bare word fails the pname form, giving
+#: its characters back one by one, before the second form reads it.
+SCAN_RE = re.compile(
+    r"""
+    \s*(?:\#[^\n]*\s*)*
+    (
+      <[^<>\s]*>
+    | "(?:[^"\\\n]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:<[^<>\s]*>|[A-Za-z0-9_:.-]*[A-Za-z0-9_:-]|(?=\.)))?
+    | _:[A-Za-z0-9_]+
+    | [?$][A-Za-z0-9_]+
+    | [+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | (?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?|[A-Za-z_][A-Za-z0-9_-]*
+    | &&|\|\||!=|<=|>=|\S
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
