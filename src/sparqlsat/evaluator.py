@@ -51,6 +51,7 @@ from .patterns import (
     post_order,
 )
 from .terms import (
+    LITERAL_ESCAPES,
     BlankNode,
     Iri,
     Literal,
@@ -456,6 +457,10 @@ _TERM_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+#: The escapes `format_term` writes in a literal, each read back to its
+#: character in one left-to-right pass; any other backslash stays as it is.
+_UNESCAPED = {escape: char for char, escape in LITERAL_ESCAPES.items()}
+_ESCAPE_RE = re.compile("|".join(map(re.escape, _UNESCAPED)))
 
 
 def _read_term(text: str, offset: int):
@@ -466,7 +471,7 @@ def _read_term(text: str, offset: int):
         term = Iri(match.group("iri"))
     elif match.group("lit") is not None:
         raw = match.group("lit")
-        term = Literal(raw.replace('\\"', '"').replace("\\\\", "\\"))
+        term = Literal(_ESCAPE_RE.sub(lambda escape: _UNESCAPED[escape[0]], raw))
     elif match.group("blank") is not None:
         term = BlankNode(match.group("blank"))
     else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from operator import is_
 
-from .record import Record, _setattr
+from .record import Record, _setattr, slot_setters
 from .terms import Constant, Iri, Literal, Scheme, Term, Variable, is_constant
 
 #: Variables with this prefix are reserved for generated fresh names.
@@ -50,9 +50,9 @@ class TriplePattern(Record):
                     raise ValueError(f"triple pattern {position} must be an IRI, literal, or variable: {term!r}")
             if isinstance(predicate, Literal):
                 raise ValueError("triple pattern predicate must not be a literal")
-        _setattr(self, "subject", subject)
-        _setattr(self, "predicate", predicate)
-        _setattr(self, "object", object)
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
 
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
@@ -61,15 +61,25 @@ class TriplePattern(Record):
         return frozenset(t for t in self.terms() if isinstance(t, Variable))
 
 
+_set_subject, _set_predicate, _set_object = slot_setters(TriplePattern)
+
+
 # --- constructors shared by the node classes below ----------------------------
 
 def _init_var(self, var: Variable):
     _setattr(self, "var", var)
 
 
-def _init_pair(self, left, right):
-    _setattr(self, "left", left)
-    _setattr(self, "right", right)
+def _pair_init_for(cls: type):
+    """An `__init__` for `cls`, of the fields `left` and `right`, that sets
+    them through their slot setters."""
+    set_left, set_right = slot_setters(cls)
+
+    def __init__(self, left, right):
+        set_left(self, left)
+        set_right(self, right)
+
+    return __init__
 
 
 def _init_var_constant(self, var: Variable, constant: Constant):
@@ -93,7 +103,6 @@ class NegBound(Record):
 
 class Eq(Record):
     __slots__ = ("left", "right")
-    __init__ = _init_pair
 
 
 class Neq(Record):
@@ -102,7 +111,7 @@ class Neq(Record):
     def __init__(self, left: Variable, right: Variable):
         if left == right:
             raise ValueError("nonequality requires two distinct variables")
-        _init_pair(self, left, right)
+        _init_neq(self, left, right)
 
 
 class EqC(Record):
@@ -137,12 +146,10 @@ class NotExpr(Record):
 
 class AndExpr(Record):
     __slots__ = ("left", "right")
-    __init__ = _init_pair
 
 
 class OrExpr(Record):
     __slots__ = ("left", "right")
-    __init__ = _init_pair
 
 
 FilterCondition = Constraint | Opaque | NotExpr | AndExpr | OrExpr
@@ -175,25 +182,30 @@ def condition_vars(condition: FilterCondition) -> Scheme:
 
 class Union(Record):
     __slots__ = ("left", "right")
-    __init__ = _init_pair
 
 
 class And(Record):
     __slots__ = ("left", "right")
-    __init__ = _init_pair
 
 
 class Opt(Record):
     __slots__ = ("left", "right")
-    __init__ = _init_pair
+
+
+for _pair in (Eq, AndExpr, OrExpr, Union, And, Opt):
+    _pair.__init__ = _pair_init_for(_pair)
+_init_neq = _pair_init_for(Neq)
 
 
 class Filter(Record):
     __slots__ = ("pattern", "condition")
 
     def __init__(self, pattern: "Pattern", condition: FilterCondition):
-        _setattr(self, "pattern", pattern)
-        _setattr(self, "condition", condition)
+        _set_pattern(self, pattern)
+        _set_condition(self, condition)
+
+
+_set_pattern, _set_condition = slot_setters(Filter)
 
 
 class Select(Record):

@@ -8,9 +8,11 @@ pickle support, which rebuild an object through its constructor.  A class
 made with `mutable=True` allows assignment to its fields and is unhashable.
 
 The base's constructor takes every field, positionally or by name.  A
-class with defaults or checks, or one built in a hot loop, writes its own
-`__init__`, setting each field with `_setattr`, which bypasses the
-immutability check.
+class with defaults or checks writes its own `__init__`, setting each field
+with `_setattr`, which bypasses the immutability check.  A class built in a
+hot loop sets its fields through their slots' own setters, bound once per
+class by `slot_setters`, which skip `_setattr`'s lookup of the field by
+name; assigning a field still raises.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class Record:
     def __reduce__(self):
         values = self._values(self)
         return type(self), (values,) if len(self.__slots__) == 1 else values
+
+
+def slot_setters(cls: type) -> tuple:
+    """The setter of each of `cls`'s fields, in order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 def _no_fields(obj) -> tuple:

@@ -173,7 +173,7 @@ Verdict = Satisfiable | Unsatisfiable | Unknown
 def _instantiate(facts: PatternFacts, model: Mapping) -> RdfGraph:
     """The triple patterns with every variable replaced by its model value;
     a constant is not in the model and stands for itself."""
-    image = dict(model.items()).get
+    image = model._map.get
     triples = []
     for tp in facts.triples:
         subject, predicate, obj = tp.subject, tp.predicate, tp.object

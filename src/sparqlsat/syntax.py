@@ -23,9 +23,8 @@ character.  A lone `<`, `"`, `?`, `$`, `+` or `-`, and `<=`, are
 operators although their first character starts another kind, and `_`
 starts a blank node only when `:` and more follow.  Offsets in the text are
 found only when something reads one: an error's position, or the source
-text of an opaque condition; then one `finditer` of `_SCAN_RE` finds them
-all.  `_tokenize` builds the `(kind, value, start, end)` form from the
-same scan.
+text of an opaque condition; then `_starts` finds them all.  `_tokenize`
+builds the `(kind, value, start, end)` form from the same scan.
 
 Nothing here recurses: a group, SELECT body, EXISTS argument or condition
 in parentheses saves what encloses it on its reader's own stack, so any
@@ -130,8 +129,23 @@ def _kind(token: str) -> str:
 
 
 def _starts(text: str, tokens: list[str]) -> list[int]:
-    """Where each of the `tokens` that `_scan` read from `text` starts."""
-    return [match.start(1) for match in _SCAN_RE.finditer(text)][:len(tokens)]
+    """Where each of the `tokens` that `_scan` read from `text` starts.
+
+    Without a `#` in the text the scan skips only whitespace between two
+    tokens, and no token starts with whitespace, so each token starts where
+    `find` first meets it past the end of the one before; the end marker
+    starts at the end of the text.  A `#` may start a comment that holds a
+    token's text, so then one `finditer` of `_SCAN_RE` finds them all.
+    """
+    if "#" in text:
+        return [match.start(1) for match in _SCAN_RE.finditer(text)][:len(tokens)]
+    starts, find, pos = [], text.find, 0
+    for token in tokens[:-1]:
+        pos = find(token, pos)
+        starts.append(pos)
+        pos += len(token)
+    starts.append(len(text))
+    return starts
 
 
 #: A token is `(kind, value, start, end)`.
@@ -151,6 +165,8 @@ _COMPACT_RESERVED = frozenset(("UNION", "AND", "OPT", "FILTER", "SELECT", "EXIST
 _PATTERN_OPS = {"OPT": (10, Opt), "UNION": (20, Union), "AND": (30, And)}
 _CONDITION_OPS = {"||": (1, OrExpr), "&&": (2, AndExpr)}
 _TERM_KINDS = frozenset(("var", "iriref", "string", "number", "blank", "name"))
+#: The first characters of names, but `_`, which also starts a blank node.
+_NAME_FIRST = frozenset(c for c, kind in _KIND_OF_FIRST.items() if kind == "name")
 _CMP_OPS = frozenset(("=", "!=", "<", ">", "<=", ">="))
 _SURFACE_UNSUPPORTED = frozenset(
     ("MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "ORDER", "GROUP",
@@ -189,7 +205,9 @@ class _Parser:
     are found only when something reads one: a `QuerySyntaxError`, an
     `UnsupportedFeature`, or the source text of an `Opaque` condition that
     spans several tokens.  The first such read finds every token's offset
-    in one `finditer` of `_SCAN_RE`, and the parser keeps them.
+    with `_starts`, and the parser keeps them.  A term is read once per
+    text: `_terms` maps the text of each variable and pname read so far to
+    its term, and `new_term()` reads any text it does not hold.
     """
 
     surface = False
@@ -263,17 +281,6 @@ class _Parser:
         self._fresh += 1
         return var
 
-    def make_var(self, token: str) -> Variable:
-        """The variable the cursor just passed, `token`."""
-        var = self._terms.get(token)
-        if var is None:
-            if token.startswith("_g", 1) and is_reserved_name(token[1:]):
-                raise QuerySyntaxError(
-                    f"variable name {token!r} uses the reserved fresh-name prefix", self.offset(self.pos - 1)
-                )
-            var = self._terms[token] = Variable(token[1:])
-        return var
-
     def blank_var(self, label: str) -> Variable:
         if label not in self._blanks:
             self._blanks[label] = self.fresh_var()
@@ -281,39 +288,68 @@ class _Parser:
 
     def term(self) -> Term:
         """The term at the cursor, read alike in a triple and in a filter
-        comparison.  A surface query reads `[ ]` as a fresh variable,
-        `true` and `false` as literals, and resolves any other name as a
-        pname; the compact grammar reads a name as the IRI it spells."""
+        comparison: looked up in `_terms`, else read by `new_term()`."""
         token = self.tokens[self.pos]
-        kind = _kind(token)
-        if kind not in _TERM_KINDS:
-            if token == "[" and self.surface:
-                self.pos += 1
-                self.expect_op("]")
-                return self.fresh_var()
-            raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected="a term")
+        term = self._terms.get(token)
+        if term is None:
+            return self.new_term()
         self.pos += 1
-        if kind == "var":
-            return self.make_var(token)
+        return term
+
+    def new_term(self, predicate: bool = False) -> Term:
+        """The term at the cursor, whose text `_terms` does not hold, with the
+        cursor past it.
+
+        The first character tells a variable, and a name, from the rest.  A
+        variable, and in a surface query a pname, is built and kept in
+        `_terms`.  Any other token is read by its kind, and kept nowhere: a
+        surface query reads `[ ]` as a fresh variable, `true` and `false` as
+        literals, `a` as rdf:type in a `predicate`, and any other bare name
+        as the IRI it spells, as the compact grammar reads every name.  A
+        `predicate` is a variable, an IRI or a name.
+        """
+        pos = self.pos
+        token = self.tokens[pos]
+        first = token[:1]
+        if (first == "?" or first == "$") and len(token) > 1:
+            if token.startswith("_g", 1) and is_reserved_name(token[1:]):
+                raise QuerySyntaxError(f"variable name {token!r} uses the reserved fresh-name prefix", self.offset(pos))
+            term = self._terms[token] = Variable(token[1:])
+            self.pos = pos + 1
+            return term
+        kind = "name" if first in _NAME_FIRST else _kind(token)
+        if kind == "name" and self.surface and ":" in token:
+            prefix, _, local = token.partition(":")
+            base = self.prefixes.get(prefix)
+            if base is None:
+                raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", self.offset(pos))
+            term = self._terms[token] = Iri(base + local)
+            self.pos = pos + 1
+            return term
+        self.pos = pos + 1
         if kind == "name":
-            if not self.surface:
-                return Iri(token)
-            if token in ("true", "false"):
-                return Literal(token)
-            return self._resolve_pname(token)
+            if predicate:
+                return RDF_TYPE if token == "a" else Iri(token)
+            return Literal(token) if self.surface and token in ("true", "false") else Iri(token)
         if kind == "iriref":
             return Iri(token[1:-1])
-        if kind == "string":
-            return Literal(_unescape_literal(token))
-        if kind == "number":
-            return Literal(token)
-        return self.blank_var(token[2:])
+        if not predicate:
+            if kind == "string":
+                return Literal(_unescape_literal(token))
+            if kind == "number":
+                return Literal(token)
+            if kind == "blank":
+                return self.blank_var(token[2:])
+            if token == "[" and self.surface:
+                self.expect_op("]")
+                return self.fresh_var()
+        raise QuerySyntaxError(f"found {token!r}", self.offset(pos), expected="a predicate" if predicate else "a term")
 
     def variables(self) -> set[Variable]:
         """The variables of a SELECT list at the cursor, commas optional."""
         found: set[Variable] = set()
         while _kind(self.peek()) == "var":
-            found.add(self.make_var(self.advance()))
+            found.add(self.term())
             if self.at(","):
                 self.advance()
         return found
@@ -353,7 +389,7 @@ class _Parser:
             self.expect_op("(")
             if _kind(self.peek()) != "var":
                 raise QuerySyntaxError("bound() takes a variable", self.offset(self.pos))
-            var = self.make_var(self.advance())
+            var = self.term()
             self.expect_op(")")
             return Bound(var)
         if kind == "var":
@@ -366,13 +402,13 @@ class _Parser:
 
     def _cond_from_var(self) -> FilterCondition:
         first = self.pos
-        var = self.make_var(self.advance())
+        var = self.term()
         op = self.peek()
         if op in ("=", "!="):
             rhs_kind = _kind(self.peek(1))
             if rhs_kind == "var":
                 self.advance()
-                other = self.make_var(self.advance())
+                other = self.term()
                 if op == "=":
                     return Eq(var, other)
                 if var == other:  # not an atomic form: the negated equality, always false
@@ -395,7 +431,7 @@ class _Parser:
         constant = self.term()
         if self.peek() in ("=", "!=") and _kind(self.peek(1)) == "var":
             op = self.advance()
-            var = self.make_var(self.advance())
+            var = self.term()
             return EqC(var, constant) if op == "=" else NeqC(var, constant)
         return self._opaque_until_stop(first)
 
@@ -408,7 +444,7 @@ class _Parser:
             self.advance()
             rhs_kind = _kind(self.peek())
             if rhs_kind == "var":
-                mentions |= {self.make_var(self.advance())}
+                mentions |= {self.term()}
             elif rhs_kind == "name" and self.peek(1) == "(":
                 self.advance()
                 mentions |= self._consume_balanced()
@@ -423,15 +459,17 @@ class _Parser:
         depth = 1
         mentions: set[Variable] = set()
         while depth:
-            token = self.advance()
+            token = self.peek()
             if not token:
                 raise QuerySyntaxError("unbalanced parentheses in builtin call", self.offset(self.pos))
+            if _kind(token) == "var":
+                mentions.add(self.term())
+                continue
+            self.pos += 1
             if token == "(":
                 depth += 1
             elif token == ")":
                 depth -= 1
-            elif _kind(token) == "var":
-                mentions.add(self.make_var(token))
         return frozenset(mentions)
 
     def _opaque_until_stop(self, first: int) -> Opaque:
@@ -454,7 +492,7 @@ class _Parser:
             elif kind == "name" and depth == 0 and token.upper() in _COND_STOP_WORDS:
                 break
             elif kind == "var":
-                mentions.add(self.make_var(self.advance()))
+                mentions.add(self.term())
                 continue
             self.advance()
         return Opaque(self.source(first, self.pos - 1), frozenset(mentions))
@@ -659,36 +697,32 @@ class _SurfaceParser(_Parser):
         """The triples of a subject's block, in one loop over the tokens.
 
         A term read before, a variable or a pname, is looked up by its text
-        in `_terms`; other terms go through `term()` and `_predicate()`.
-        `true` and `false` are literals as a subject or object, which
-        `_terms` may hold as a predicate's IRI, and `a` is rdf:type as a
-        predicate, which `_terms` may hold as the subject or object IRI.
+        in `_terms`; `new_term()` reads any other.  `_terms` never holds a
+        bare name, so `true`, `false` and `a` read as `new_term()` reads them
+        in their position.
         """
-        tokens, known, pos = self.tokens, self._terms, self.pos
-        token = tokens[pos]
-        subject = None if token in ("true", "false") else known.get(token)
+        tokens, known = self.tokens, self._terms
+        subject = known.get(tokens[self.pos])
         if subject is None:
-            subject = self.term()
-            pos = self.pos
+            subject = self.new_term()
         else:
-            pos += 1
+            self.pos += 1
+        pos = self.pos
         while True:
-            token = tokens[pos]
-            predicate = RDF_TYPE if token == "a" else known.get(token)
+            predicate = known.get(tokens[pos])
             if predicate is None:
                 self.pos = pos
-                predicate = self._predicate()
+                predicate = self.new_term(predicate=True)
                 pos = self.pos
             else:
                 pos += 1
             if tokens[pos] in ("/", "|", "^", "*", "+", "?"):
                 raise UnsupportedFeature("property paths", self.offset(pos))
             while True:  # an object, then one more after each ","
-                token = tokens[pos]
-                obj = None if token in ("true", "false") else known.get(token)
+                obj = known.get(tokens[pos])
                 if obj is None:
                     self.pos = pos
-                    obj = self.term()
+                    obj = self.new_term()
                     pos = self.pos
                 else:
                     pos += 1
@@ -706,36 +740,6 @@ class _SurfaceParser(_Parser):
                     continue
             break
         self.pos = pos + 1 if tokens[pos] == "." else pos
-
-    def _predicate(self) -> Term:
-        token = self.peek()
-        if token == "a":
-            self.advance()
-            return RDF_TYPE
-        kind = _kind(token)
-        if kind == "var":
-            return self.make_var(self.advance())
-        if kind == "iriref":
-            self.advance()
-            return Iri(token[1:-1])
-        if kind == "name":
-            return self._resolve_pname(self.advance())
-        raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected="a predicate")
-
-    def _resolve_pname(self, token: str) -> Iri:
-        """The IRI of the pname the cursor just passed, `token`."""
-        iri = self._terms.get(token)
-        if iri is None:
-            if ":" not in token:
-                iri = Iri(token)
-            else:
-                prefix, local = token.split(":", 1)
-                base = self.prefixes.get(prefix)
-                if base is None:
-                    raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", self.offset(self.pos - 1))
-                iri = Iri(base + local)
-            self._terms[token] = iri
-        return iri
 
 
 def parse_pattern(text: str) -> Pattern:

@@ -31,7 +31,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from typing import Collection, Iterable, Iterator, Union
 
-from .record import Record, _setattr
+from .record import Record, _setattr, slot_setters
 
 _INTERN_LOCK = threading.Lock()
 
@@ -139,12 +139,26 @@ def is_constant(term: Term) -> bool:
     return isinstance(term, (Iri, Literal))
 
 
+#: A literal's escapes in the graph fixture syntax: the backslash, the
+#: quote, and every character that `str.splitlines` breaks a line at, so
+#: that a literal stays on its triple's line.
+LITERAL_ESCAPES = {
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+    **{c: f"\\u{ord(c):04X}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+}
+_ESCAPE_TABLE = str.maketrans(LITERAL_ESCAPES)
+
+
 def format_term(term: Term) -> str:
     """Render a term in the graph fixture syntax (IRIs angle-bracketed)."""
     if isinstance(term, Iri):
         return f"<{term.name}>"
     if isinstance(term, Literal):
-        escaped = term.lexical.replace("\\", "\\\\").replace('"', '\\"')
+        lexical = term.lexical
+        if lexical.isprintable():  # no line break: two replaces, faster than `translate`
+            escaped = lexical.replace("\\", "\\\\").replace('"', '\\"')
+        else:
+            escaped = lexical.translate(_ESCAPE_TABLE)
         return f'"{escaped}"'
     return str(term)
 
@@ -170,9 +184,9 @@ class RdfTriple(Record):
                 raise ValueError(f"triple predicate must be an IRI: {predicate}")
             if isinstance(object, Variable):
                 raise ValueError(f"triple object must not be a variable: {object}")
-        _setattr(self, "subject", subject)
-        _setattr(self, "predicate", predicate)
-        _setattr(self, "object", object)
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
 
     # written out, as faster than the base's: every graph hashes its triples
     def __eq__(self, other):
@@ -185,6 +199,9 @@ class RdfTriple(Record):
 
     def __str__(self) -> str:
         return graph_lines((self,))[0]
+
+
+_set_subject, _set_predicate, _set_object = slot_setters(RdfTriple)
 
 
 def graph_lines(triples: Collection[RdfTriple], texts: dict | None = None) -> list[str]:

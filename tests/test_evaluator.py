@@ -45,6 +45,7 @@ from sparqlsat.dalab import (
 )
 from sparqlsat.errors import NotNormalized
 from sparqlsat.evaluator import format_graph
+from sparqlsat.report import format_verdict_text
 from sparqlsat.patterns import And, Filter, Opt, Select, TriplePattern, Union, post_order, vars_of
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -387,6 +388,34 @@ def test_witness_of_a_3000_triple_bgp_replays_fast():
 def test_graph_fixture_roundtrip():
     g = graph((a, Iri("p"), Literal('say "hi"')), (Iri("http://e/x"), Iri("q"), b))
     assert parse_graph(format_graph(g)) == g
+
+
+#: Characters a literal's escapes must survive: every one that
+#: `str.splitlines` breaks a line at, the backslash and quote they are
+#: written with, and the letters and digits of an escape.
+_LEXICAL_ALPHABET = '\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\\"nru0BCE8 \ta.#<>'
+
+
+def test_graph_fixture_literals_round_trip():
+    rng = random.Random(20)
+    for _ in range(5000):
+        first, second = ("".join(rng.choice(_LEXICAL_ALPHABET) for _ in range(rng.randint(0, 10))) for _ in "ab")
+        g = graph((a, Iri("p"), Literal(first)), (b, Iri("q"), Literal(second)))
+        assert parse_graph(format_graph(g)) == g, (first, second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_graph_fixture_reads_back_any_literal(lexical):
+    g = graph((a, Iri("p"), Literal(lexical)))
+    assert parse_graph(format_graph(g)) == g
+
+
+def test_a_witness_literal_with_a_line_break_reads_back():
+    verdict = decide_satisfiability(parse_pattern('SELECT * WHERE { ?s <p> "a\\nb" . ?s <q> "c\u2028d" }'))
+    text = format_verdict_text(verdict)
+    assert parse_graph(text.split("witness graph:\n", 1)[1]) == verdict.witness
+    assert Literal("a\nb") in {t.object for t in verdict.witness}
 
 
 def test_graph_fixture_parses_blank_nodes_and_bare_words():

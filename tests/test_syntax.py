@@ -430,6 +430,86 @@ def test_offsets_are_found_only_for_errors_and_opaque_conditions(monkeypatch):
     assert len(walks) == 1
 
 
+#: Texts where a token's text occurs before the token: in a comment, an
+#: IRI or a string, some of them with no `#`; and strings with inner spaces.
+_EARLIER_TEXTS = [
+    "# ?x\n?x", "#?x ?x\n?x ?x", "<p#x> ?x", "<p#?x> ?x #?x", '"?x" ?x', '"?x"?x', "<?x> ?x", '"#" #\n"#"',
+    '"a b" "a b"', '"a  b"  "a"  "b"', '(?s p "x y z") AND (?s p "x")', '"a\\" b" "a"',
+    'SELECT * WHERE { ?s <p> "?s <p>" . ?s <p> ?o FILTER (regex(?o, "?o  a")) }',
+    'SELECT * WHERE { ?s <p#x> ?o . # FILTER (regex(?o, "b"))\nFILTER (regex(?o,   "a")) }',
+]
+
+
+def test_the_offsets_walk_matches_finditer():
+    # without a `#` each token is found from the end of the one before;
+    # either way the starts are those of the scan's matches
+    texts = [*generate_corpus(2000, 777), *generate_corpus(2000, 7, error_rate=0.2)]
+    texts += [text for _, text in LADDER] + _EARLIER_TEXTS
+    assert sum("#" not in text for text in texts) > 4000
+    for text in texts:
+        tokens = _scan(text)
+        reference = [match.start(1) for match in syntax._SCAN_RE.finditer(text)][:len(tokens)]
+        assert syntax._starts(text, tokens) == reference, text
+
+
+def test_an_opaque_condition_keeps_its_source_text_past_a_commented_copy():
+    pattern = parse_pattern(_EARLIER_TEXTS[-1])
+    assert pattern.condition == Opaque('regex(?o,   "a")', frozenset((Variable("o"),)))
+
+
+#: Queries whose first new term is wrong, in each position, with the
+#: error's class, text and offset.
+_NEW_TERM_OUTCOMES = [
+    ('SELECT * WHERE { ?_g1 <p> ?o }', 'QuerySyntaxError', "variable name '?_g1' uses the reserved fresh-name prefix at offset 17", 17),
+    ('SELECT * WHERE { ?s ?_g1 ?o }', 'QuerySyntaxError', "variable name '?_g1' uses the reserved fresh-name prefix at offset 20", 20),
+    ('SELECT * WHERE { ?s <p> ?_g1 }', 'QuerySyntaxError', "variable name '?_g1' uses the reserved fresh-name prefix at offset 24", 24),
+    ('SELECT * WHERE { q:x <p> ?o }', 'QuerySyntaxError', "unknown prefix 'q:' at offset 17", 17),
+    ('SELECT * WHERE { ?s q:x ?o }', 'QuerySyntaxError', "unknown prefix 'q:' at offset 20", 20),
+    ('SELECT * WHERE { ?s <p> q:x }', 'QuerySyntaxError', "unknown prefix 'q:' at offset 24", 24),
+    ('SELECT * WHERE { ?s _a:b ?o }', 'QuerySyntaxError', "unknown prefix '_a:' at offset 20", 20),
+    ('SELECT * WHERE { ?s <p> ?o FILTER (?o = q:y) }', 'QuerySyntaxError', "unknown prefix 'q:' at offset 40", 40),
+    ('SELECT ?_g1 WHERE { ?s <p> ?o }', 'QuerySyntaxError', "variable name '?_g1' uses the reserved fresh-name prefix at offset 7", 7),
+    ('SELECT * WHERE { ?s <p> ?o FILTER (regex(?_g3, "a")) }', 'QuerySyntaxError', "variable name '?_g3' uses the reserved fresh-name prefix at offset 41", 41),
+    ('(a true ?_g1)', 'QuerySyntaxError', "variable name '?_g1' uses the reserved fresh-name prefix at offset 8", 8),
+    ('SELECT * WHERE { ?s ? ?o }', 'QuerySyntaxError', "found '?' at offset 20 (expected a predicate)", 20),
+    ('SELECT * WHERE { ?s [ ] ?o }', 'QuerySyntaxError', "found '[' at offset 20 (expected a predicate)", 20),
+    ('SELECT * WHERE { ?s _:b ?o }', 'QuerySyntaxError', "found '_:b' at offset 20 (expected a predicate)", 20),
+    ('SELECT * WHERE { ?s "x" ?o }', 'QuerySyntaxError', 'found \'"x"\' at offset 20 (expected a predicate)', 20),
+    ('SELECT * WHERE { ?s <p> }', 'QuerySyntaxError', "found '}' at offset 24 (expected a term)", 24),
+]
+
+_s, _o, _p = Variable("s"), Variable("o"), Iri("p")
+
+#: Terms the new-term reader builds, with the pattern each query parses to.
+_NEW_TERM_PATTERNS = [
+    ("SELECT * WHERE { foo <p> ?o }", tp(Iri("foo"), _p, _o)),
+    ("SELECT * WHERE { ?s foo ?o }", tp(_s, Iri("foo"), _o)),
+    ("SELECT * WHERE { ?s <p> foo }", tp(_s, _p, Iri("foo"))),
+    ("SELECT * WHERE { ?s <p> true }", tp(_s, _p, Literal("true"))),
+    ("SELECT * WHERE { ?s <p> false }", tp(_s, _p, Literal("false"))),
+    ("SELECT * WHERE { ?s <p> a }", tp(_s, _p, Iri("a"))),
+    ("SELECT * WHERE { ?s <p> [ ] }", tp(_s, _p, Variable("_g1"))),
+    ("SELECT * WHERE { ?s <p> _:b }", tp(_s, _p, Variable("_g1"))),
+    ("SELECT * WHERE { a a a }", tp(Iri("a"), syntax.RDF_TYPE, Iri("a"))),
+    ("SELECT * WHERE { ?s true ?o . ?s ?p true }", And(tp(_s, Iri("true"), _o), tp(_s, Variable("p"), Literal("true")))),
+    ("(?s p:x true)", tp(_s, Iri("p:x"), Iri("true"))),
+    ("PREFIX _a: <http://u/> SELECT * WHERE { ?s _a:b ?o }", tp(_s, Iri("http://u/b"), _o)),
+    ("SELECT * WHERE { ?s <p> ?o FILTER (?o = true) }", Filter(tp(_s, _p, _o), EqC(_o, Literal("true")))),
+]
+
+
+@pytest.mark.parametrize("text, error, message, offset", _NEW_TERM_OUTCOMES)
+def test_a_new_term_raises_with_its_message_and_offset(text, error, message, offset):
+    with pytest.raises((QuerySyntaxError, UnsupportedFeature)) as caught:
+        parse_pattern(text)
+    assert (type(caught.value).__name__, str(caught.value), caught.value.position) == (error, message, offset)
+
+
+@pytest.mark.parametrize("text, expected", _NEW_TERM_PATTERNS)
+def test_a_new_term_reads_by_its_position(text, expected):
+    assert parse_pattern(text) == expected
+
+
 def test_edited_queries_parse_or_raise_a_syntax_error():
     # the parser looks ahead without bounds checks; no edit may make it read
     # past the end marker
