@@ -51,7 +51,6 @@ from .patterns import (
     post_order,
 )
 from .terms import (
-    LITERAL_ESCAPES,
     BlankNode,
     Iri,
     Literal,
@@ -61,6 +60,7 @@ from .terms import (
     SolutionSet,
     Variable,
     graph_lines,
+    unescape_literal,
 )
 
 #: How `_pair_plan` makes a merged row when one domain holds the other.
@@ -446,7 +446,8 @@ def _solutions(pattern: Pattern, index: dict) -> SolutionSet:
 # --- graph fixture format -----------------------------------------------------
 #
 # One triple per line: `<s> <p> <o> .` with IRIs angle-bracketed, literals
-# quoted, and blank nodes written `_:label`.  Bare words are read as IRIs.
+# quoted with the escapes of `terms.LITERAL_ESCAPES`, and blank nodes
+# written `_:label`.  Bare words are read as IRIs.
 
 _TERM_RE = re.compile(
     r"""\s*(?:
@@ -457,10 +458,6 @@ _TERM_RE = re.compile(
     )""",
     re.VERBOSE,
 )
-#: The escapes `format_term` writes in a literal, each read back to its
-#: character in one left-to-right pass; any other backslash stays as it is.
-_UNESCAPED = {escape: char for char, escape in LITERAL_ESCAPES.items()}
-_ESCAPE_RE = re.compile("|".join(map(re.escape, _UNESCAPED)))
 
 
 def _read_term(text: str, offset: int):
@@ -470,8 +467,7 @@ def _read_term(text: str, offset: int):
     if match.group("iri") is not None:
         term = Iri(match.group("iri"))
     elif match.group("lit") is not None:
-        raw = match.group("lit")
-        term = Literal(_ESCAPE_RE.sub(lambda escape: _UNESCAPED[escape[0]], raw))
+        term = Literal(unescape_literal(match.group("lit")))
     elif match.group("blank") is not None:
         term = BlankNode(match.group("blank"))
     else:

@@ -131,19 +131,25 @@ def _kind(token: str) -> str:
 def _starts(text: str, tokens: list[str]) -> list[int]:
     """Where each of the `tokens` that `_scan` read from `text` starts.
 
-    Without a `#` in the text the scan skips only whitespace between two
-    tokens, and no token starts with whitespace, so each token starts where
-    `find` first meets it past the end of the one before; the end marker
-    starts at the end of the text.  A `#` may start a comment that holds a
-    token's text, so then one `finditer` of `_SCAN_RE` finds them all.
+    The scan skips whitespace and comments between two tokens, and no token
+    starts with either, so where `find` first meets a token past the end of
+    the one before, with no `#` between, that token starts.  A `#` between
+    starts a comment, which may hold the token's text; then `_SCAN_RE`
+    matched from that end finds the token.  `sharp` is the first `#` at or
+    past `pos`, the end of the token before; `hashes` ends in one, so there
+    is always one.  The end marker starts at the end of the text.
     """
-    if "#" in text:
-        return [match.start(1) for match in _SCAN_RE.finditer(text)][:len(tokens)]
     starts, find, pos = [], text.find, 0
+    hashes = text + "#"
+    sharp = hashes.find("#")
     for token in tokens[:-1]:
-        pos = find(token, pos)
-        starts.append(pos)
-        pos += len(token)
+        start = find(token, pos)
+        if start > sharp:
+            start = _SCAN_RE.match(text, pos).start(1)
+        starts.append(start)
+        pos = start + len(token)
+        if pos > sharp:
+            sharp = hashes.find("#", pos)
     starts.append(len(text))
     return starts
 
@@ -296,7 +302,7 @@ class _Parser:
         self.pos += 1
         return term
 
-    def new_term(self, predicate: bool = False) -> Term:
+    def new_term(self) -> Term:
         """The term at the cursor, whose text `_terms` does not hold, with the
         cursor past it.
 
@@ -304,9 +310,8 @@ class _Parser:
         variable, and in a surface query a pname, is built and kept in
         `_terms`.  Any other token is read by its kind, and kept nowhere: a
         surface query reads `[ ]` as a fresh variable, `true` and `false` as
-        literals, `a` as rdf:type in a `predicate`, and any other bare name
-        as the IRI it spells, as the compact grammar reads every name.  A
-        `predicate` is a variable, an IRI or a name.
+        literals, and any other bare name as the IRI it spells, as the
+        compact grammar reads every name.
         """
         pos = self.pos
         token = self.tokens[pos]
@@ -328,22 +333,19 @@ class _Parser:
             return term
         self.pos = pos + 1
         if kind == "name":
-            if predicate:
-                return RDF_TYPE if token == "a" else Iri(token)
             return Literal(token) if self.surface and token in ("true", "false") else Iri(token)
         if kind == "iriref":
             return Iri(token[1:-1])
-        if not predicate:
-            if kind == "string":
-                return Literal(_unescape_literal(token))
-            if kind == "number":
-                return Literal(token)
-            if kind == "blank":
-                return self.blank_var(token[2:])
-            if token == "[" and self.surface:
-                self.expect_op("]")
-                return self.fresh_var()
-        raise QuerySyntaxError(f"found {token!r}", self.offset(pos), expected="a predicate" if predicate else "a term")
+        if kind == "string":
+            return Literal(_unescape_literal(token))
+        if kind == "number":
+            return Literal(token)
+        if kind == "blank":
+            return self.blank_var(token[2:])
+        if token == "[" and self.surface:
+            self.expect_op("]")
+            return self.fresh_var()
+        raise QuerySyntaxError(f"found {token!r}", self.offset(pos), expected="a term")
 
     def variables(self) -> set[Variable]:
         """The variables of a SELECT list at the cursor, commas optional."""
@@ -697,9 +699,9 @@ class _SurfaceParser(_Parser):
         """The triples of a subject's block, in one loop over the tokens.
 
         A term read before, a variable or a pname, is looked up by its text
-        in `_terms`; `new_term()` reads any other.  `_terms` never holds a
-        bare name, so `true`, `false` and `a` read as `new_term()` reads them
-        in their position.
+        in `_terms`; `new_term()` and `_predicate()` read any other.  `_terms`
+        never holds a bare name, so `true`, `false` and `a` read as those two
+        read them in their position.
         """
         tokens, known = self.tokens, self._terms
         subject = known.get(tokens[self.pos])
@@ -712,7 +714,7 @@ class _SurfaceParser(_Parser):
             predicate = known.get(tokens[pos])
             if predicate is None:
                 self.pos = pos
-                predicate = self.new_term(predicate=True)
+                predicate = self._predicate()
                 pos = self.pos
             else:
                 pos += 1
@@ -740,6 +742,19 @@ class _SurfaceParser(_Parser):
                     continue
             break
         self.pos = pos + 1 if tokens[pos] == "." else pos
+
+    def _predicate(self) -> Term:
+        """The predicate at the cursor, whose text `_terms` does not hold:
+        `a` is rdf:type and any other bare name the IRI it spells; a
+        variable, a pname or an IRI is read by `new_term()`."""
+        token = self.tokens[self.pos]
+        name = token[:1] in _NAME_FIRST
+        if name and ":" not in token:
+            self.pos += 1
+            return RDF_TYPE if token == "a" else Iri(token)
+        if name or _kind(token) in ("var", "name", "iriref"):
+            return self.new_term()
+        raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected="a predicate")
 
 
 def parse_pattern(text: str) -> Pattern:

@@ -26,6 +26,7 @@ callers do; a single `check` builds each of its terms once either way.
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
@@ -147,6 +148,8 @@ LITERAL_ESCAPES = {
     **{c: f"\\u{ord(c):04X}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
 }
 _ESCAPE_TABLE = str.maketrans(LITERAL_ESCAPES)
+_UNESCAPED = {escape: char for char, escape in LITERAL_ESCAPES.items()}
+_ESCAPE_RE = re.compile("|".join(map(re.escape, _UNESCAPED)))
 
 
 def format_term(term: Term) -> str:
@@ -154,13 +157,15 @@ def format_term(term: Term) -> str:
     if isinstance(term, Iri):
         return f"<{term.name}>"
     if isinstance(term, Literal):
-        lexical = term.lexical
-        if lexical.isprintable():  # no line break: two replaces, faster than `translate`
-            escaped = lexical.replace("\\", "\\\\").replace('"', '\\"')
-        else:
-            escaped = lexical.translate(_ESCAPE_TABLE)
-        return f'"{escaped}"'
+        return f'"{term.lexical.translate(_ESCAPE_TABLE)}"'
     return str(term)
+
+
+def unescape_literal(body: str) -> str:
+    """The lexical form of a literal's quoted `body` in the graph fixture
+    syntax: each of the `LITERAL_ESCAPES` read back to its character in one
+    left-to-right pass; any other backslash stays as it is."""
+    return _ESCAPE_RE.sub(lambda escape: _UNESCAPED[escape[0]], body)
 
 
 #: The term classes an RDF triple takes by exact type, checked first;

@@ -411,6 +411,18 @@ def test_graph_fixture_reads_back_any_literal(lexical):
     assert parse_graph(format_graph(g)) == g
 
 
+def test_a_hand_written_literal_decodes_only_the_escapes_format_term_writes():
+    # `\\`, `\"`, `\n`, `\r` and the upper-case `\uXXXX` of the other line
+    # breaks are read back; any other backslash stays as it is
+    lines = r'''<s> <p> "a\tb" .
+<s> <p> "\u0041" .
+<s> <p> "\u000b" .
+<s> <p> "a\nb\r\u000B\u2028" .
+<s> <p> "\\n \" \x" .'''
+    objects = {t.object.lexical for t in parse_graph(lines)}
+    assert objects == {"a\\tb", "\\u0041", "\\u000b", "a\nb\r\x0b\u2028", '\\n " \\x'}
+
+
 def test_a_witness_literal_with_a_line_break_reads_back():
     verdict = decide_satisfiability(parse_pattern('SELECT * WHERE { ?s <p> "a\\nb" . ?s <q> "c\u2028d" }'))
     text = format_verdict_text(verdict)

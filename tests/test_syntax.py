@@ -440,12 +440,30 @@ _EARLIER_TEXTS = [
 ]
 
 
+def _commented(text: str, rng: random.Random) -> str:
+    """`text` with a `#` in a PREFIX IRI before it, and comments that copy
+    a later token's text inserted before some of its tokens."""
+    tokens = _scan(text)[:-1]
+    pieces, pos = ["PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"], 0
+    for index, token in enumerate(tokens):
+        start = text.find(token, pos)
+        if rng.random() < 0.2:
+            pieces.append(f"{text[pos:start]} #{rng.choice(tokens[index:])}\n")
+            pos = start
+        pieces.append(text[pos:start + len(token)])
+        pos = start + len(token)
+    return "".join(pieces) + text[pos:]
+
+
 def test_the_offsets_walk_matches_finditer():
-    # without a `#` each token is found from the end of the one before;
-    # either way the starts are those of the scan's matches
+    # each token is found from the end of the one before, and where a
+    # comment lies between two tokens, matched there; either way the starts
+    # are those of the scan's matches
+    rng = random.Random(26)
     texts = [*generate_corpus(2000, 777), *generate_corpus(2000, 7, error_rate=0.2)]
     texts += [text for _, text in LADDER] + _EARLIER_TEXTS
-    assert sum("#" not in text for text in texts) > 4000
+    texts += [_commented(text, rng) for text in texts[::4]]
+    assert sum(" #" in text for text in texts) > 900
     for text in texts:
         tokens = _scan(text)
         reference = [match.start(1) for match in syntax._SCAN_RE.finditer(text)][:len(tokens)]
