@@ -14,9 +14,11 @@ several patterns through `_solutions`, so a triple pattern with a constant
 predicate reads only that predicate's triples.
 AND, OPT and set difference pair two tables per pair of domains through a
 plan made once per pair: the probe-key positions, the merged row layout,
-and where an atomic filter condition is checked.  A FILTER directly over an
-AND or an OPT hands its condition to that join, which checks it on each
-compatible pair before the merged row is built.  A condition is read once
+and where an atomic filter condition is checked.  A FILTER with an atomic
+condition directly over an AND or an OPT hands it to that join, which
+checks it on each compatible pair before the merged row is built.  A
+composite condition is read on its negation normal form (`normalize`), a
+test per domain folded from its atoms' tests.  A condition is read once
 per domain, so a bound check keeps or drops a whole domain group without
 touching its rows.  `join`, `set_minus` and `satisfies` on mappings are
 thin wrappers over the same kernels.  Terms are interned, so `is` is term
@@ -29,7 +31,8 @@ import re
 from bisect import bisect_left
 from operator import attrgetter, itemgetter
 
-from .errors import NotNormalized, QuerySyntaxError
+from .errors import QuerySyntaxError
+from .normalize import _nnf, fold_nnf
 from .patterns import (
     And,
     Bound,
@@ -116,6 +119,25 @@ def _condition_test(condition: Constraint, domain: tuple):
             return lambda row: row[i] is not constant
         return lambda row: row[i] is constant
     raise TypeError(f"not an atomic constraint: {condition!r}")
+
+
+def _nnf_test(nnf: tuple, domain: tuple):
+    """How a condition in negation normal form (`normalize`) reads the rows
+    over `domain`, as `_condition_test` reads an atom: its atoms' tests
+    folded along the NNF."""
+    return fold_nnf(nnf, lambda atom: _condition_test(atom, domain), _combined_test)
+
+
+def _combined_test(connective, tests: list):
+    """The test of `all` or `any` over its operands' tests, where True and
+    False decide the connective or drop out of it."""
+    decisive = connective is any  # True decides an `any`, False an `all`
+    if decisive in tests:
+        return decisive
+    tests = [test for test in tests if test is not (not decisive)]
+    if len(tests) > 1:
+        return lambda row: connective(test(row) for test in tests)
+    return tests[0] if tests else not decisive
 
 
 def _pair_plan(domain1: tuple, domain2: tuple, condition: Constraint | None):
@@ -256,10 +278,12 @@ def _minus(table1: dict, table2: dict) -> dict:
     return out
 
 
-def _filter(table: dict, condition: Constraint) -> dict:
+def _filter(table: dict, condition: Constraint, nnf: tuple | None = None) -> dict:
+    """The rows that satisfy an atomic `condition`, or a composite one by
+    its negation normal form `nnf`."""
     out = {}
     for domain, rows in table.items():
-        test = _condition_test(condition, domain)
+        test = _condition_test(condition, domain) if nnf is None else _nnf_test(nnf, domain)
         if test is True:
             out[domain] = rows
         elif test is not False:
@@ -386,28 +410,34 @@ def _match_triple(tp: TriplePattern, index: dict) -> dict:
 
 def _operands(node: Pattern) -> tuple:
     """The nodes whose solutions `evaluate` needs for `node`: those of its
-    children, except that a FILTER over an AND or an OPT takes its two sides."""
+    children, except that a FILTER with an atomic condition over an AND or
+    an OPT takes its two sides."""
     kind = type(node)
     if kind is Filter:
         sub = node.pattern
-        return (sub.left, sub.right) if type(sub) is And or type(sub) is Opt else (sub,)
+        if (type(sub) is And or type(sub) is Opt) and is_atomic(node.condition):
+            return (sub.left, sub.right)
+        return (sub,)
     return () if kind is TriplePattern else children(node)
 
 
 def evaluate(pattern: Pattern, graph: RdfGraph) -> SolutionSet:
     """The set of solution mappings of a pattern on a graph.
 
-    Requires atomic filter constraints; normalize composite filters first.
     Each distinct node is evaluated once, along `post_order`; the table of a
-    node with one parent is dropped as that parent reads it.  A FILTER over
-    an OPT is the filtered join united with the filtered difference, so the
-    join rows the condition rejects are never built.
+    node with one parent is dropped as that parent reads it.  A FILTER with
+    an atomic condition over an OPT is the filtered join united with the
+    filtered difference, so the join rows the condition rejects are never
+    built.  A composite condition holding an opaque builtin call raises
+    UnsupportedOpaquePredicate.
     """
     return _solutions(pattern, _graph_index(graph))
 
 
-def _solutions(pattern: Pattern, index: dict) -> SolutionSet:
-    """`evaluate` over a graph indexed by `_graph_index`."""
+def _solutions(pattern: Pattern, index: dict, nnfs: dict | None = None) -> SolutionSet:
+    """`evaluate` over a graph indexed by `_graph_index`; a composite
+    condition is read from `nnfs`, negation normal forms by identity (see
+    `normalize.negation_normal_forms`), where it has one."""
     if type(pattern) is TriplePattern:  # one triple pattern needs no walk
         return _mappings(_match_triple(pattern, index))
     shared: set = set()
@@ -426,10 +456,11 @@ def _solutions(pattern: Pattern, index: dict) -> SolutionSet:
             out = _union(_join(*args), _minus(*args))
         elif kind is Filter:
             condition = node.condition
-            if not is_atomic(condition):
-                raise NotNormalized(f"composite filter condition in evaluate: {condition!r}")
             sub = type(node.pattern)
-            if sub is And:
+            if not is_atomic(condition):
+                nnf = nnfs.get(id(condition)) if nnfs else None
+                out = _filter(args[0], condition, nnf or _nnf(condition, False))
+            elif sub is And:
                 out = _join(args[0], args[1], condition)
             elif sub is Opt:
                 out = _union(_join(args[0], args[1], condition), _filter(_minus(*args), condition))

@@ -7,12 +7,13 @@ that is the negation normal form (NNF).  Every atom of the two decidable
 fragments (bound, =, !=, !=c) only asks for its variables to be bound, and
 SPARQL's `&&` and `||` are Kleene's, so a condition over them is a monotone
 formula over "bound", and the fragment routes decide it on its NNF as it
-stands (`negation_normal_forms`).
+stands (`negation_normal_forms`).  The well-designed route searches the
+NNF's choices of disjuncts, and the evaluator reads it row by row.
 
-Only the well-designed route needs atomic conjunctions: `normalize_filters`
-expands each condition's NNF to disjunctive normal form, each disjunct
-becomes a UNION branch, and each conjunct a chained FILTER, up to
-`DEFAULT_DNF_CAP` disjuncts.
+`normalize_filters` expands each condition's NNF to disjunctive normal form
+instead: each disjunct becomes a UNION branch, and each conjunct a chained
+FILTER, up to `DEFAULT_DNF_CAP` disjuncts.  No decision reads it; it is
+kept as a lowering to atomic filters.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ def normalize_filters(
 ) -> Pattern:
     """Rewrite every composite filter into atomic FILTER chains under UNIONs.
 
-    The decision pipeline calls it on route `none` only, and on an opaque
-    call without `builtins_as_bound`, to name that call, or a blowup in a
-    filter that the post-order lists first.  Opaque builtin calls are only
+    An opaque call, or a blowup, is reported in the filter that the
+    post-order lists first.  Opaque builtin calls are only
     accepted when `builtins_as_bound` is set, in which case a call stands
     for "all mentioned variables are bound"; this is an analysis
     approximation, not a semantics-preserving step.  A node with no
@@ -85,17 +85,19 @@ def normalize_filters(
     return done[id(pattern)]
 
 
-def negation_normal_forms(conditions, builtins_as_bound: bool) -> dict | None:
-    """The NNF of each composite condition among `conditions`, by identity;
-    None when one holds an opaque builtin call and `builtins_as_bound` is
-    not set, which `normalize_filters` then reports."""
+def negation_normal_forms(facts: PatternFacts, builtins_as_bound: bool) -> dict:
+    """The NNF of each composite filter condition of a pattern with these
+    `facts`, by identity.  Without `builtins_as_bound`, an opaque builtin
+    call raises UnsupportedOpaquePredicate, naming the first call of the
+    first such FILTER in post-order, the first written of a group, as
+    `normalize_filters` does."""
     nnfs: dict = {}
-    try:
-        for condition in conditions:
-            if not is_atomic(condition) and id(condition) not in nnfs:
-                nnfs[id(condition)] = _nnf(condition, builtins_as_bound)
-    except UnsupportedOpaquePredicate:
-        return None
+    conditions = facts.conditions  # in pre-order
+    if not builtins_as_bound and not all(map(is_atomic, conditions)):  # where a call would raise
+        conditions = [node.condition for node in facts.order if type(node) is Filter]
+    for condition in conditions:
+        if not is_atomic(condition) and id(condition) not in nnfs:
+            nnfs[id(condition)] = _nnf(condition, builtins_as_bound)
     return nnfs
 
 
@@ -140,6 +142,23 @@ def _nnf(condition: FilterCondition, builtins_as_bound: bool) -> tuple:
     if counts[0] != 1:
         steps.append((all, counts[0]))
     return tuple(steps)
+
+
+def fold_nnf(nnf: tuple, atom, combine):
+    """Fold an NNF along its post-order of steps: `atom(step)` is the value
+    of an atom, `combine(all or any, values)` that of a connective over
+    its operands' values."""
+    values: list = []
+    for step in nnf:
+        if type(step) is tuple:
+            connective, count = step
+            start = len(values) - count
+            value = combine(connective, values[start:])
+            del values[start:]
+            values.append(value)
+        else:
+            values.append(atom(step))
+    return values[0]
 
 
 _NEGATED = {Bound: NegBound, NegBound: Bound, Eq: Neq, Neq: Eq, EqC: NeqC, NeqC: EqC}

@@ -5,13 +5,13 @@ fragments, satisfiability is exactly nonemptiness of the (pruned) scheme
 family, and a SAT verdict comes with a checkable witness graph: instantiate
 every triple pattern under a constant mapping (equality fragment) or an
 injective mapping into fresh IRIs (nonequality fragment).  A composite
-condition is classified and decided on its negation normal form, a
+condition is classified and decided on its negation normal form (NNF), a
 monotone AND/OR of the fragment's atoms, so the pattern is not rebuilt.
 Union-free well-designed patterns outside those fragments (route `none`)
-are first expanded to disjunctive normal form, then reduce to their
-AND/FILTER core, where a bound check and a consistency check of its value
-constraints decide, and the sample is picked arm by arm.  Everything else
-is answered Unknown, never guessed.  On the fragment routes,
+reduce to their AND/FILTER core, where a bound check and a consistency
+check of its value constraints decide, searched over the choices of
+disjuncts of the core's NNFs, and the sample is picked arm by arm.
+Everything else is answered Unknown, never guessed.  On the fragment routes,
 `decide_satisfiability` (`check`) skips the well-designedness check, which
 only the `well_designed` field of `run_pipeline`'s report (`analyze`) reads.
 
@@ -29,17 +29,17 @@ from time import perf_counter_ns
 
 from .constraints import Failure, fresh_iris, solve_constraints
 from .errors import (
-    NormalizationBlowup,
     NotNormalized,
     NotWellDesigned,
     PreconditionViolated,
     SchemeSetBlowup,
     UnsupportedOpaquePredicate,
 )
-# `candidate_schemes` and `evaluate` are not called here, but stay names of
-# this module: bench/layertrace.py times the layers by rebinding them here
+# `candidate_schemes`, `evaluate`, `extract_constraints` and
+# `normalize_filters` are not called here, but stay names of this module:
+# bench/layertrace.py times the layers by rebinding them here
 from .evaluator import _graph_index, _solutions, compatible, evaluate
-from .normalize import negation_normal_forms, normalize_filters
+from .normalize import fold_nnf, negation_normal_forms, normalize_filters
 from .patterns import (
     And,
     Bound,
@@ -344,25 +344,14 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter, report: bool =
     `well_designed` None, as their verdict does not read it.  Each stage
     reads the facts of its input, which are collected again only when a
     rewrite returns a new pattern; SELECT elimination returns those of its
-    result.
-
-    Composite conditions are classified on their negation normal forms,
-    which the fragment route decides as they stand.  Route `none`, and an
-    opaque call without `builtins_as_bound`, take the disjunctive normal
-    form of `normalize_filters` instead: the well-designed core needs
-    atomic conjunctions, and the DNF names the opaque call or its own
-    blowup.  Its atoms are the NNFs', so the route stays."""
+    result.  Every route reads a composite condition on its negation normal
+    form, so no stage rebuilds the pattern for it."""
     core, fresh_introduced, facts = select_eliminate_info(pattern, facts=pattern_facts(pattern))
-    nnfs = negation_normal_forms(facts.conditions, builtins_as_bound)
-    profile = None if nnfs is None else classify_fragment(core, facts=facts, nnfs=nnfs)
-    if profile is None or (nnfs and profile.route is Route.NONE):
-        try:  # with an opaque call and no `builtins_as_bound`, this raises
-            normalized = normalize_filters(core, builtins_as_bound=builtins_as_bound, facts=facts)
-        except UnsupportedOpaquePredicate as exc:
-            return PipelineResult(Unknown(str(exc)), None, None, False, "opaque-builtin")
-        except NormalizationBlowup as exc:
-            return PipelineResult(Unknown(str(exc)), None, None, False, "normalization-blowup")
-        core, facts, nnfs = normalized, pattern_facts(normalized), {}
+    try:
+        nnfs = negation_normal_forms(facts, builtins_as_bound)
+    except UnsupportedOpaquePredicate as exc:
+        return PipelineResult(Unknown(str(exc)), None, None, False, "opaque-builtin")
+    profile = classify_fragment(core, facts=facts, nnfs=nnfs)
 
     reduced = wrong_literal_reduce(core, facts=facts)
     if reduced is None:
@@ -402,17 +391,19 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter, report: bool =
         return PipelineResult(verdict, profile, well_designed, modified, None)
 
     if well_designed:
-        reasons = []
+        verdicts = []
+        budget = [CHOICE_CHECK_BUDGET]  # the members share it
         for member in members:
-            member_verdict = _decide_well_designed_core(member.pattern)
+            member_verdict = _decide_well_designed_core(member.pattern, nnfs, budget)
             if isinstance(member_verdict, Satisfiable):
                 sample = member_verdict.sample.drop(fresh_introduced)
                 verdict = Satisfiable(member_verdict.witness, sample)
                 return PipelineResult(verdict, profile, True, modified, None)
-            reasons.append(member_verdict.reason)
-        return PipelineResult(
-            Unsatisfiable(reasons[0]), profile, True, modified, None
-        )
+            verdicts.append(member_verdict)
+        for member_verdict in verdicts:
+            if isinstance(member_verdict, Unknown):
+                return PipelineResult(member_verdict, profile, True, modified, "choice-budget")
+        return PipelineResult(verdicts[0], profile, True, modified, None)
 
     kinds = ", ".join(sorted(k.value for k in profile.kinds))
     return PipelineResult(
@@ -440,8 +431,8 @@ def _blocking_feature(members) -> str | None:
 def decide_well_designed(pattern: Pattern) -> Verdict:
     """Decide a union-free well-designed pattern via its AND/FILTER core.
 
-    Expects atomic constraints, no SELECT, and no literal-subject triples
-    (run the earlier pipeline stages first).
+    Expects no opaque builtin call, no SELECT, and no literal-subject
+    triples (run the earlier pipeline stages first).
     """
     ok, violations = is_well_designed(pattern)  # also rejects UNION / SELECT
     if not ok:
@@ -451,26 +442,34 @@ def decide_well_designed(pattern: Pattern) -> Verdict:
     return _decide_well_designed_core(pattern)
 
 
-def _decide_well_designed_core(pattern: Pattern) -> Verdict:
+#: How many consistency checks `_consistent_choice` makes for one pattern,
+#: its UNION members together, before it answers Unknown: deciding a
+#: well-designed pattern is NP-complete, and the search over the choices of
+#: disjuncts is where that cost lies.
+CHOICE_CHECK_BUDGET = 10_000
+
+
+def _decide_well_designed_core(pattern: Pattern, nnfs: dict | None = None, budget: list | None = None) -> Verdict:
     """decide_well_designed without its checks: assumes a well-designed member.
 
     The member is read twice, over its AND/FILTER core only: `af_core` walks
     the core's edges, giving the core and its optional arms, and
     `pattern_facts` walks the core.  An arm's nodes are first visited when
     `_solutions` evaluates it.  The core's filters mention only its triples'
-    variables, its one scheme, so only a `!bound` there empties its family.
-    The arms on the core share only core variables, so the model's least
-    extension is each arm's least."""
+    variables, its one scheme, so a `bound` there holds and a `!bound`
+    empties its family; `_consistent_choice` decides the core on its
+    conditions' negation normal forms, `nnfs` by identity (made here if not
+    given), within `budget`, a one-item list of the checks left.  The arms
+    on the core share only core variables, so the model's least extension
+    is each arm's least."""
     reduced, arms = af_core(pattern)
     facts = pattern_facts(reduced)
-    if NegBound in map(type, facts.conditions):
-        return Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
-
-    solved = solve_constraints(extract_constraints(reduced, facts=facts), derive_sort_map(reduced, facts=facts))
-    if solved is Failure.SORT_CLASH:
-        return Unsatisfiable(UnsatReason.SORT_CONFLICT)
-    if isinstance(solved, Failure):
-        return Unsatisfiable(UnsatReason.INCONSISTENT_CONSTRAINTS)
+    if nnfs is None:
+        nnfs = negation_normal_forms(facts, False)
+    sorts = derive_sort_map(reduced, facts=facts)
+    solved = _consistent_choice(facts.conditions, nnfs, sorts, budget or [CHOICE_CHECK_BUDGET])
+    if type(solved) is not Mapping:
+        return solved
 
     pool = fresh_iris(facts.constants | frozenset(t for _, t in solved.items()))
     bindings = dict(solved.items())
@@ -481,10 +480,91 @@ def _decide_well_designed_core(pattern: Pattern) -> Verdict:
     witness = _instantiate(facts, model)
     index = _graph_index(witness)
     for arm in arms:
-        parts = [m.drop(facts.variables) for m in _solutions(arm, index) if compatible(m, model)]
+        parts = [m.drop(facts.variables) for m in _solutions(arm, index, nnfs) if compatible(m, model)]
         if parts:
             bindings.update(min(parts, key=_mapping_sort_key).items())
     return Satisfiable(witness, Mapping(bindings))
+
+
+def _consistent_choice(conditions, nnfs: dict, sorts, budget: list) -> Mapping | Unsatisfiable | Unknown:
+    """A model of the value constraints of the first consistent choice of
+    disjuncts of the AND/FILTER core's `conditions`, on which every
+    variable is bound, or the verdict without one.
+
+    The conditions form one conjunction of their negation normal forms,
+    `nnfs` by identity.  A choice takes one operand of each disjunction it
+    reaches; the choices are searched depth first with an explicit stack,
+    the first operand first, so they come in the order of the DNF's
+    disjuncts.  Each check (`_check`) reads the atoms chosen so far.  Once
+    the first full choice has failed, a partial one is checked at each
+    disjunction, and the search leaves it when it fails: adding atoms never
+    mends a failure.  An UNSAT verdict names the first full choice's
+    failure, as the DNF's first disjunct would.  Each check is taken from
+    `budget[0]`, and when none is left the answer is Unknown; without any
+    NNF to read, the atomic conditions are one check, not counted."""
+    if not nnfs:  # atomic conditions only: their conjunction is the one choice
+        return _check((conditions, None), sorts)
+    operands = []  # of the root conjunction, each an atom or (all or any, operands)
+    for condition in conditions:
+        if is_atomic(condition):
+            operands.append(condition)
+            continue
+        node = fold_nnf(nnfs[id(condition)], lambda atom: atom, lambda connective, kids: (connective, kids))
+        operands += node[1] if type(node) is tuple and node[0] is all else (node,)
+
+    first = None  # the first full choice's failure
+    # each entry: the goals left and the atoms chosen, as linked (head,
+    # rest) pairs whose heads are goals and lists of atoms
+    stack: list = [(((all, operands), None), None)]
+    while stack:
+        goals, atoms = stack.pop()
+        disjunction = None
+        while goals is not None:
+            node, goals = goals
+            if type(node) is not tuple:
+                atoms = ((node,), atoms)
+            elif node[0] is any:
+                disjunction = node
+                break
+            else:  # a conjunction's atoms at once, so every check reads them
+                atoms = ([kid for kid in node[1] if type(kid) is not tuple], atoms)
+                for kid in reversed(node[1]):
+                    if type(kid) is tuple:
+                        goals = (kid, goals)
+        if disjunction is None or first is not None:  # the first full choice is checked whole
+            if not budget[0]:
+                return Unknown(f"budget exceeded: well-designed core, {CHOICE_CHECK_BUDGET} checks of disjunct choices")
+            budget[0] -= 1
+            solved = _check(atoms, sorts)
+            if type(solved) is not Mapping:
+                if first is None:
+                    first = solved
+                continue
+            if disjunction is None:
+                return solved
+        stack += [((option, goals), atoms) for option in reversed(disjunction[1])]
+    return first
+
+
+def _check(atoms, sorts) -> Mapping | Unsatisfiable:
+    """A model of the value constraints among `atoms`, a linked (list of
+    atoms, rest) list, or why none exists: a `!bound` empties the core's
+    schemes before any value is compared."""
+    values = []
+    while atoms is not None:
+        chunk, atoms = atoms
+        for atom in chunk:
+            kind = type(atom)
+            if kind is NegBound:
+                return Unsatisfiable(UnsatReason.EMPTY_SCHEMES)
+            if kind is not Bound:
+                values.append(atom)
+    solved = solve_constraints(values, sorts)
+    if solved is Failure.SORT_CLASH:
+        return Unsatisfiable(UnsatReason.SORT_CONFLICT)
+    if isinstance(solved, Failure):
+        return Unsatisfiable(UnsatReason.INCONSISTENT_CONSTRAINTS)
+    return solved
 
 
 def _mapping_sort_key(mapping: Mapping):

@@ -51,6 +51,7 @@ every node to one shared family {∅}.
 from __future__ import annotations
 
 from .errors import NotNormalized, PreconditionViolated, SchemeSetBlowup
+from .normalize import fold_nnf
 from .patterns import (
     And,
     Bound,
@@ -97,17 +98,7 @@ def _holds(nnf: tuple, scheme: Scheme) -> bool:
     """Whether a mapping with this domain can satisfy a condition in
     negation normal form (`normalize.negation_normal_forms`) whose atoms
     only ask for variables to be bound."""
-    values: list = []
-    for step in nnf:
-        if type(step) is tuple:  # (all or any, the number of operands)
-            combine, count = step
-            start = len(values) - count
-            value = combine(values[start:])
-            del values[start:]
-            values.append(value)
-        else:
-            values.append(admits(scheme, step))
-    return values[0]
+    return fold_nnf(nnf, lambda atom: admits(scheme, atom), lambda connective, values: connective(values))
 
 
 def candidate_schemes(pattern: Pattern) -> SchemeSet:

@@ -185,19 +185,17 @@ _COND_STOP_WORDS = frozenset(
 )
 _BLOCK_STOP_WORDS = _SURFACE_UNSUPPORTED | {"OPTIONAL", "FILTER", "UNION"}
 _LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"(.*)$', re.S)
+#: SPARQL's string escapes, each to the character it stands for.
+_STRING_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_STRING_ESCAPE_RE = re.compile(r"\\([tbnrf\"'\\])")
 
 
 def _unescape_literal(raw: str) -> str:
-    match = _LITERAL_RE.match(raw)
-    body = match.group(1)
-    suffix = match.group(2)
-    body = (
-        body.replace("\\\\", "\x00")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\x00", "\\")
-    )
+    """A string token's lexical form and suffix: each escape read back in
+    one left-to-right pass; any other backslash stays as it is."""
+    body, suffix = _LITERAL_RE.match(raw).groups()
+    if "\\" in body:
+        body = _STRING_ESCAPE_RE.sub(lambda escape: _STRING_ESCAPES[escape[1]], body)
     return body + suffix
 
 

@@ -6,14 +6,20 @@ pattern with one UNION branch per DNF disjunct, and every later stage reads
 the rebuilt pattern.  The DNF cap makes it answer Unknown on conditions
 that the negation normal form decides.
 
+Its route-`none` members are decided by `wd_core_reference`, the core
+decision as it stood before the per-arm sample, on their atomic filters.
+
 One difference is meant: on the fragment routes, `well_designed` is read on
 the pattern as written (after SELECT elimination and the wrong-literal
 reduction), as the pipeline reads it there, and not on its DNF, in which a
-composite filter under an operator was a nested UNION.
+composite filter under an operator was a nested UNION.  On route `none`
+the reference reads it on the DNF, so it may leave Unknown (a UNION nested
+under an operator, or the DNF cap) what the pipeline decides.
 """
 
 from __future__ import annotations
 
+import wd_core_reference
 from sparqlsat.errors import NormalizationBlowup, SchemeSetBlowup, UnsupportedOpaquePredicate
 from sparqlsat.normalize import DEFAULT_DNF_CAP
 from sparqlsat.patterns import (
@@ -43,7 +49,6 @@ from sparqlsat.satisfiability import (
     UnsatReason,
     _blocking_feature,
     _constant_model,
-    _decide_well_designed_core,
     _injective_model,
     _instantiate,
     _realized_solution,
@@ -84,7 +89,7 @@ def run_reference(pattern, builtins_as_bound: bool = False) -> PipelineResult:
     if blocking is None:
         reasons = []
         for member in union_free_split(reduced):
-            verdict = _decide_well_designed_core(member.pattern)
+            verdict = wd_core_reference.decide_well_designed_core(member.pattern)
             if isinstance(verdict, Satisfiable):
                 verdict = Satisfiable(verdict.witness, verdict.sample.drop(fresh))
                 return PipelineResult(verdict, profile, True, modified, None)

@@ -164,16 +164,19 @@ def random_condition(rng: random.Random, kinds, variables, depth: int = 3, opaqu
     )
 
 
-def with_composite_filters(rng: random.Random, pattern: Pattern, kinds, rate: float = 0.3, variables=None):
+def with_composite_filters(
+    rng: random.Random, pattern: Pattern, kinds, rate: float = 0.3, variables=None, opaque_rate: float = 0.15
+):
     """`pattern` with a random composite filter over `rate` of its nodes;
-    its variables come from `variables(node)` if given, else the pool."""
+    its variables come from `variables(node)` if given, else the pool, and
+    `opaque_rate` of its atoms are opaque calls."""
     done: dict = {}
     for node in post_order(pattern):
         out = rebuilt(node, done)
         if type(node) is not Select and rng.random() < rate:
             pool = VAR_POOL if variables is None else sorted(variables(node), key=lambda v: v.name)
             if pool:
-                out = Filter(out, random_condition(rng, kinds, pool))
+                out = Filter(out, random_condition(rng, kinds, pool, opaque_rate=opaque_rate))
         done[id(node)] = out
     return done[id(pattern)]
 

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randgen import ALL_KINDS, IRI_POOL, random_constraint, random_graph, random_pattern
+from randgen import (
+    ALL_KINDS,
+    IRI_POOL,
+    random_constraint,
+    random_graph,
+    random_pattern,
+    random_well_designed,
+    with_composite_filters,
+)
 from sparqlsat import (
     Bound,
     EqC,
@@ -27,6 +35,7 @@ from sparqlsat import (
     decide_satisfiability,
     evaluate,
     join,
+    normalize_filters,
     parse_graph,
     parse_pattern,
     satisfies,
@@ -43,7 +52,7 @@ from sparqlsat.dalab import (
     relations_over,
     result_pairs,
 )
-from sparqlsat.errors import NotNormalized
+from sparqlsat.errors import UnsupportedOpaquePredicate
 from sparqlsat.evaluator import format_graph
 from sparqlsat.report import format_verdict_text
 from sparqlsat.patterns import And, Filter, Opt, Select, TriplePattern, Union, post_order, vars_of
@@ -208,9 +217,29 @@ def test_evaluate_select_restricts_domains():
     assert evaluate(pattern, g) == solutions(mapping(x=a))
 
 
-def test_evaluate_rejects_composite_filters():
-    pattern = parse_pattern("(?x p ?y) FILTER (bound(?x) && bound(?y))")
-    with pytest.raises(NotNormalized):
+def test_composite_filters_evaluate_like_their_dnf():
+    # a composite condition is read on its negation normal form, row by
+    # row; the DNF's UNION of atomic FILTER chains has the same solutions
+    rng = random.Random(43)
+    nonempty = 0
+    for index in range(600):
+        if index % 3:
+            base = random_pattern(rng, depth=rng.randint(1, 4), kinds=ALL_KINDS, select_rate=0.1)
+        else:
+            base = random_well_designed(rng, depth=3)
+        pattern = with_composite_filters(rng, base, ALL_KINDS, opaque_rate=0)
+        lowered = normalize_filters(pattern)
+        for _ in range(4):
+            g = random_graph(rng, pattern)
+            solutions = evaluate(pattern, g)
+            assert solutions == evaluate(lowered, g)
+            nonempty += bool(solutions)
+    assert nonempty > 200
+
+
+def test_an_opaque_call_is_not_evaluated():
+    pattern = parse_pattern('(?x p ?y) FILTER (bound(?x) || regex(?y, "a"))')
+    with pytest.raises(UnsupportedOpaquePredicate):
         evaluate(pattern, graph((a, Iri("p"), b)))
 
 

@@ -211,10 +211,14 @@ def test_dnf_cap_raises():
 # --- negation normal form ------------------------------------------------------------
 
 def _nnf(condition, builtins_as_bound=False):
+    """The condition's NNF, None where it holds an opaque call that raises."""
     from sparqlsat.normalize import negation_normal_forms
 
-    nnfs = negation_normal_forms((condition,), builtins_as_bound)
-    return None if nnfs is None else nnfs[id(condition)]
+    try:
+        nnfs = negation_normal_forms(pattern_facts(Filter(base, condition)), builtins_as_bound)
+    except UnsupportedOpaquePredicate:
+        return None
+    return nnfs[id(condition)]
 
 
 def test_nested_connectives_flatten_to_one_step_each():

@@ -296,6 +296,31 @@ def test_roundtrip_surface_queries(seed):
     assert parse_pattern(serialize_pattern(pattern)) == pattern
 
 
+def test_roundtrip_of_literals_with_control_characters_and_backslashes():
+    # a NUL, a carriage return and a backslash before `n` each read back as
+    # themselves; the serializer escapes only backslash, quote, newline, tab
+    rng = random.Random(47)
+    pieces = ["\x00", "\r", "\\n", "\\", '"', "\n", "\t", "\b", "\f", "'", "a", " "]
+    lexicals = ["a\x00b", "a\rb", "a\\nb", "\\", "\x00\\\x00"]
+    lexicals += ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 8))) for _ in range(300)]
+    for lexical in lexicals:
+        pattern = Filter(tp(x, Iri("p"), Literal(lexical)), NeqC(y, Literal(lexical)))
+        assert parse_pattern(serialize_pattern(pattern)) == pattern, repr(lexical)
+
+
+def test_string_escapes_are_read_in_one_pass():
+    # SPARQL's escapes, each read left to right, so `\\n` is a backslash
+    # and an `n`; any other backslash stays
+    for body, lexical in (
+        (r"a\tb\bc\nd\re\ff", "a\tb\bc\nd\re\ff"),
+        (r"\"\'\\", "\"'\\"),
+        (r"a\\nb", "a\\nb"),
+        (r"a\\\nb", "a\\\nb"),
+        (r"\u0041\x", r"\u0041\x"),
+    ):
+        assert parse_pattern(f'(?x p "{body}")') == tp(x, Iri("p"), Literal(lexical)), body
+
+
 def test_roundtrip_preserves_every_variable():
     rng = random.Random(7)
     for _ in range(50):
