@@ -27,7 +27,7 @@ from .errors import SparqlSatError
 from .record import Record, _setattr
 from .satisfiability import Satisfiable, Unsatisfiable, run_pipeline
 from .syntax import parse_pattern
-from .terms import format_term, graph_lines
+from .terms import graph_lines
 
 SCHEMA_VERSION = 1
 STAGES = ("parse", "wrong_literal", "schemes", "well_designed")
@@ -74,11 +74,8 @@ class AnalysisReport(Record, mutable=True):
 
 def _witness_texts(verdict: Satisfiable) -> tuple[list[str], list[tuple[str, str]]]:
     """A SAT verdict's sorted witness lines and its sample as (variable,
-    value) texts, formatting each distinct term once: a sample's values
-    are terms of its witness."""
-    texts: dict = {}
-    lines = graph_lines(verdict.witness, texts)
-    return lines, [(str(v), texts.get(t) or format_term(t)) for v, t in verdict.sample.items()]
+    value) texts, each the text its term carries."""
+    return graph_lines(verdict.witness), [(v._text, t._text) for v, t in verdict.sample.items()]
 
 
 def verdict_to_json(verdict) -> dict:

@@ -16,9 +16,10 @@ Everything else is answered Unknown, never guessed.  On the fragment routes,
 only the `well_designed` field of `run_pipeline`'s report (`analyze`) reads.
 
 A pattern with no filter condition left after the rewrites is in both
-fragments, and its scheme table is {∅} at every node.  Without a UNION as
-well, the sample walk would reach every triple, so the pipeline takes the
-whole witness model, whose variables are the triples', as the sample.
+fragments, and its scheme table is {∅} at every node.  On a fragment route,
+the sample walk of a union-free pattern whose optional arms all have
+schemes reaches every triple, so the pipeline takes the witness model,
+restricted to the triples' variables, as the sample, without the walk.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .patterns import (
 from .record import Record, _setattr
 from .rewrites import af_core, select_eliminate_info, union_free_split, wrong_literal_reduce
 from .schemes import candidate_schemes, scheme_sort_key, scheme_table
-from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, Variable, format_term
+from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, Variable
 from .welldesigned import derive_sort_map, extract_constraints, is_well_designed
 
 
@@ -270,6 +271,14 @@ def _realized_solution(pattern: Pattern, model: Mapping, table: dict) -> Mapping
     return model.restrict(realized)
 
 
+def _reaches_every_triple(facts: PatternFacts, table: dict) -> bool:
+    """Whether `_realized_solution`'s descent reaches every triple: on a
+    union-free pattern it leaves out only an optional arm without schemes."""
+    if Union in facts.node_types:
+        return False
+    return Opt not in facts.node_types or all(table[id(node.right)] for node in facts.order if type(node) is Opt)
+
+
 def _decompose(node: Pattern, target: Scheme, table: dict) -> tuple:
     """The first maximal schemes of the two sides whose union is `target`."""
     for s1 in sorted(table[id(node.left)], key=scheme_sort_key):
@@ -383,10 +392,13 @@ def _run_stages(pattern: Pattern, builtins_as_bound: bool, enter, report: bool =
             else:
                 model = _injective_model(facts)
             witness = _instantiate(facts, model)
-            if facts.conditions or Union in facts.node_types:
-                sample = _realized_solution(reduced, model, table)
-            else:  # the walk would reach every triple, and the model binds their variables only
+            if _reaches_every_triple(facts, table):  # the model, on the triples' variables
                 sample = model
+                if facts.filter_variables:
+                    in_triples = {term for tp in facts.triples for term in (tp.subject, tp.predicate, tp.object)}
+                    sample = model.drop(facts.filter_variables - in_triples)
+            else:
+                sample = _realized_solution(reduced, model, table)
             verdict = Satisfiable(witness, sample.drop(fresh_introduced))
         return PipelineResult(verdict, profile, well_designed, modified, None)
 
@@ -501,7 +513,12 @@ def _consistent_choice(conditions, nnfs: dict, sorts, budget: list) -> Mapping |
     mends a failure.  An UNSAT verdict names the first full choice's
     failure, as the DNF's first disjunct would.  Each check is taken from
     `budget[0]`, and when none is left the answer is Unknown; without any
-    NNF to read, the atomic conditions are one check, not counted."""
+    NNF to read, the atomic conditions are one check, not counted.
+
+    `conditions` come in `pattern_facts` pre-order, so a group's FILTERs
+    are read last-written first.  Which consistent choice is first, and so
+    which model the sample and witness show, therefore depends on the
+    written order of a group's FILTERs; whether one exists does not."""
     if not nnfs:  # atomic conditions only: their conjunction is the one choice
         return _check((conditions, None), sorts)
     operands = []  # of the root conjunction, each an atom or (all or any, operands)
@@ -568,4 +585,4 @@ def _check(atoms, sorts) -> Mapping | Unsatisfiable:
 
 
 def _mapping_sort_key(mapping: Mapping):
-    return (len(mapping), tuple((v.name, format_term(t)) for v, t in mapping.items()))
+    return (len(mapping), tuple((v._key, t._text) for v, t in mapping.items()))

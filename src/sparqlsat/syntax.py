@@ -63,6 +63,9 @@ from .rewrites import exists_rewrite
 from .terms import Iri, Literal, Term, Variable
 
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+#: The intern tables of the two classes that `_Parser.new_term` looks up,
+#: key to weak reference: a live term is found without its constructor.
+_VARIABLES, _IRIS = Variable._interned, Iri._interned
 
 #: Each match is one token: the whitespace and comments before it, then
 #: the token in the one group.  The alternatives read, in order, a variable,
@@ -305,19 +308,25 @@ class _Parser:
         cursor past it.
 
         The first character tells a variable, and a name, from the rest.  A
-        variable, and in a surface query a pname, is built and kept in
+        variable, and in a surface query a pname, is read and kept in
         `_terms`.  Any other token is read by its kind, and kept nowhere: a
         surface query reads `[ ]` as a fresh variable, `true` and `false` as
         literals, and any other bare name as the IRI it spells, as the
-        compact grammar reads every name.
+        compact grammar reads every name.  A variable, a pname and an
+        `<IRI>` are first looked up in their class's intern table, key to
+        weak reference, and built by the constructor only when no term is
+        live: weak references and terms are always true, so `ref and ref()
+        or build` is the live term or a new one.
         """
         pos = self.pos
         token = self.tokens[pos]
         first = token[:1]
         if (first == "?" or first == "$") and len(token) > 1:
-            if token.startswith("_g", 1) and is_reserved_name(token[1:]):
+            name = token[1:]
+            if token.startswith("_g", 1) and is_reserved_name(name):
                 raise QuerySyntaxError(f"variable name {token!r} uses the reserved fresh-name prefix", self.offset(pos))
-            term = self._terms[token] = Variable(token[1:])
+            ref = _VARIABLES.get(name)
+            term = self._terms[token] = ref and ref() or Variable(name)
             self.pos = pos + 1
             return term
         kind = "name" if first in _NAME_FIRST else _kind(token)
@@ -326,14 +335,18 @@ class _Parser:
             base = self.prefixes.get(prefix)
             if base is None:
                 raise QuerySyntaxError(f"unknown prefix {prefix + ':'!r}", self.offset(pos))
-            term = self._terms[token] = Iri(base + local)
+            key = base + local
+            ref = _IRIS.get(key)
+            term = self._terms[token] = ref and ref() or Iri(key)
             self.pos = pos + 1
             return term
         self.pos = pos + 1
         if kind == "name":
             return Literal(token) if self.surface and token in ("true", "false") else Iri(token)
         if kind == "iriref":
-            return Iri(token[1:-1])
+            key = token[1:-1]
+            ref = _IRIS.get(key)
+            return ref and ref() or Iri(key)
         if kind == "string":
             return Literal(_unescape_literal(token))
         if kind == "number":

@@ -21,6 +21,19 @@ so a lookup that finds its term costs nothing extra, and at most
 `RING_SIZE` terms are kept alive that nothing else references.  The ring
 pays only where one process handles many queries, as `analyze` and library
 callers do; a single `check` builds each of its terms once either way.
+
+The parser, which reads a term per token, finds a live variable or IRI in
+its class's table itself: `get`, then call the weak reference, about
+0.06 µs, and it calls the constructor only when none is live.  A
+constructor call that finds its term takes about 0.2 µs, and building a
+term about 2 µs (300 live keys, best of 15; 2-core x86-64 box, Python
+3.11.7).
+
+Each term carries its text in the graph fixture syntax (`<iri>`,
+`"escaped literal"`, `_:b`, `?v`), made once by its class's `_text_of`
+when the term is built, which also checks the key; `format_term` returns
+it, so printing a witness or a sample formats no term.  That is one string
+per live term, about 73 bytes for a 24-character IRI's text.
 """
 
 from __future__ import annotations
@@ -42,8 +55,20 @@ _RING = [None] * RING_SIZE
 _RING_SLOTS = itertools.cycle(range(RING_SIZE))
 
 
+#: A literal's escapes in the graph fixture syntax: the backslash, the
+#: quote, and every character that `str.splitlines` breaks a line at, so
+#: that a literal stays on its triple's line.
+LITERAL_ESCAPES = {
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+    **{c: f"\\u{ord(c):04X}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+}
+_ESCAPE_TABLE = str.maketrans(LITERAL_ESCAPES)
+_UNESCAPED = {escape: char for char, escape in LITERAL_ESCAPES.items()}
+_ESCAPE_RE = re.compile("|".join(map(re.escape, _UNESCAPED)))
+
+
 class _Term:
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("_key", "_text", "__weakref__")
 
     def __init_subclass__(cls):
         table = cls._interned = {}  # key -> weak reference to the live term
@@ -59,12 +84,14 @@ class _Term:
         ref = cls._interned.get(key)
         term = ref() if ref is not None else None
         if term is None:
+            text = cls._text_of(key)  # checks the key, before any term is built
             with _INTERN_LOCK:  # two threads must not both create the instance
                 ref = cls._interned.get(key)
                 term = ref() if ref is not None else None
                 if term is None:
                     term = object.__new__(cls)
                     object.__setattr__(term, "_key", key)
+                    object.__setattr__(term, "_text", text)
                     cls._interned[key] = weakref.KeyedRef(term, cls._forget, key)
                     _RING[next(_RING_SLOTS)] = term
         return term
@@ -83,6 +110,10 @@ class _Term:
 class Iri(_Term):
     __slots__ = ()
 
+    @staticmethod
+    def _text_of(name: str) -> str:
+        return f"<{name}>"
+
     @property
     def name(self) -> str:
         return self._key
@@ -93,6 +124,10 @@ class Iri(_Term):
 
 class Literal(_Term):
     __slots__ = ()
+
+    @staticmethod
+    def _text_of(lexical: str) -> str:
+        return f'"{lexical.translate(_ESCAPE_TABLE)}"'
 
     @property
     def lexical(self) -> str:
@@ -105,6 +140,10 @@ class Literal(_Term):
 class BlankNode(_Term):
     __slots__ = ()
 
+    @staticmethod
+    def _text_of(label: str) -> str:
+        return "_:" + label
+
     @property
     def label(self) -> str:
         return self._key
@@ -116,10 +155,11 @@ class BlankNode(_Term):
 class Variable(_Term):
     __slots__ = ()
 
-    def __new__(cls, name: str):
+    @staticmethod
+    def _text_of(name: str) -> str:
         if not name:
             raise ValueError("variable name must be nonempty")
-        return super().__new__(cls, name)
+        return "?" + name
 
     @property
     def name(self) -> str:
@@ -140,25 +180,10 @@ def is_constant(term: Term) -> bool:
     return isinstance(term, (Iri, Literal))
 
 
-#: A literal's escapes in the graph fixture syntax: the backslash, the
-#: quote, and every character that `str.splitlines` breaks a line at, so
-#: that a literal stays on its triple's line.
-LITERAL_ESCAPES = {
-    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
-    **{c: f"\\u{ord(c):04X}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
-}
-_ESCAPE_TABLE = str.maketrans(LITERAL_ESCAPES)
-_UNESCAPED = {escape: char for char, escape in LITERAL_ESCAPES.items()}
-_ESCAPE_RE = re.compile("|".join(map(re.escape, _UNESCAPED)))
-
-
 def format_term(term: Term) -> str:
-    """Render a term in the graph fixture syntax (IRIs angle-bracketed)."""
-    if isinstance(term, Iri):
-        return f"<{term.name}>"
-    if isinstance(term, Literal):
-        return f'"{term.lexical.translate(_ESCAPE_TABLE)}"'
-    return str(term)
+    """Render a term in the graph fixture syntax (IRIs angle-bracketed):
+    the text the term carries, made when it was built."""
+    return term._text
 
 
 def unescape_literal(body: str) -> str:
@@ -209,17 +234,10 @@ class RdfTriple(Record):
 _set_subject, _set_predicate, _set_object = slot_setters(RdfTriple)
 
 
-def graph_lines(triples: Collection[RdfTriple], texts: dict | None = None) -> list[str]:
+def graph_lines(triples: Collection[RdfTriple]) -> list[str]:
     """The triples in the graph fixture syntax, one `<s> <p> <o> .` line
-    each, sorted.  Each distinct term is formatted once, into `texts`, a
-    dict from terms to their `format_term` text that a caller may pass to
-    read and extend."""
-    texts = {} if texts is None else texts
-    for triple in triples:
-        for term in (triple.subject, triple.predicate, triple.object):
-            if term not in texts:
-                texts[term] = format_term(term)
-    return sorted([f"{texts[t.subject]} {texts[t.predicate]} {texts[t.object]} ." for t in triples])
+    each, sorted; each term's text is the one it carries."""
+    return sorted([f"{t.subject._text} {t.predicate._text} {t.object._text} ." for t in triples])
 
 
 class RdfGraph(Record):
@@ -351,7 +369,7 @@ class Mapping:
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}: {format_term(t)}" for v, t in self._items)
+        inner = ", ".join(f"{v._text}: {t._text}" for v, t in self._items)
         return "{%s}" % inner
 
 

@@ -580,24 +580,27 @@ def test_dalab_compile_output_is_byte_identical_to_the_gate(capsys):
     ],
     ids=["constant-model", "injective-model"],
 )
-def test_printing_a_witness_formats_each_distinct_term_once(query, monkeypatch):
-    from sparqlsat import report as report_module
-    from sparqlsat import terms
+def test_printing_a_witness_formats_no_term(query, monkeypatch):
+    # each term's text is made once, when the term is built: the parse and
+    # the decision build each of their new terms once, and a render none
+    import format_term_reference
+    from sparqlsat.terms import BlankNode, Iri, Literal, Variable
 
+    made = []
+    for kind in (Iri, Literal, BlankNode, Variable):
+        monkeypatch.setattr(kind, "_text_of", staticmethod(
+            lambda key, _kind=kind, _text_of=kind._text_of: made.append((_kind, key)) or _text_of(key)
+        ))
     verdict = decide_satisfiability(parse_pattern(query), builtins_as_bound=True)
-    distinct = {term for triple in verdict.witness for term in (triple.subject, triple.predicate, triple.object)}
-    formatted, format_term = [], terms.format_term
-
-    def counting_format_term(term):
-        formatted.append(term)
-        return format_term(term)
-
-    monkeypatch.setattr(terms, "format_term", counting_format_term)
-    monkeypatch.setattr(report_module, "format_term", counting_format_term)
-    for render in (format_verdict_text, verdict_to_json):
-        formatted.clear()
-        render(verdict)
-        assert sorted(map(repr, formatted)) == sorted(map(repr, distinct))
+    assert len(made) == len(set(made))
+    made.clear()
+    rendered = [render(verdict) for render in (format_verdict_text, verdict_to_json)]
+    assert made == []
+    text = format_term_reference.format_term
+    lines = sorted(f"{text(t.subject)} {text(t.predicate)} {text(t.object)} ." for t in verdict.witness)
+    sample = {text(v): text(t) for v, t in verdict.sample.items()}
+    assert rendered[0].split("witness graph:\n", 1)[1].splitlines() == lines
+    assert rendered[1] == {"status": "satisfiable", "witness": lines, "sample": sample}
 
 
 def test_verdict_records_serialize_witnesses():

@@ -43,8 +43,9 @@ from sparqlsat import (
 import realize_reference
 import wd_core_reference
 from sparqlsat.corpus import entry_from_text, generate_corpus
-from sparqlsat.errors import NotWellDesigned, PreconditionViolated
+from sparqlsat.errors import NotWellDesigned, PreconditionViolated, UnsupportedOpaquePredicate
 from sparqlsat.evaluator import format_graph
+from sparqlsat.normalize import negation_normal_forms
 from sparqlsat.patterns import Opt, Select, Union, children, pattern_facts
 from sparqlsat.report import PipelineOptions, analyze_batch, format_verdict_text
 from sparqlsat.rewrites import select_eliminate, select_eliminate_info, union_free_split, wrong_literal_reduce
@@ -620,27 +621,82 @@ def test_the_pipeline_builds_the_position_of_one_violation_only(monkeypatch):
     assert isinstance(result.verdict, Unknown) and result.verdict.reason.endswith(expected)
 
 
+def _descent_inputs(pattern):
+    """The pipeline's reduced pattern on a fragment route, with its facts,
+    scheme table, witness model and the variables SELECT elimination
+    introduced; None where the pipeline takes another way."""
+    core, fresh, facts = select_eliminate_info(pattern, facts=pattern_facts(pattern))
+    try:
+        nnfs = negation_normal_forms(facts, True)
+    except UnsupportedOpaquePredicate:
+        return None
+    reduced = wrong_literal_reduce(core, facts=facts)
+    if reduced is None:
+        return None
+    facts = pattern_facts(reduced)
+    route = classify_fragment(reduced, facts=facts, nnfs=nnfs).route
+    if route is Route.NONE:
+        return None
+    _, table = scheme_table(reduced, facts=facts, nnfs=nnfs)
+    if not table[id(reduced)]:
+        return None
+    model = (_constant_model if route in (Route.EQUALITY, Route.BOTH) else _injective_model)(facts)
+    return reduced, facts, table, model, fresh
+
+
+def _descends(facts, table):
+    """Whether the sample needs the descent: a UNION, or an optional arm
+    without schemes, which the descent leaves out."""
+    return Union in facts.node_types or any(not table[id(n.right)] for n in facts.order if type(n) is Opt)
+
+
 def test_the_sample_without_the_descent_is_the_realized_solution():
-    # a pattern with no filter condition and no UNION after the rewrites
-    # takes the witness model as its sample; the descent gives the same
+    # a union-free pattern on a fragment route whose optional arms all have
+    # schemes takes the witness model, restricted to its triples' variables,
+    # as its sample; the descent gives the same
     texts = [text for _, text in LADDER] + generate_corpus(2000, 777)
-    taken = []
+    texts += [
+        "SELECT * WHERE { ?s <p> ?o FILTER (bound(?z) || ?o != <a>) }",  # ?z is in no triple
+        "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x FILTER (?x != <a>) } FILTER (?o = ?s) }",
+    ]
+    taken, with_conditions = [], 0
     for index, text in enumerate(texts):
         entry = entry_from_text(index, text)
-        if entry.pattern is None:
+        inputs = entry.pattern and _descent_inputs(entry.pattern)
+        if inputs is None or _descends(*inputs[1:3]):
             continue
-        core, fresh, _ = select_eliminate_info(entry.pattern)
-        reduced = wrong_literal_reduce(normalize_filters(core, builtins_as_bound=True))
-        facts = pattern_facts(reduced) if reduced is not None else None
-        if facts is None or facts.conditions or Union in facts.node_types:
-            continue
+        reduced, facts, table, model, fresh = inputs
         taken.append(index)
-        _, table = scheme_table(reduced, facts=facts)
-        expected = _realized_solution(reduced, _constant_model(facts), table).drop(fresh)
+        with_conditions += bool(facts.conditions)
+        expected = _realized_solution(reduced, model, table).drop(fresh)
         assert run_pipeline(entry.pattern, builtins_as_bound=True).verdict.sample == expected
     ladder = [name for index, (name, _) in enumerate(LADDER) if index in taken]
-    assert ladder == [f"bgp-{n}" for n in (50, 100, 150, 200, 250, 300)]
-    assert len(taken) - len(ladder) == 1001
+    assert ladder == [name for name, _ in LADDER if not name.startswith("union-")]
+    assert taken[-2:] == [len(texts) - 2, len(texts) - 1]
+    # the 1,001 corpus queries without a condition, 696 with, and the 7 of
+    # the ladder and the 2 above with one
+    assert len(taken) - len(ladder) - 2 == 1001 + 696 and with_conditions == 696 + 7 + 2
+
+
+def test_an_optional_arm_without_schemes_keeps_the_descent(monkeypatch):
+    from sparqlsat import satisfiability
+
+    calls = []
+    monkeypatch.setattr(
+        satisfiability, "_realized_solution",
+        lambda *args, _original=_realized_solution: calls.append(1) or _original(*args),
+    )
+    # the arm's filter needs ?z, which no triple binds: the arm has no
+    # solutions, and the sample leaves its variable out
+    pattern = parse_pattern("SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x FILTER (bound(?z)) } }")
+    verdict = run_pipeline(pattern).verdict
+    assert calls == [1] and Variable("x") not in verdict.sample
+    assert verdict.sample in evaluate(pattern, verdict.witness)
+    # a filter variable outside every triple leaves the sample too
+    pattern = parse_pattern("SELECT * WHERE { ?s <p> ?o FILTER (bound(?z) || ?o != <a>) }")
+    verdict = run_pipeline(pattern).verdict
+    assert calls == [1] and verdict.sample.domain == {Variable("s"), Variable("o")}
+    assert verdict.sample in evaluate(pattern, verdict.witness)
 
 
 def test_a_filter_free_bgp_is_decided_without_the_fold_or_the_descent(monkeypatch):
@@ -657,9 +713,14 @@ def test_a_filter_free_bgp_is_decided_without_the_fold_or_the_descent(monkeypatc
     result = run_pipeline(parse_pattern(text))
     assert isinstance(result.verdict, Satisfiable) and len(result.verdict.sample) == 301
     assert calls == []
-    # one filter brings both back
+    # one filter brings the fold back, and the sample still needs no descent
     run_pipeline(parse_pattern(text.replace("\n}", "\n  FILTER ( bound(?o0) )\n}")))
-    assert calls == ["_families", "_realized_solution"]
+    assert calls == ["_families"]
+    # a UNION brings the descent back
+    calls.clear()
+    result = run_pipeline(parse_pattern(text.replace("\n}", "\n  { ?s p:u ?u } UNION { ?s p:w ?w }\n}")))
+    assert isinstance(result.verdict, Satisfiable) and len(result.verdict.sample) == 302
+    assert calls == ["_realized_solution"]
 
 
 def test_pipeline_walks_of_the_seed_777_corpus(monkeypatch):
@@ -769,6 +830,7 @@ def test_the_order_of_a_groups_filters_never_changes_a_route_none_verdict():
     rng = random.Random(37)
     core_vars = lambda node: pattern_facts(af_reduce(node)).variables
     decided = {Satisfiable: 0, Unsatisfiable: 0}
+    replayed = 0
     for _ in range(1500):
         base = random_well_designed(rng, depth=3)
         pattern = with_composite_filters(rng, base, EQ_KINDS + NEQ_KINDS, variables=core_vars, opaque_rate=0)
@@ -781,9 +843,29 @@ def test_the_order_of_a_groups_filters_never_changes_a_route_none_verdict():
         if not isinstance(result.verdict, Unknown):
             decided[type(result.verdict)] += 1
         for _ in range(3):
-            permuted = run_pipeline(_permuted_filter_groups(rng, pattern))
+            order = _permuted_filter_groups(rng, pattern)
+            permuted = run_pipeline(order)
             assert type(permuted.verdict) is type(result.verdict)
+            # the sample may differ with the order, but each order's holds
+            if isinstance(permuted.verdict, Satisfiable):
+                replayed += 1
+                assert permuted.verdict.sample in evaluate(order, permuted.verdict.witness)
     assert decided[Satisfiable] > 100 and decided[Unsatisfiable] > 50, decided
+    assert replayed >= 3 * decided[Satisfiable]
+
+
+def test_a_route_none_sample_follows_the_written_order_of_a_groups_filters():
+    # the search reads the core's conditions last-written first, so each
+    # order of the two FILTERs takes its own first consistent choice
+    clauses = ["?o = <a> || ?r = <b>", "?o = <c> || ?r = <d>"]
+    samples = []
+    for first, second in (clauses, clauses[::-1]):
+        pattern = parse_pattern(f"SELECT * WHERE {{ ?s <p> ?o . ?s <q> ?r . FILTER ({first}) FILTER ({second}) }}")
+        result = run_pipeline(pattern)
+        assert result.profile.route is Route.NONE and isinstance(result.verdict, Satisfiable)
+        assert result.verdict.sample in evaluate(pattern, result.verdict.witness)
+        samples.append({v.name: t.name for v, t in result.verdict.sample.items() if v.name in ("o", "r")})
+    assert samples == [{"o": "c", "r": "b"}, {"o": "a", "r": "d"}]
 
 
 @pytest.mark.parametrize("order", ["inequality first", "disjunction first"])

@@ -553,6 +553,68 @@ def test_a_new_term_reads_by_its_position(text, expected):
     assert parse_pattern(text) == expected
 
 
+# The keys below are used nowhere else, so no leftover instance can stand in
+# for the terms these tests build.
+
+def test_the_parser_finds_the_constructors_terms():
+    held = Variable("found_v"), Iri("urn:found:iri"), Iri("urn:found:pname")
+    for text in (
+        "PREFIX f: <urn:found:> SELECT * WHERE { ?found_v <urn:found:iri> f:pname }",
+        "PREFIX f: <urn:found:> SELECT * WHERE { $found_v f:iri <urn:found:pname> }",
+        "(?found_v <urn:found:iri> <urn:found:pname>)",
+    ):
+        pattern = parse_pattern(text)
+        assert all(a is b for a, b in zip((pattern.subject, pattern.predicate, pattern.object), held))
+
+
+def test_a_term_whose_last_reference_died_is_rebuilt():
+    import gc
+    import weakref
+
+    from sparqlsat.terms import RING_SIZE
+
+    text = "PREFIX d: <urn:dead:> SELECT * WHERE { ?dead_v <urn:dead:iri> d:pname }"
+    keys = [(Variable, "dead_v"), (Iri, "urn:dead:iri"), (Iri, "urn:dead:pname")]
+
+    def parsed_then_dropped(turn):
+        pattern = parse_pattern(text)
+        terms = pattern.subject, pattern.predicate, pattern.object
+        assert [(type(term), term._key) for term in terms] == keys
+        assert [kind._interned[key]() for kind, key in keys] == list(terms)
+        assert [term._text for term in terms] == ["?dead_v", "<urn:dead:iri>", "<urn:dead:pname>"]
+        refs = [weakref.ref(term) for term in terms]
+        del pattern, terms
+        for i in range(RING_SIZE):
+            Iri(f"urn:dead:filler{turn}-{i}")
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3 and not any(key in kind._interned for kind, key in keys)
+
+    parsed_then_dropped(0)
+    parsed_then_dropped(1)  # rebuilt, with no entry left in the tables
+
+    class Gone:
+        pass
+
+    gone = Gone()
+    dead = weakref.ref(gone)
+    del gone
+    for kind, key in keys:  # as before a dead term's callback has run
+        kind._interned[key] = dead
+    parsed_then_dropped(2)  # rebuilt past a dead entry
+
+
+def test_a_live_term_does_not_lift_the_checks_of_a_new_one():
+    held = Variable("_g1"), Iri("q:x")
+    for text, message in (
+        ("SELECT * WHERE { ?_g1 <p> ?o }", "variable name '?_g1' uses the reserved fresh-name prefix at offset 17"),
+        ("SELECT * WHERE { q:x <p> ?o }", "unknown prefix 'q:' at offset 17"),
+    ):
+        with pytest.raises(QuerySyntaxError) as caught:
+            parse_pattern(text)
+        assert (str(caught.value), caught.value.position) == (message, 17)
+    assert held[0] is Variable("_g1")
+
+
 def test_edited_queries_parse_or_raise_a_syntax_error():
     # the parser looks ahead without bounds checks; no edit may make it read
     # past the end marker

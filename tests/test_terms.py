@@ -9,8 +9,10 @@ import weakref
 
 import pytest
 
+import format_term_reference
 from sparqlsat import BlankNode, Iri, Literal, Mapping, RdfGraph, RdfTriple, TriplePattern, Variable
-from sparqlsat.terms import RING_SIZE
+from sparqlsat.patterns import pattern_facts
+from sparqlsat.terms import LITERAL_ESCAPES, RING_SIZE, format_term
 
 
 def test_term_kinds_are_disjoint():
@@ -111,6 +113,66 @@ def test_a_live_term_keeps_its_identity_after_the_ring_turns_over():
 def test_variable_name_must_be_nonempty():
     with pytest.raises(ValueError):
         Variable("")
+    assert "" not in Variable._interned
+
+
+def _pattern_terms(patterns):
+    terms = set()
+    for pattern in patterns:
+        facts = pattern_facts(pattern)
+        terms |= facts.variables | facts.constants
+    return terms
+
+
+def _texts_differ(terms):
+    return [term for term in terms if format_term(term) != format_term_reference.format_term(term)]
+
+
+def test_every_term_carries_the_reference_text():
+    from sparqlsat.corpus import entry_from_text, generate_corpus
+    from sparqlsat.satisfiability import Satisfiable, run_pipeline
+    from wide_shapes import LADDER
+
+    texts = generate_corpus(10_000, 7) + generate_corpus(2000, 777) + [text for _, text in LADDER]
+    patterns = [entry.pattern for entry in map(entry_from_text, range(len(texts)), texts) if entry.pattern]
+    terms = _pattern_terms(patterns)
+    for pattern in patterns[-2018:]:  # the seed-777 corpus and the ladder, decided
+        verdict = run_pipeline(pattern, builtins_as_bound=True).verdict
+        if isinstance(verdict, Satisfiable):
+            terms.update(term for triple in verdict.witness for term in (triple.subject, triple.predicate, triple.object))
+            terms.update(term for pair in verdict.sample.items() for term in pair)
+    assert {type(term) for term in terms} == {Iri, Literal, Variable}
+    assert len(terms) > 2000 and _texts_differ(terms) == []
+
+
+def test_a_literal_carries_each_escape_of_the_reference():
+    lexicals = [f"a{char}b" for char in LITERAL_ESCAPES] + ["".join(LITERAL_ESCAPES), "\t\u0041 \t\x00"]
+    assert set(LITERAL_ESCAPES) == set(format_term_reference.LITERAL_ESCAPES)
+    literals = [Literal(lexical) for lexical in lexicals]
+    assert _texts_differ(literals + [Iri('a"b\\c'), BlankNode("b0"), Variable("v0")]) == []
+    assert all(len(format_term(literal).splitlines()) == 1 for literal in literals)
+
+
+def test_a_term_text_is_made_once_when_the_term_is_built(monkeypatch):
+    from sparqlsat import parse_pattern
+    from sparqlsat.terms import graph_lines
+
+    made = []
+    for kind in (Iri, Literal, BlankNode, Variable):
+        monkeypatch.setattr(kind, "_text_of", staticmethod(
+            lambda key, _kind=kind, _text_of=kind._text_of: made.append((_kind, key)) or _text_of(key)
+        ))
+    iri = Iri("urn:text-once-probe")
+    literal = Literal('text "once" probe')
+    assert made == [(Iri, "urn:text-once-probe"), (Literal, 'text "once" probe')]
+    pattern = parse_pattern('SELECT * WHERE { <urn:text-once-probe> <urn:text-once-probe> "text \\"once\\" probe" }')
+    assert pattern.subject is iri and pattern.object is literal and Iri("urn:text-once-probe") is iri
+    triple = RdfTriple(iri, iri, literal)
+    assert graph_lines([triple]) == ['<urn:text-once-probe> <urn:text-once-probe> "text \\"once\\" probe" .']
+    variable = Variable("text_once_probe")
+    assert repr(Mapping({variable: literal})) == '{?text_once_probe: "text \\"once\\" probe"}'
+    assert format_term(literal) == '"text \\"once\\" probe"' and format_term(variable) == "?text_once_probe"
+    assert made == [(Iri, "urn:text-once-probe"), (Literal, 'text "once" probe'), (Variable, "text_once_probe")]
 
 
 def test_rdf_triple_position_invariants():
