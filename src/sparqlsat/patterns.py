@@ -12,7 +12,12 @@ recurses; `rebuilt` rebuilds a node only when a child changed.
 `pattern_facts` collects what a pattern contains (variables, constants,
 filter variables and conditions, triples, node classes, the post-order)
 into one `PatternFacts` record in one loop of the same shape, reading each
-node as it first reaches it; the helpers here read the record.
+node as it first reaches it; the helpers here read the record.  A surface
+query's parse collects the same record as it builds the pattern, and
+`parse_pattern` leaves it in this module's one hand-over slot
+(`hand_over`): the first `pattern_facts` call on that pattern takes it
+in place of the walk, and clears the slot.  The slot keeps the last parsed
+pattern alive until then, or until the next parse replaces it.
 `rename_vars` walks down and back up on its own stack, carrying the
 renaming in force, so one call applies renamings scoped to many subtrees.
 """
@@ -301,9 +306,31 @@ class PatternFacts(Record):
         _setattr(self, "shares", shares)
 
 
+#: The facts `parse_pattern` collected for the pattern it returned last,
+#: until `pattern_facts` takes them for that pattern, `order[-1]`.
+_handed_over: PatternFacts | None = None
+
+
+def hand_over(facts: PatternFacts | None) -> None:
+    """Leave `facts`, or none, in the one slot `pattern_facts` reads; they
+    replace whatever the slot held."""
+    global _handed_over
+    _handed_over = facts
+
+
 def pattern_facts(pattern: Pattern) -> PatternFacts:
     """Collect the facts of a pattern in one walk: the loop of `post_order`,
-    reading each node's facts when it first reaches the node, in pre-order."""
+    reading each node's facts when it first reaches the node, in pre-order.
+
+    The facts handed over for `pattern` itself are taken instead, and the
+    slot cleared.  Any other slot, taken or replaced by another thread in
+    between included, only means the walk.
+    """
+    global _handed_over
+    facts = _handed_over
+    if facts is not None and facts.order[-1] is pattern:
+        _handed_over = None
+        return facts
     variables, constants, filter_vars, node_types = set(), set(), set(), set()
     conditions, triples, post, seen, stack = [], [], [], set(), [pattern]
     shares = False

@@ -29,6 +29,15 @@ builds the `(kind, value, start, end)` form from the same scan.
 Nothing here recurses: a group, SELECT body, EXISTS argument or condition
 in parentheses saves what encloses it on its reader's own stack, so any
 depth parses at the default recursion limit, and the writer keeps a stack.
+
+The surface parser builds each node as soon as its parts are read, so it
+builds them in `post_order`, and it collects the pattern's `PatternFacts`
+as it goes: the nodes in that order, the triples, the conditions with
+where their groups start, and the terms it read.  `parse_pattern` hands
+those facts over (`patterns.hand_over`), so deciding the pattern walks it
+once fewer.  A compact-grammar query, and one with FILTER EXISTS, whose
+rewrite builds the subquery's nodes before its group folds, hand none
+over, and their facts are collected by the walk.
 """
 
 from __future__ import annotations
@@ -53,19 +62,22 @@ from .patterns import (
     Opt,
     OrExpr,
     Pattern,
+    PatternFacts,
     Select,
     TriplePattern,
     Union,
     bindable_vars,
+    condition_vars,
+    hand_over,
     is_reserved_name,
 )
 from .rewrites import exists_rewrite
 from .terms import Iri, Literal, Term, Variable
 
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-#: The intern tables of the two classes that `_Parser.new_term` looks up,
-#: key to weak reference: a live term is found without its constructor.
-_VARIABLES, _IRIS = Variable._interned, Iri._interned
+#: The intern tables of the term classes the parser reads, key to weak
+#: reference: a live term is found without its constructor.
+_VARIABLES, _IRIS, _LITERALS = Variable._interned, Iri._interned, Literal._interned
 
 #: Each match is one token: the whitespace and comments before it, then
 #: the token in the one group.  The alternatives read, in order, a variable,
@@ -213,8 +225,12 @@ class _Parser:
     `UnsupportedFeature`, or the source text of an `Opaque` condition that
     spans several tokens.  The first such read finds every token's offset
     with `_starts`, and the parser keeps them.  A term is read once per
-    text: `_terms` maps the text of each variable and pname read so far to
-    its term, and `new_term()` reads any text it does not hold.
+    text: `_terms` maps the text of each variable, pname and `<IRI>` read
+    so far, the terms that read alike in every position, to its term, and
+    `new_term()` reads any text it does not hold.  Each term it reads also
+    goes to `_variables` or `_constants`, so the two list every term of
+    the pattern, for `facts()`.  A condition that reads a term and keeps
+    none of it takes the read back (`_opaque_until_stop`).
     """
 
     surface = False
@@ -226,7 +242,11 @@ class _Parser:
         self._starts: list[int] = []
         self._fresh = 1
         self._blanks: dict[str, Variable] = {}
-        self._terms: dict[str, Term] = {}  # variable and pname texts to the terms they read as
+        self._terms: dict[str, Term] = {}  # variable, pname and <IRI> texts to the terms they read as
+        # every term read, once for each text `_terms` holds
+        self._variables: list[Variable] = []
+        self._constants: list[Term] = []
+        self._atoms: list[FilterCondition] = []  # every filter condition's atoms, in the order read
 
     # -- cursor ---------------------------------------------------------------
 
@@ -286,6 +306,7 @@ class _Parser:
     def fresh_var(self) -> Variable:
         var = Variable(f"_g{self._fresh}")
         self._fresh += 1
+        self._variables.append(var)
         return var
 
     def blank_var(self, label: str) -> Variable:
@@ -308,15 +329,18 @@ class _Parser:
         cursor past it.
 
         The first character tells a variable, and a name, from the rest.  A
-        variable, and in a surface query a pname, is read and kept in
-        `_terms`.  Any other token is read by its kind, and kept nowhere: a
-        surface query reads `[ ]` as a fresh variable, `true` and `false` as
-        literals, and any other bare name as the IRI it spells, as the
-        compact grammar reads every name.  A variable, a pname and an
-        `<IRI>` are first looked up in their class's intern table, key to
-        weak reference, and built by the constructor only when no term is
-        live: weak references and terms are always true, so `ref and ref()
-        or build` is the live term or a new one.
+        variable, a pname (in a surface query) and an `<IRI>` are kept in
+        `_terms`.  Any other token is read by its kind, and kept for its
+        text nowhere: a surface query reads `[ ]` and a blank node as fresh
+        variables (one for each label), `true` and `false` as literals, and
+        any other bare name as the IRI it spells, as the compact grammar
+        reads every name.  A bare name reads by its position (`_predicate`
+        reads the predicate), and a literal or a blank node is no
+        predicate.  Every term but a fresh variable is first looked up in
+        its class's intern table, key to weak reference, and built by the
+        constructor only when no term is live: weak references and terms
+        are always true, so `ref and ref() or cls(key)` is the live term or
+        a new one.
         """
         pos = self.pos
         token = self.tokens[pos]
@@ -327,6 +351,7 @@ class _Parser:
                 raise QuerySyntaxError(f"variable name {token!r} uses the reserved fresh-name prefix", self.offset(pos))
             ref = _VARIABLES.get(name)
             term = self._terms[token] = ref and ref() or Variable(name)
+            self._variables.append(term)
             self.pos = pos + 1
             return term
         kind = "name" if first in _NAME_FIRST else _kind(token)
@@ -338,25 +363,38 @@ class _Parser:
             key = base + local
             ref = _IRIS.get(key)
             term = self._terms[token] = ref and ref() or Iri(key)
-            self.pos = pos + 1
-            return term
-        self.pos = pos + 1
-        if kind == "name":
-            return Literal(token) if self.surface and token in ("true", "false") else Iri(token)
-        if kind == "iriref":
+        elif kind == "iriref":
             key = token[1:-1]
             ref = _IRIS.get(key)
-            return ref and ref() or Iri(key)
-        if kind == "string":
-            return Literal(_unescape_literal(token))
-        if kind == "number":
-            return Literal(token)
-        if kind == "blank":
-            return self.blank_var(token[2:])
-        if token == "[" and self.surface:
-            self.expect_op("]")
-            return self.fresh_var()
-        raise QuerySyntaxError(f"found {token!r}", self.offset(pos), expected="a term")
+            term = self._terms[token] = ref and ref() or Iri(key)
+        else:
+            if kind == "name":
+                literal = self.surface and token in ("true", "false")
+                table, cls = (_LITERALS, Literal) if literal else (_IRIS, Iri)
+                key = token
+            elif kind == "string":
+                table, cls, key = _LITERALS, Literal, _unescape_literal(token)
+            elif kind == "number":
+                table, cls, key = _LITERALS, Literal, token
+            elif kind == "blank":
+                self.pos = pos + 1
+                return self.blank_var(token[2:])
+            elif token == "[" and self.surface:
+                self.pos = pos + 1
+                self.expect_op("]")
+                return self.fresh_var()
+            else:
+                raise QuerySyntaxError(f"found {token!r}", self.offset(pos), expected="a term")
+            ref = table.get(key)
+            term = ref and ref() or cls(key)
+        self._constants.append(term)
+        self.pos = pos + 1
+        return term
+
+    def facts(self) -> PatternFacts | None:
+        """The facts of the pattern that `parse()` returned, if the parse
+        collected them; the compact grammar collects none."""
+        return None
 
     def variables(self) -> set[Variable]:
         """The variables of a SELECT list at the cursor, commas optional."""
@@ -382,6 +420,7 @@ class _Parser:
                 operators.append((-1, negations))
                 continue
             operand = self._cond_atom()
+            self._atoms.append(operand)
             while True:
                 for _ in range(negations):  # the innermost `!` applies first
                     operand = NegBound(operand.var) if isinstance(operand, Bound) else NotExpr(operand)
@@ -415,6 +454,7 @@ class _Parser:
 
     def _cond_from_var(self) -> FilterCondition:
         first = self.pos
+        known = self.tokens[first] in self._terms
         var = self.term()
         op = self.peek()
         if op in ("=", "!="):
@@ -433,20 +473,21 @@ class _Parser:
                 self.advance()
                 constant = self.term()
                 return EqC(var, constant) if op == "=" else NeqC(var, constant)
-            return self._opaque_until_stop(first)
+            return self._opaque_until_stop(first, known)
         if op in _CMP_OPS or self.word() == "IN":
-            return self._opaque_until_stop(first)
+            return self._opaque_until_stop(first, known)
         # a bare variable used as an effective-boolean filter: its text is the token's
         return Opaque(self.tokens[first], frozenset((var,)))
 
     def _cond_from_constant(self) -> FilterCondition:
         first = self.pos
+        known = self.tokens[first] in self._terms
         constant = self.term()
         if self.peek() in ("=", "!=") and _kind(self.peek(1)) == "var":
             op = self.advance()
             var = self.term()
             return EqC(var, constant) if op == "=" else NeqC(var, constant)
-        return self._opaque_until_stop(first)
+        return self._opaque_until_stop(first, known)
 
     def _opaque_call(self) -> Opaque:
         first = self.pos
@@ -485,7 +526,19 @@ class _Parser:
                 depth -= 1
         return frozenset(mentions)
 
-    def _opaque_until_stop(self, first: int) -> Opaque:
+    def _opaque_until_stop(self, first: int, known: bool) -> Opaque:
+        """The opaque condition from token `first`, a term that the caller
+        read and that the condition does not keep, to the next stop.
+
+        The read of that term is taken back first, before a mention reads
+        it again, unless `known`: `_terms` held its text before the read, so
+        the read found the term.  Else `new_term()` read it, the last term
+        it read.
+        """
+        if not known:
+            token = self.tokens[first]
+            self._terms.pop(token, None)
+            (self._variables if _kind(token) == "var" else self._constants).pop()
         mentions: set[Variable] = set()
         depth = 0
         while True:
@@ -577,11 +630,29 @@ class _CompactParser(_Parser):
 
 
 class _SurfaceParser(_Parser):
+    """The query subset, whose parse also collects the pattern's facts.
+
+    Each node is built as soon as its parts are: a group folds each element
+    into its pattern when the element ends, and wraps its filters when it
+    closes.  So `_order` lists the nodes as they are built, which is
+    `post_order`, and `_triples` the triples in text order.  Each group
+    with filters adds its start and its conditions to `_filters`, whose
+    sort is the walk's pre-order of the conditions.  `facts()` reads these,
+    and the terms of `_variables` and `_constants`, into the pattern's
+    `PatternFacts`.  A FILTER EXISTS, whose subquery's nodes are built
+    before its group folds, sets `_exists`, and then there are none.
+    """
+
     surface = True
 
     def __init__(self, text: str, tokens: list[str]):
         super().__init__(text, tokens)
         self.prefixes: dict[str, str] = {}
+        self._order: list[Pattern] = []
+        self._triples: list[TriplePattern] = []
+        self._others: list[Pattern] = []  # the nodes built outside triple blocks, which build triples and Ands
+        self._filters: list[tuple[int, list]] = []  # (where a group starts, its filters) per group with filters
+        self._exists = False
 
     def parse(self) -> Pattern:
         while self.word() == "PREFIX":
@@ -621,46 +692,75 @@ class _SurfaceParser(_Parser):
             if word in _SURFACE_UNSUPPORTED:
                 raise UnsupportedFeature(word, self.offset(self.pos))
             raise QuerySyntaxError(f"trailing {token!r}", self.offset(self.pos))
-        return Select(scheme, body) if scheme is not None else body
+        if scheme is None:
+            return body
+        return self._built(Select(scheme, body))
+
+    def facts(self) -> PatternFacts | None:
+        if self._exists:
+            return None
+        self._filters.sort()  # the starts differ, so no two lists are compared
+        conditions = tuple(condition for _, group in self._filters for _, condition in reversed(group))
+        filter_variables = frozenset().union(*map(condition_vars, self._atoms))
+        order, triples = tuple(self._order), tuple(self._triples)
+        kinds = {TriplePattern, *map(type, self._others)}
+        if len(order) > len(triples) + len(self._others):  # a triple block built an And
+            kinds.add(And)
+        return PatternFacts(
+            frozenset(self._variables), frozenset(self._constants), filter_variables, conditions, triples,
+            frozenset(kinds), order, False,  # each node is built once, below one parent
+        )
+
+    def _built(self, node: Pattern) -> Pattern:
+        """`node`, built outside a triple block, recorded in `_order`."""
+        self._order.append(node)
+        self._others.append(node)
+        return node
 
     def _braced_group(self) -> Pattern:
-        """A nested group saves its role ("opt", "exists", or "and" with the
-        left side of its UNION) and the enclosing group's state."""
+        """A group folds each element into its pattern as the element ends.
+        A nested group saves the enclosing group's state and its own role:
+        `Opt`, `And` with the left side of its UNION, or "exists"."""
+        start = self.pos
         self.expect_op("{")
-        stack, elements, filters, leading_optional = [], [], [], -1
+        stack, pattern, filters, leading_optional = [], None, [], -1
         while True:
             token = self.peek()
             kind = _kind(token)
             if kind == "var" or kind == "iriref":  # a subject; no keyword is either
-                self._triple_block(elements)
+                pattern = self._triple_block(pattern)
                 continue
             word = token.upper() if kind == "name" else ""
             if kind == "eof" or token == "}":
-                pattern = self._group_pattern(elements, filters, leading_optional)
+                sub = self._close_group(pattern, filters, leading_optional, start)
                 self.expect_op("}")
                 if not stack:
-                    return pattern
-                elements, filters, leading_optional, role, left = stack.pop()
+                    return sub
+                pattern, filters, leading_optional, start, role, left = stack.pop()
                 if role == "exists":
-                    filters.append((exists_rewrite, pattern))
+                    filters.append((exists_rewrite, sub))
                     continue
                 if left is not None:
-                    pattern = Union(left, pattern)
-                if role == "opt" or self.word() != "UNION":
-                    elements.append((role, pattern))
+                    sub = self._built(Union(left, sub))
+                if role is Opt or self.word() != "UNION":
+                    if pattern is None:  # the first element, or an OPTIONAL that `_close_group` refuses
+                        pattern = sub
+                    else:
+                        pattern = self._built(role(pattern, sub))
                     continue
                 self.advance()
-                left = pattern
+                left = sub
             elif word == "OPTIONAL":
-                if not elements:
+                if pattern is None:
                     leading_optional = self.pos  # nothing precedes this OPTIONAL
                 self.advance()
-                role, left = "opt", None
+                role, left = Opt, None
             elif word == "FILTER":
                 self.advance()
                 word = self.word()
                 if word == "EXISTS":
                     self.advance()
+                    self._exists = True
                     role, left = "exists", None
                 elif word == "NOT":
                     raise UnsupportedFeature("NOT EXISTS", self.offset(self.pos))
@@ -670,51 +770,50 @@ class _SurfaceParser(_Parser):
             elif word in _SURFACE_UNSUPPORTED:
                 raise UnsupportedFeature(word, self.offset(self.pos))
             elif token == "{":
-                role, left = "and", None
+                role, left = And, None
             elif token == ".":
                 self.advance()
                 continue
             elif kind in _TERM_KINDS or token == "[":
-                self._triple_block(elements)
+                pattern = self._triple_block(pattern)
                 continue
             else:
                 raise QuerySyntaxError(f"found {token!r} in a group", self.offset(self.pos))
-            stack.append((elements, filters, leading_optional, role, left))
+            stack.append((pattern, filters, leading_optional, start, role, left))
+            start = self.pos
             self.expect_op("{")
-            elements, filters, leading_optional = [], [], -1
+            pattern, filters, leading_optional = None, [], -1
 
-    def _group_pattern(self, elements: list, filters: list, leading_optional: int) -> Pattern:
-        """Fold a group's elements left to right, then apply its filters;
-        `leading_optional` is the index of an OPTIONAL token that nothing
-        precedes in the group."""
-        pattern: Pattern | None = None
-        for kind, sub in elements:
-            if kind == "and":
-                pattern = sub if pattern is None else And(pattern, sub)
-            else:
-                if pattern is None:
-                    raise UnsupportedFeature("OPTIONAL without a preceding pattern", self.offset(leading_optional))
-                pattern = Opt(pattern, sub)
+    def _close_group(self, pattern: Pattern | None, filters: list, leading_optional: int, start: int) -> Pattern:
+        """The group's folded elements under its filters; `leading_optional`
+        is the index of an OPTIONAL token that nothing precedes in the
+        group, and `start` that of the group's `{`."""
+        if leading_optional >= 0:
+            raise UnsupportedFeature("OPTIONAL without a preceding pattern", self.offset(leading_optional))
         if pattern is None:
             raise QuerySyntaxError("empty group pattern", self.offset(self.pos))
+        if not filters:
+            return pattern
+        self._filters.append((start, filters))
         scheme = None  # what the group's solutions bind: one set for all its EXISTS filters
         for make, payload in filters:  # `Filter` with a condition, `exists_rewrite` with a subquery
             if make is Filter:
-                pattern = Filter(pattern, payload)
+                pattern = self._built(Filter(pattern, payload))
             else:
                 scheme = bindable_vars(pattern) if scheme is None else scheme
                 pattern = exists_rewrite(pattern, payload, scheme)
         return pattern
 
-    def _triple_block(self, elements: list):
-        """The triples of a subject's block, in one loop over the tokens.
+    def _triple_block(self, pattern: Pattern | None) -> Pattern:
+        """`pattern` joined with the triples of a subject's block, in one
+        loop over the tokens.
 
-        A term read before, a variable or a pname, is looked up by its text
-        in `_terms`; `new_term()` and `_predicate()` read any other.  `_terms`
-        never holds a bare name, so `true`, `false` and `a` read as those two
-        read them in their position.
+        A term read before, a variable, a pname or an `<IRI>`, is looked up
+        by its text in `_terms`; `new_term()` and `_predicate()` read any
+        other.  `_terms` never holds a bare name, so `true`, `false` and `a`
+        read as those two read them in their position.
         """
-        tokens, known = self.tokens, self._terms
+        tokens, known, order, triples = self.tokens, self._terms, self._order, self._triples
         subject = known.get(tokens[self.pos])
         if subject is None:
             subject = self.new_term()
@@ -740,9 +839,16 @@ class _SurfaceParser(_Parser):
                 else:
                     pos += 1
                 try:
-                    elements.append(("and", TriplePattern(subject, predicate, obj)))
+                    triple = TriplePattern(subject, predicate, obj)
                 except ValueError as exc:
                     raise QuerySyntaxError(str(exc), self.offset(pos)) from exc
+                triples.append(triple)
+                order.append(triple)
+                if pattern is None:
+                    pattern = triple
+                else:
+                    pattern = And(pattern, triple)
+                    order.append(pattern)
                 if tokens[pos] != ",":
                     break
                 pos += 1
@@ -753,6 +859,7 @@ class _SurfaceParser(_Parser):
                     continue
             break
         self.pos = pos + 1 if tokens[pos] == "." else pos
+        return pattern
 
     def _predicate(self) -> Term:
         """The predicate at the cursor, whose text `_terms` does not hold:
@@ -762,7 +869,13 @@ class _SurfaceParser(_Parser):
         name = token[:1] in _NAME_FIRST
         if name and ":" not in token:
             self.pos += 1
-            return RDF_TYPE if token == "a" else Iri(token)
+            if token == "a":
+                term = RDF_TYPE
+            else:
+                ref = _IRIS.get(token)
+                term = ref and ref() or Iri(token)
+            self._constants.append(term)
+            return term
         if name or _kind(token) in ("var", "name", "iriref"):
             return self.new_term()
         raise QuerySyntaxError(f"found {token!r}", self.offset(self.pos), expected="a predicate")
@@ -773,10 +886,16 @@ def parse_pattern(text: str) -> Pattern:
     pattern AST.
 
     Blank nodes in triple positions are replaced by fresh variables; FILTER
-    EXISTS is rewritten to a projected conjunction at parse time.
+    EXISTS is rewritten to a projected conjunction at parse time.  The
+    facts the surface parser collected go to `hand_over`, for the first
+    `pattern_facts` call on the pattern returned; a compact-grammar query,
+    and one with FILTER EXISTS, hand over none, and a failed parse nothing.
     """
     tokens = _scan(text)
-    return _detect_dialect(tokens)(text, tokens).parse()
+    parser = _detect_dialect(tokens)(text, tokens)
+    pattern = parser.parse()
+    hand_over(parser.facts())
+    return pattern
 
 
 def _detect_dialect(tokens: list[str]) -> type[_Parser]:

@@ -34,7 +34,7 @@ import tokenize_reference
 from sparqlsat.corpus import generate_corpus
 from sparqlsat.errors import QuerySyntaxError, UnsupportedFeature
 from sparqlsat.patterns import AndExpr, OrExpr, pattern_facts, vars_of
-from sparqlsat import syntax
+from sparqlsat import patterns, syntax
 from sparqlsat.syntax import _Parser, _kind, _scan, _tokenize
 from wide_shapes import LADDER
 
@@ -583,6 +583,8 @@ def test_a_term_whose_last_reference_died_is_rebuilt():
         assert [kind._interned[key]() for kind, key in keys] == list(terms)
         assert [term._text for term in terms] == ["?dead_v", "<urn:dead:iri>", "<urn:dead:pname>"]
         refs = [weakref.ref(term) for term in terms]
+        # the parse's facts wait in the hand-over slot; take them as a decision would
+        assert pattern_facts(pattern).order == (pattern,) and patterns._handed_over is None
         del pattern, terms
         for i in range(RING_SIZE):
             Iri(f"urn:dead:filler{turn}-{i}")
