@@ -63,6 +63,7 @@ from .terms import (
     SolutionSet,
     Variable,
     graph_lines,
+    pattern_images,
     unescape_literal,
 )
 
@@ -352,8 +353,15 @@ def satisfies(mapping: Mapping, constraint: Constraint) -> bool:
 
 
 def _graph_index(graph: RdfGraph) -> dict:
-    """The graph's (subject, object) pairs by predicate."""
+    """The graph's (subject, object) pairs by predicate.  A graph whose
+    triples are not built is read from its `pattern_images`, with no triple
+    built; a pair may repeat there, which the tables' sets absorb."""
     index: dict = {}
+    images = pattern_images(graph)
+    if images is not None:
+        for subject, predicate, obj in images:
+            index.setdefault(predicate, []).append((subject, obj))
+        return index
     for triple in graph.triples:
         index.setdefault(triple.predicate, []).append((triple.subject, triple.object))
     return index

@@ -20,6 +20,14 @@ fragments, and its scheme table is {∅} at every node.  On a fragment route,
 the sample walk of a union-free pattern whose optional arms all have
 schemes reaches every triple, so the pipeline takes the witness model,
 restricted to the triples' variables, as the sample, without the walk.
+
+A witness holds the triple patterns and the model: its `RdfTriple`s are
+built when something first reads the graph's triples, by comparing,
+hashing, copying, pickling, iterating or sizing it too.  `graph_lines`,
+which `check` and `analyze` print, and the evaluator's index, which route
+`none` reads to pick the sample and a caller may read to replay the
+witness, read the images and build none.  A triple outside RDF still
+raises when the witness is made.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from .patterns import (
 from .record import Record, _setattr
 from .rewrites import af_core, select_eliminate_info, union_free_split, wrong_literal_reduce
 from .schemes import candidate_schemes, scheme_sort_key, scheme_table
-from .terms import Literal, Mapping, RdfGraph, RdfTriple, Scheme, Variable
+from .terms import Iri, Literal, Mapping, RdfGraph, Scheme, Variable
 from .welldesigned import derive_sort_map, extract_constraints, is_well_designed
 
 
@@ -171,18 +179,31 @@ Verdict = Satisfiable | Unsatisfiable | Unknown
 
 # --- witness graphs for the decidable fragments --------------------------------
 
+#: The one term class an RDF triple takes in every position.
+_IRI_ONLY = frozenset((Iri,))
+_subject = attrgetter("subject")
+
+
 def _instantiate(facts: PatternFacts, model: Mapping) -> RdfGraph:
-    """The triple patterns with every variable replaced by its model value;
-    a constant is not in the model and stands for itself."""
-    image = model._map.get
-    triples = []
-    for tp in facts.triples:
-        subject, predicate, obj = tp.subject, tp.predicate, tp.object
+    """The triple patterns with every variable replaced by its model value,
+    which binds every variable of `facts`; a constant is not in the model
+    and stands for itself.
+
+    The graph builds its triples when first read, and a triple outside RDF
+    raises here.  A triple pattern's constants are IRIs and literals, and
+    its predicate no literal, so when every model value is an IRI only a
+    literal subject leaves RDF.  Otherwise, with a literal subject or a
+    model value that is no IRI, as route `none`'s solved constants may be,
+    the triples are built here."""
+    witness = RdfGraph.instantiated(facts.triples, model)
+    if not _IRI_ONLY.issuperset(map(type, model._map.values())) or (
+        Literal in map(type, map(_subject, facts.triples))
+    ):
         try:
-            triples.append(RdfTriple(image(subject, subject), image(predicate, predicate), image(obj, obj)))
+            witness.triples  # built now: the first triple outside RDF raises
         except ValueError as exc:
             raise PreconditionViolated(f"triple pattern instantiates outside RDF: {exc}") from exc
-    return RdfGraph.of(triples)
+    return witness
 
 
 def _witness(pattern: Pattern, fragment: frozenset, name: str, model_of) -> tuple[RdfGraph, Mapping]:

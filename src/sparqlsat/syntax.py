@@ -528,18 +528,20 @@ class _Parser:
 
     def _opaque_until_stop(self, first: int, known: bool) -> Opaque:
         """The opaque condition from token `first`, a term that the caller
-        read and that the condition does not keep, to the next stop.
+        read, to the next stop.
 
-        The read of that term is taken back first, before a mention reads
-        it again, unless `known`: `_terms` held its text before the read, so
-        the read found the term.  Else `new_term()` read it, the last term
-        it read.
+        A variable there is the condition's first mention.  A constant is
+        not kept, so its read is taken back first, unless `known`: `_terms`
+        held its text before the read, so the read found the term.  Else
+        `new_term()` read it, the last term it read.
         """
-        if not known:
-            token = self.tokens[first]
-            self._terms.pop(token, None)
-            (self._variables if _kind(token) == "var" else self._constants).pop()
+        token = self.tokens[first]
         mentions: set[Variable] = set()
+        if _kind(token) == "var":
+            mentions.add(self._terms[token])
+        elif not known:
+            self._terms.pop(token, None)
+            self._constants.pop()
         depth = 0
         while True:
             token = self.peek()

@@ -42,10 +42,11 @@ import itertools
 import re
 import threading
 import weakref
+from itertools import starmap
 from _weakref import _remove_dead_weakref
 from typing import Collection, Iterable, Iterator, Union
 
-from .record import Record, _setattr, slot_setters
+from .record import Record, slot_setters
 
 _INTERN_LOCK = threading.Lock()
 
@@ -234,23 +235,69 @@ class RdfTriple(Record):
 _set_subject, _set_predicate, _set_object = slot_setters(RdfTriple)
 
 
+class _Instantiation(tuple):
+    """What an `RdfGraph` holds until its triples are built: the pair of
+    its triple patterns and the model mapping their variables; a constant
+    is not in the model and stands for itself."""
+
+    __slots__ = ()
+
+
+def pattern_images(graph: "RdfGraph") -> list[tuple[Term, Term, Term]] | None:
+    """For a graph whose triples are not built, the subject, predicate and
+    object images of each of its triple patterns, in their order, a triple
+    perhaps more than once; None for a graph of built triples."""
+    held = _get_triples(graph)
+    if type(held) is not _Instantiation:
+        return None
+    patterns, model = held
+    image = model._map.get
+    return [
+        (image(tp.subject, tp.subject), image(tp.predicate, tp.predicate), image(tp.object, tp.object))
+        for tp in patterns
+    ]
+
+
 def graph_lines(triples: Collection[RdfTriple]) -> list[str]:
     """The triples in the graph fixture syntax, one `<s> <p> <o> .` line
-    each, sorted; each term's text is the one it carries."""
+    each, sorted; each term's text is the one it carries.  A graph whose
+    triples are not built is read from its `pattern_images`, and builds
+    none."""
+    images = pattern_images(triples) if type(triples) is RdfGraph else None
+    if images is not None:
+        return sorted([f"{s._text} {p._text} {o._text} ." for s, p, o in set(images)])
     return sorted([f"{t.subject._text} {t.predicate._text} {t.object._text} ." for t in triples])
 
 
 class RdfGraph(Record):
-    """A finite set of RDF triples (set semantics, no duplicates)."""
+    """A finite set of RDF triples (set semantics, no duplicates).
+
+    A graph made by `instantiated` holds triple patterns and a model
+    instead, and builds its `RdfTriple`s when something first reads
+    `triples`, itself or by comparing, hashing, copying, pickling,
+    iterating or sizing the graph; it then holds only the triples.  So it
+    equals, hashes, prints and pickles as the graph of those triples does.
+    `graph_lines` and the evaluator read its `pattern_images`, with no
+    triple built.
+    """
 
     __slots__ = ("triples",)
 
     def __init__(self, triples: frozenset[RdfTriple]):
-        _setattr(self, "triples", triples)
+        _set_triples(self, triples)
 
     @classmethod
     def of(cls, triples: Iterable[RdfTriple]) -> "RdfGraph":
         return cls(frozenset(triples))
+
+    @classmethod
+    def instantiated(cls, patterns: tuple, model: "Mapping") -> "RdfGraph":
+        """The graph of `patterns` under `model`, its triples built on
+        first read; an image outside RDF raises then, as `RdfTriple`
+        does, so the caller checks the images first."""
+        graph = cls.__new__(cls)
+        _set_triples(graph, _Instantiation((patterns, model)))
+        return graph
 
     def __iter__(self) -> Iterator[RdfTriple]:
         return iter(self.triples)
@@ -260,6 +307,22 @@ class RdfGraph(Record):
 
     def __contains__(self, triple: RdfTriple) -> bool:
         return triple in self.triples
+
+
+_get_triples, _set_triples = RdfGraph.triples.__get__, RdfGraph.triples.__set__
+
+
+def _built_triples(graph: RdfGraph) -> frozenset[RdfTriple]:
+    held = _get_triples(graph)
+    if type(held) is _Instantiation:
+        held = frozenset(starmap(RdfTriple, pattern_images(graph)))
+        _set_triples(graph, held)
+    return held
+
+
+# the field reads through `_built_triples`, which the base's equality,
+# hash, repr, copy and pickle read it with
+RdfGraph.triples = property(_built_triples, doc="The graph's triples, built on first read.")
 
 
 class Mapping:

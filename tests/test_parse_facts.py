@@ -102,8 +102,9 @@ def test_the_smoke_queries_hand_over_the_walks_facts(index):
 
 
 # Random surface texts: every construct the parser folds or reads a term
-# in, and conditions whose first term the parse reads and then drops
-# (`?a < 3`, `"x" < ?b`, `true || ...`), which must leave no term behind.
+# in, and conditions whose first term the parse reads and then keeps as a
+# mention (`?a < 3`) or drops (`"x" < ?b`, `true || ...`), which must leave
+# no term behind.
 _VARS = ("?a", "?b", "$c", "?d", "?e")
 _CONSTANTS = ("<http://e/k>", "p:k", "p:m", '"s"', '"t\\n"', "42", "-1.5", "true", "false", "bare", "a")
 _PREDICATES = ("p:q", "<http://e/q>", "?a", "$c", "a", "bare", "true", "p:r")

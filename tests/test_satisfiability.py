@@ -182,6 +182,26 @@ def test_opaque_filters_without_flag_are_unknown():
     assert isinstance(verdict, Satisfiable)
 
 
+@pytest.mark.parametrize(
+    "where, verdict, well_designed",
+    [
+        ("?s <p> ?o FILTER (?x < 3)", Unsatisfiable(UnsatReason.EMPTY_SCHEMES), False),
+        ("?s <p> ?o FILTER (3 > ?x)", Unsatisfiable(UnsatReason.EMPTY_SCHEMES), False),
+        ("?s <p> ?o FILTER (?o < 3)", Satisfiable, True),
+        ("?s <p> ?o OPTIONAL { ?s <q> ?x } FILTER (?x < 3)", Satisfiable, False),
+    ],
+)
+def test_an_opaque_comparison_mentions_its_leading_variable(where, verdict, well_designed):
+    # under --builtins-as-bound the comparison reads as bound checks of the
+    # variables it mentions, the leading one too, in either order
+    pattern = parse_pattern(f"SELECT * WHERE {{ {where} }}")
+    (condition,) = pattern_facts(pattern).conditions
+    assert condition.mentions == {Variable("o") if "?o <" in where else Variable("x")}
+    result = run_pipeline(pattern, builtins_as_bound=True)
+    assert (type(result.verdict) if verdict is Satisfiable else result.verdict) == verdict
+    assert result.well_designed is well_designed
+
+
 def _pigeonhole(pigeons, holes, groups=1):
     """`pigeons` variables, each equal to one of `holes` constants by a
     disjunctive FILTER, and pairwise unequal: UNSAT when there are more
