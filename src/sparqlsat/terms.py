@@ -293,8 +293,9 @@ class RdfGraph(Record):
     @classmethod
     def instantiated(cls, patterns: tuple, model: "Mapping") -> "RdfGraph":
         """The graph of `patterns` under `model`, its triples built on
-        first read; an image outside RDF raises then, as `RdfTriple`
-        does, so the caller checks the images first."""
+        first read.  Only that build checks the images, as `RdfTriple`
+        does, and `pattern_images` reads them unchecked, so the caller
+        checks them first."""
         graph = cls.__new__(cls)
         _set_triples(graph, _Instantiation((patterns, model)))
         return graph
